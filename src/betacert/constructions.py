@@ -41,6 +41,7 @@ from .certificate import (
     check_le,
     check_lt,
 )
+from .expansions import _require_base
 from .realnum import (
     Enclosure,
     PrecisionError,
@@ -81,13 +82,6 @@ log = logging.getLogger(__name__)
 def contraction_block(k: int) -> Word:
     """The digit block 1^{k-1} 0 whose prefix map is the contraction g."""
     return Word.ones(k - 1) + Word.zeros(1)
-
-
-def _require_base(q) -> Enclosure:
-    q = as_enclosure(q)
-    if q.gt(1) is not True or q.lt(2) is not True:
-        raise ValueError("q must be certifiably inside (1, 2)")
-    return q
 
 
 # ======================================================================

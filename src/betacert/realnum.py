@@ -44,6 +44,7 @@ from math import nextafter
 from typing import Optional
 
 from mpmath import iv, mp
+from mpmath.libmp import mpf_cmp
 
 
 DEFAULT_PRECISION = 256
@@ -100,6 +101,33 @@ def _raw_to_fraction(raw) -> Fraction:
     return Fraction(m) * Fraction(2) ** exp if exp >= 0 else Fraction(m, 2 ** (-exp))
 
 
+def _cmp(s, t) -> int:
+    """Exact order (-1, 0, 1) of two raw libmp endpoints, decided with no
+    rational conversion; a non-finite one (bc < 0) raises like .lo/.hi."""
+    if s[3] < 0 or t[3] < 0:
+        raise PrecisionError("non-finite endpoint in enclosure")
+    return mpf_cmp(s, t)
+
+
+def exact_keys(raws) -> list[int]:
+    """Integers ordered exactly as the given raw libmp endpoints.
+
+    Each finite endpoint +-man * 2**exp becomes +-man << (exp - e0), with
+    e0 the least exponent in this list, so integer order and equality are
+    exactly rational order and equality.  Keys from different calls are
+    not comparable.  ``Enclosure.raw`` supplies the endpoints.
+    """
+    raws = list(raws)
+    if any(bc < 0 for (_, _, _, bc) in raws):
+        raise PrecisionError("non-finite endpoint in enclosure")
+    e0 = min((exp for (_, _, exp, _) in raws), default=0)
+    return [(-man if sign else man) << (exp - e0) for (sign, man, exp, _) in raws]
+
+
+_FLOAT_ERROR = ("binary floats are not exact inputs; pass a Fraction or a "
+                "decimal string such as '0.1'")
+
+
 def _fraction_to_mpf_exact(fr: Fraction):
     """Exact mpf for a dyadic rational (denominator a power of two)."""
     num, den = fr.numerator, fr.denominator
@@ -119,18 +147,22 @@ class Enclosure:
     __slots__ = ("_iv", "_lo", "_hi")
 
     def __init__(self, value):
+        if isinstance(value, float):
+            raise TypeError(_FLOAT_ERROR)
         if isinstance(value, Enclosure):
             self._iv = value._iv
         elif isinstance(value, Fraction):
             self._iv = iv.mpf(value.numerator) / iv.mpf(value.denominator)
         else:
-            # int, float, decimal string, ivmpf, mpf
+            # int, decimal string, ivmpf, mpf
             self._iv = iv.mpf(value)
         self._lo = None
         self._hi = None
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "Enclosure":
+        if isinstance(lo, float) or isinstance(hi, float):
+            raise TypeError(_FLOAT_ERROR)
         if isinstance(lo, Fraction):
             lo = _fraction_to_mpf_exact(lo) if lo.denominator & (lo.denominator - 1) == 0 \
                 else iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
@@ -144,6 +176,11 @@ class Enclosure:
         return out
 
     # -- exact endpoint access -----------------------------------------
+
+    @property
+    def raw(self) -> tuple:
+        """The (lo, hi) endpoints as raw libmp tuples, for exact_keys."""
+        return self._iv._mpi_
 
     @property
     def lo(self) -> Fraction:
@@ -187,10 +224,12 @@ class Enclosure:
         if isinstance(other, Fraction):
             return (iv.mpf(other.numerator) / iv.mpf(other.denominator))
         if isinstance(other, float):
-            return iv.mpf(other)
+            raise TypeError(_FLOAT_ERROR)
         return None
 
-    def _wrap(self, value) -> "Enclosure":
+    @staticmethod
+    def _wrap(value) -> "Enclosure":
+        """Enclosure around an interval already computed (no rounding)."""
         out = Enclosure.__new__(Enclosure)
         out._iv = value
         out._lo = None
@@ -241,31 +280,31 @@ class Enclosure:
     #
     # .lt(b) asks: is the real in self certainly < the real in b?
     # True / False only with certainty, else None.  All four are decided
-    # exactly on the rational endpoints.
+    # exactly on the raw endpoints.
 
     def lt(self, other) -> Optional[bool]:
-        other = as_enclosure(other)
-        if self.hi < other.lo:
+        a, b = self._iv._mpi_
+        c, d = as_enclosure(other)._iv._mpi_
+        if _cmp(b, c) < 0:
             return True
-        if self.lo >= other.hi:
+        if _cmp(a, d) >= 0:
             return False
         return None
 
     def le(self, other) -> Optional[bool]:
-        other = as_enclosure(other)
-        if self.hi <= other.lo:
+        a, b = self._iv._mpi_
+        c, d = as_enclosure(other)._iv._mpi_
+        if _cmp(b, c) <= 0:
             return True
-        if self.lo > other.hi:
+        if _cmp(a, d) > 0:
             return False
         return None
 
     def gt(self, other) -> Optional[bool]:
-        other = as_enclosure(other)
         r = self.le(other)
         return None if r is None else not r
 
     def ge(self, other) -> Optional[bool]:
-        other = as_enclosure(other)
         r = self.lt(other)
         return None if r is None else not r
 
@@ -275,20 +314,25 @@ class Enclosure:
         return self.lo <= x <= self.hi
 
     def is_subset_of(self, other: "Enclosure") -> bool:
-        return self.lo >= other.lo and self.hi <= other.hi
+        a, b = self._iv._mpi_
+        c, d = other._iv._mpi_
+        return _cmp(a, c) >= 0 and _cmp(b, d) <= 0
 
     def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        a, b = self._iv._mpi_
+        c, d = other._iv._mpi_
+        return _cmp(a, d) <= 0 and _cmp(c, b) <= 0
 
     # -- structural equality (same endpoints), usable for dedup ----------
+    # libmp tuples are normalised, so equal values have equal tuples
 
     def __eq__(self, other):
         if not isinstance(other, Enclosure):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        return self._iv._mpi_ == other._iv._mpi_
 
     def __hash__(self):
-        return hash((self.lo, self.hi))
+        return hash(self._iv._mpi_)
 
     def __repr__(self):
         return f"Enclosure({iv.nstr(self._iv, 20)})"
@@ -302,26 +346,33 @@ def as_enclosure(x) -> Enclosure:
     return x if isinstance(x, Enclosure) else Enclosure(x)
 
 
+def _envelope(xs, sign: int) -> Enclosure:
+    """Endpoint-wise min (sign -1) or max (sign +1) of the enclosures xs.
+
+    The chosen endpoints are exact, so nothing rounds."""
+    picked = []
+    for side in (0, 1):
+        best, *rest = [x._iv._mpi_[side] for x in xs]
+        for r in rest:
+            if _cmp(r, best) == sign:
+                best = r
+        picked.append(best)
+    return Enclosure._wrap(iv.make_mpf(tuple(picked)))
+
+
 def enc_min(*xs: Enclosure) -> Enclosure:
     """Enclosure of min(x_1, ..., x_n) for reals x_i enclosed by xs."""
-    lo = min(x.lo for x in xs)
-    hi = min(x.hi for x in xs)
-    return Enclosure.from_endpoints(lo, hi)
+    return _envelope(xs, -1)
 
 
 def enc_max(*xs: Enclosure) -> Enclosure:
-    lo = max(x.lo for x in xs)
-    hi = max(x.hi for x in xs)
-    return Enclosure.from_endpoints(lo, hi)
+    return _envelope(xs, 1)
 
 
 def enc_log(x, base=None) -> Enclosure:
     x = as_enclosure(x)
-    out = Enclosure.__new__(Enclosure)
-    out._iv = iv.log(x._iv) if base is None else iv.log(x._iv) / iv.log(as_enclosure(base)._iv)
-    out._lo = None
-    out._hi = None
-    return out
+    return Enclosure._wrap(iv.log(x._iv) if base is None
+                           else iv.log(x._iv) / iv.log(as_enclosure(base)._iv))
 
 
 def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
@@ -332,10 +383,12 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     endpoints, x surely lies inside.  False means x surely lies outside.
     None otherwise (fail-closed for callers that count).
     """
-    x = as_enclosure(x)
-    if x.lo >= lo.hi and x.hi <= hi.lo:
+    a, b = as_enclosure(x)._iv._mpi_
+    lo_a, lo_b = lo._iv._mpi_
+    hi_a, hi_b = hi._iv._mpi_
+    if _cmp(a, lo_b) >= 0 and _cmp(b, hi_a) <= 0:
         return True
-    if x.hi < lo.lo or x.lo > hi.hi:
+    if _cmp(b, lo_a) < 0 or _cmp(a, hi_b) > 0:
         return False
     return None
 
@@ -433,11 +486,7 @@ def _horner(digits: tuple, q: Enclosure) -> Enclosure:
     qi = q._iv
     for d in reversed(digits):
         acc = (acc + d) / qi
-    out = Enclosure.__new__(Enclosure)
-    out._iv = acc
-    out._lo = None
-    out._hi = None
-    return out
+    return Enclosure._wrap(acc)
 
 
 def pi_q(seq, q) -> Enclosure:

@@ -396,14 +396,14 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
             descend(val, e, 1, True)
             word.pop()
 
-    gaps.sort(key=lambda g: (g.left.lo, g.right.lo))
-    unique: list[Gap] = []
+    # GapSet sorts by position; equal enclosures are equal tuples, so a
+    # dict finds every duplicate pair of endpoints
+    unique: dict[tuple[Enclosure, Enclosure], Gap] = {}
     for g in gaps:
-        if unique and unique[-1].left == g.left and unique[-1].right == g.right:
+        first = unique.setdefault((g.left, g.right), g)
+        if first is not g:
             log.warning(
                 "duplicate gap endpoints for index words %r and %r; keeping the first",
-                unique[-1].label, g.label,
+                first.label, g.label,
             )
-            continue
-        unique.append(g)
-    return GapSet(hull_lo, hull_hi, tuple(unique), depth=max_delta_len)
+    return GapSet(hull_lo, hull_hi, tuple(unique.values()), depth=max_delta_len)

@@ -35,6 +35,7 @@ from .realnum import (
     bonacci_root,
     enc_max,
     enc_min,
+    exact_keys,
 )
 
 __all__ = [
@@ -88,7 +89,8 @@ class GapSet:
     def __post_init__(self):
         if self.hull_lo.lt(self.hull_hi) is not True:
             raise MalformedGapSet("hull must have certified positive length")
-        gaps = tuple(sorted(self.gaps, key=lambda g: (g.left.lo, g.right.lo)))
+        order = _position_order([(g.left, g.right) for g in self.gaps])
+        gaps = tuple(self.gaps[i] for i in order)
         object.__setattr__(self, "gaps", gaps)
         prev_right = None
         for g in gaps:
@@ -150,6 +152,14 @@ class GapSet:
         return verdict
 
 
+def _position_order(pairs) -> list[int]:
+    """Indices of (left, right) enclosure pairs in exact position order:
+    by lower end of left, then lower end of right."""
+    lefts = exact_keys([a.raw[0] for a, _ in pairs])
+    rights = exact_keys([b.raw[0] for _, b in pairs])
+    return sorted(range(len(pairs)), key=lambda i: (lefts[i], rights[i]))
+
+
 def gapset_from_intervals(hull_lo, hull_hi, pieces: Iterable[tuple], depth=None) -> GapSet:
     """Build a GapSet from closed covering pieces instead of gaps.
 
@@ -163,7 +173,7 @@ def gapset_from_intervals(hull_lo, hull_hi, pieces: Iterable[tuple], depth=None)
     rows = [(as_enclosure(a), as_enclosure(b)) for (a, b) in pieces]
     if not rows:
         raise MalformedGapSet("need at least one covering piece")
-    rows.sort(key=lambda ab: (ab[0].lo, ab[1].lo))
+    rows = [rows[i] for i in _position_order(rows)]
     merged = [list(rows[0])]
     for a, b in rows[1:]:
         if merged[-1][1].lt(a) is True:
@@ -190,11 +200,6 @@ class ThicknessValue:
     gap_count: int = 0
 
 
-def _width_key(g: Gap) -> tuple[Fraction, Fraction]:
-    w = g.width
-    return (w.lo, w.hi)
-
-
 def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
               strict: bool = False) -> ThicknessValue:
     """Stepwise Newhouse thickness of a finite gap description.
@@ -209,26 +214,34 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
     which is the right call for families whose equal-width gaps acquire
     unequal enclosures through rounding.
     """
-    n = len(gapset.gaps)
+    gaps = gapset.gaps
+    n = len(gaps)
     if n == 0:
         return ThicknessValue(tau=None, infinite=True, depth=gapset.depth, gap_count=0)
 
-    order = sorted(range(n), key=lambda i: (-gapset.gaps[i].width.hi, gapset.gaps[i].left.lo))
+    widths = [g.width for g in gaps]
+    # exact integer keys, one scale for both width ends and one for the
+    # lower ends of both gap endpoints
+    width_ends = exact_keys([end for w in widths for end in w.raw])
+    w_lo, w_hi = width_ends[0::2], width_ends[1::2]
+    positions = exact_keys([g.left.raw[0] for g in gaps] + [g.right.raw[0] for g in gaps])
+    left_at, right_at = positions[:n], positions[n:]
+
+    order = sorted(range(n), key=lambda i: (-w_hi[i], left_at[i]))
     if strict:
         for a, b in zip(order, order[1:]):
-            wa, wb = gapset.gaps[a].width, gapset.gaps[b].width
-            if (wa.lo, wa.hi) == (wb.lo, wb.hi):
+            if (w_lo[a], w_hi[a]) == (w_lo[b], w_hi[b]):
                 continue
-            if wa.ge(wb) is not True:
+            if w_lo[a] < w_hi[b]:
                 raise PrecisionError(
                     "cannot certify the diameter processing order at this precision"
                 )
     if tie_rng is not None:
         shuffled: list[int] = []
         block: list[int] = []
-        block_key: Optional[tuple[Fraction, Fraction]] = None
+        block_key: Optional[tuple[int, int]] = None
         for i in order:
-            key = _width_key(gapset.gaps[i])
+            key = (w_lo[i], w_hi[i])
             if key == block_key:
                 block.append(i)
             else:
@@ -241,25 +254,26 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
 
     # placed endpoints, keyed by exact lower bounds for bisection; the keys
     # are consistent because the gaps were validated pairwise separated
-    right_keys: list[Fraction] = []
+    right_keys: list[int] = []
     right_vals: list[Enclosure] = []
-    left_keys: list[Fraction] = []
+    left_keys: list[int] = []
     left_vals: list[Enclosure] = []
 
     tau: Optional[Enclosure] = None
     for i in order:
-        g = gapset.gaps[i]
-        idx = bisect_right(right_keys, g.left.lo)
+        g = gaps[i]
+        left_key, right_key = left_at[i], right_at[i]
+        idx = bisect_right(right_keys, left_key)
         anchor_l = right_vals[idx - 1] if idx > 0 else gapset.hull_lo
-        jdx = bisect_left(left_keys, g.right.lo)
+        jdx = bisect_left(left_keys, right_key)
         anchor_r = left_vals[jdx] if jdx < len(left_vals) else gapset.hull_hi
-        score = enc_min(g.left - anchor_l, anchor_r - g.right) / g.width
+        score = enc_min(g.left - anchor_l, anchor_r - g.right) / widths[i]
         tau = score if tau is None else enc_min(tau, score)
-        insort_pos = bisect_left(left_keys, g.left.lo)
-        left_keys.insert(insort_pos, g.left.lo)
+        insort_pos = bisect_left(left_keys, left_key)
+        left_keys.insert(insort_pos, left_key)
         left_vals.insert(insort_pos, g.left)
-        insort_pos = bisect_left(right_keys, g.right.lo)
-        right_keys.insert(insort_pos, g.right.lo)
+        insort_pos = bisect_left(right_keys, right_key)
+        right_keys.insert(insort_pos, right_key)
         right_vals.insert(insort_pos, g.right)
 
     return ThicknessValue(tau=tau, infinite=False, depth=gapset.depth, gap_count=n)
@@ -347,8 +361,8 @@ def _contained_in_complement(inner: GapSet, outer: GapSet) -> Optional[bool]:
         return True
     uncertain = side_low is None or side_high is None
     # only gaps positioned to straddle the inner hull can contain it
-    keys = [g.left.lo for g in outer.gaps]
-    start = bisect_right(keys, lo.hi)
+    *keys, probe = exact_keys([g.left.raw[0] for g in outer.gaps] + [lo.raw[1]])
+    start = bisect_right(keys, probe)
     for g in outer.gaps[max(0, start - 2): start + 2]:
         in_gap_l = g.left.lt(lo)
         in_gap_r = hi.lt(g.right)
@@ -398,13 +412,13 @@ def _distance_to_set(x: Enclosure, bset: GapSet) -> Enclosure:
     distance.
     """
     bridges = bset.bridges()
-    keys = [u.lo for (u, _) in bridges]
-    idx = bisect_right(keys, x.lo)
+    *keys, probe = exact_keys([u.raw[0] for (u, _) in bridges] + [x.raw[0]])
+    idx = bisect_right(keys, probe)
     lo_j = idx - 1
-    while lo_j > 0 and not (bridges[lo_j][1].hi < x.lo):
+    while lo_j > 0 and bridges[lo_j][1].lt(x) is not True:
         lo_j -= 1
     hi_j = idx
-    while hi_j < len(bridges) - 1 and not (bridges[hi_j][0].lo > x.hi):
+    while hi_j < len(bridges) - 1 and x.lt(bridges[hi_j][0]) is not True:
         hi_j += 1
     zero = Enclosure(0)
     best: Optional[Enclosure] = None

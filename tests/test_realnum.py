@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from betacert.realnum import (
     Enclosure,
+    PrecisionError,
     as_enclosure,
     bonacci_root,
     characteristic_sign,
     enc_log,
     enc_max,
     enc_min,
+    exact_keys,
     membership,
     pi_q,
     precision,
@@ -90,6 +92,86 @@ def test_min_max_envelopes():
     assert m.lo == 0 and m.hi == 2
     mx = enc_max(a, b)
     assert mx.lo == 1 and mx.hi == 3
+
+
+# endpoints for the compare kernels: zero, negative values, rationals that
+# round outward, exact dyadics of widely spread exponents
+endpoints = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=10 ** 6),
+    st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
+              st.integers(-(2 ** 70), 2 ** 70), st.integers(-300, 40)),
+)
+
+
+@st.composite
+def enclosures(draw):
+    """Random enclosures: point intervals, endpoints rounded at a precision
+    other than the current one, and k-Bonacci roots built at bits + 16."""
+    if draw(st.integers(0, 5)) == 0:
+        return bonacci_root(draw(st.integers(2, 40))).value
+    a = draw(endpoints)
+    b = draw(st.one_of(st.just(a), endpoints))
+    with precision(draw(st.sampled_from([64, 256, 272, 600]))):
+        return Enclosure.from_endpoints(min(a, b), max(a, b))
+
+
+def oracle_lt(x, y):
+    return True if x.hi < y.lo else (False if x.lo >= y.hi else None)
+
+
+def oracle_le(x, y):
+    return True if x.hi <= y.lo else (False if x.lo > y.hi else None)
+
+
+def negated(r):
+    return None if r is None else not r
+
+
+@given(enclosures(), enclosures(), enclosures())
+@settings(max_examples=300, deadline=None)
+def test_compare_kernels_match_fraction_oracle(x, y, z):
+    assert x.lt(y) is oracle_lt(x, y)
+    assert x.le(y) is oracle_le(x, y)
+    assert x.gt(y) is negated(oracle_le(x, y))
+    assert x.ge(y) is negated(oracle_lt(x, y))
+    inside = x.lo >= y.hi and x.hi <= z.lo
+    outside = x.hi < y.lo or x.lo > z.hi
+    assert membership(x, y, z) is (True if inside else (False if outside else None))
+    m, mx = enc_min(x, y, z), enc_max(x, y, z)
+    assert (m.lo, m.hi) == (min(x.lo, y.lo, z.lo), min(x.hi, y.hi, z.hi))
+    assert (mx.lo, mx.hi) == (max(x.lo, y.lo, z.lo), max(x.hi, y.hi, z.hi))
+    assert (x == y) is ((x.lo, x.hi) == (y.lo, y.hi))
+    twin = Enclosure.from_endpoints(x.lo, x.hi)  # same value, fresh tuples
+    assert twin == x and hash(twin) == hash(x)
+
+
+@given(st.lists(enclosures(), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_exact_keys_order_as_fractions(xs):
+    raws = [end for x in xs for end in x.raw]
+    exact = [end for x in xs for end in (x.lo, x.hi)]
+    keys = exact_keys(raws)
+    for i in range(len(raws)):
+        for j in range(len(raws)):
+            assert (keys[i] < keys[j]) is (exact[i] < exact[j])
+            assert (keys[i] == keys[j]) is (exact[i] == exact[j])
+
+
+def test_non_finite_endpoints_raise():
+    unbounded = Enclosure(1) / Enclosure.from_endpoints(-1, 1)
+    with pytest.raises(PrecisionError):
+        unbounded.lt(0)
+    with pytest.raises(PrecisionError):
+        exact_keys(unbounded.raw)
+
+
+def test_binary_floats_rejected():
+    for build in (Enclosure, as_enclosure, Enclosure._coerce,
+                  lambda v: Enclosure(1) + v,
+                  lambda v: Enclosure.from_endpoints(0, v)):
+        with pytest.raises(TypeError, match="Fraction or a decimal string"):
+            build(0.1)
 
 
 def test_float_bounds_outward():

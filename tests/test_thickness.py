@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacert import realnum
 from betacert.realnum import Enclosure, bonacci_root
 from betacert.symbolic import gaps_of_Sk
 from betacert.thickness import (
@@ -256,6 +257,26 @@ def test_strict_mode_raises_on_uncertain_order():
     # exact ties and certified orderings pass strict mode
     clean = to_gapset((F(0), F(1)), [(F(1, 8), F(1, 4)), (F(1, 2), F(5, 8))])
     assert thickness(clean, strict=True).tau is not None
+
+
+def test_kernels_convert_no_endpoint_to_fraction(monkeypatch):
+    # gaps_of_Sk, GapSet validation and thickness order endpoints on their
+    # raw binary form; a rational view per endpoint made them several
+    # times slower, so count the conversions instead of timing
+    q = bonacci_root(5).value + E(F(1, 10 ** 6))
+    conversions = []
+    convert = realnum._raw_to_fraction
+    monkeypatch.setattr(realnum, "_raw_to_fraction",
+                        lambda raw: conversions.append(raw) or convert(raw))
+    family = gaps_of_Sk(q, 5, 8)
+    assert 300 <= len(family.gaps) <= 600
+    shuffled = list(family.gaps)
+    random.Random(0).shuffle(shuffled)
+    rebuilt = GapSet(family.hull_lo, family.hull_hi, tuple(shuffled), depth=family.depth)
+    assert rebuilt.gaps == family.gaps
+    tau = thickness(rebuilt).tau
+    assert thickness(rebuilt, tie_rng=random.Random(1)).tau == tau
+    assert conversions == []
 
 
 # --------------------------------------------- closed-form family value
