@@ -53,29 +53,36 @@ class Check:
         return out
 
 
+def _status(verdict: Optional[bool]) -> str:
+    if verdict is True:
+        return STATUS_CERTIFIED
+    return STATUS_FAILED if verdict is False else STATUS_UNCERTAIN
+
+
+def _compare(name: str, relation: str, lhs: Enclosure, rhs: Enclosure,
+             note: str) -> Check:
+    """Certified `lhs <relation> rhs` ("ge", "le", "gt", "lt"), fail-closed on overlap."""
+    verdict = getattr(lhs, relation)(rhs)
+    margin = lhs - rhs if relation in ("ge", "gt") else rhs - lhs
+    return Check(name=name, lhs=lhs, rhs=rhs, status=_status(verdict),
+                 margin=margin, note=note)
+
+
 def check_ge(name: str, lhs: Enclosure, rhs: Enclosure, note: str = "") -> Check:
     """Certified `lhs >= rhs` comparison, fail-closed on overlap."""
-    r = lhs.ge(rhs)
-    status = STATUS_CERTIFIED if r is True else (STATUS_FAILED if r is False else STATUS_UNCERTAIN)
-    return Check(name=name, lhs=lhs, rhs=rhs, status=status, margin=lhs - rhs, note=note)
+    return _compare(name, "ge", lhs, rhs, note)
 
 
 def check_le(name: str, lhs: Enclosure, rhs: Enclosure, note: str = "") -> Check:
-    r = lhs.le(rhs)
-    status = STATUS_CERTIFIED if r is True else (STATUS_FAILED if r is False else STATUS_UNCERTAIN)
-    return Check(name=name, lhs=lhs, rhs=rhs, status=status, margin=rhs - lhs, note=note)
+    return _compare(name, "le", lhs, rhs, note)
 
 
 def check_gt(name: str, lhs: Enclosure, rhs: Enclosure, note: str = "") -> Check:
-    r = lhs.gt(rhs)
-    status = STATUS_CERTIFIED if r is True else (STATUS_FAILED if r is False else STATUS_UNCERTAIN)
-    return Check(name=name, lhs=lhs, rhs=rhs, status=status, margin=lhs - rhs, note=note)
+    return _compare(name, "gt", lhs, rhs, note)
 
 
 def check_lt(name: str, lhs: Enclosure, rhs: Enclosure, note: str = "") -> Check:
-    r = lhs.lt(rhs)
-    status = STATUS_CERTIFIED if r is True else (STATUS_FAILED if r is False else STATUS_UNCERTAIN)
-    return Check(name=name, lhs=lhs, rhs=rhs, status=status, margin=rhs - lhs, note=note)
+    return _compare(name, "lt", lhs, rhs, note)
 
 
 def check_consistent(name: str, lhs: Enclosure, rhs: Enclosure, note: str = "") -> Check:
@@ -87,14 +94,12 @@ def check_consistent(name: str, lhs: Enclosure, rhs: Enclosure, note: str = "") 
     CERTIFIED when they overlap, i.e. the computations are consistent at
     working precision.
     """
-    ok = lhs.intersects(rhs)
-    status = STATUS_CERTIFIED if ok else STATUS_FAILED
-    return Check(name=name, lhs=lhs, rhs=rhs, status=status, margin=lhs - rhs, note=note)
+    return Check(name=name, lhs=lhs, rhs=rhs, status=_status(lhs.intersects(rhs)),
+                 margin=lhs - rhs, note=note)
 
 
 def check_flag(name: str, ok: Optional[bool], note: str = "") -> Check:
-    status = STATUS_CERTIFIED if ok is True else (STATUS_FAILED if ok is False else STATUS_UNCERTAIN)
-    return Check(name=name, lhs=None, rhs=None, status=status, note=note)
+    return Check(name=name, lhs=None, rhs=None, status=_status(ok), note=note)
 
 
 @dataclass

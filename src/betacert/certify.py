@@ -20,6 +20,9 @@ This module strings the lower layers into the two headline claims:
   switch-region preimage of the located intersection point (the preimage
   is where the three expansions live: one branch falls into the
   run-limited family, the other reaches the intersection point's two).
+  Each family is built, validated and measured once: the run-limited
+  family's thickness is the closed form ``sk_thickness``, and the
+  cover's one stepwise value also serves its affine image.
 
 ``reproduce_tables`` recomputes every row of the two reference tables
 (roots, radii, dimension bounds, order thresholds) and flags each column
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
@@ -74,8 +77,9 @@ from .realnum import (
 )
 from .symbolic import SymbolicSeq, gaps_of_Sk
 from .thickness import (
+    _gap_lemma_checks,
     affine_image,
-    newhouse_certificate,
+    interleaved,
     sk_thickness,
     strongly_interleaved,
     thickness,
@@ -123,10 +127,8 @@ _GAP_DEPTH = 12
 _COUNT_DEPTH = 200
 
 
-def _merge(checks: list[Check], sub: Certificate, prefix: str) -> None:
-    for c in sub.checks:
-        checks.append(Check(name=prefix + c.name, lhs=c.lhs, rhs=c.rhs,
-                            status=c.status, margin=c.margin, note=c.note))
+def _merge(checks: list[Check], sub: list[Check], prefix: str) -> None:
+    checks.extend(replace(c, name=prefix + c.name) for c in sub)
 
 
 def _bounds(e: Enclosure) -> list[float]:
@@ -318,7 +320,7 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
     checks.append(check_lt(
         "epsilon_below_upper_band", eps, root ** (-(m + 2) * k + 1),
         note="pinning keeps the defect of 1 below root^(-(m+2)k+1)"))
-    _merge(checks, pq_certificate(anchors), "layout_")
+    _merge(checks, pq_certificate(anchors).checks, "layout_")
 
     sk = sk_thickness(q_eval, k - 1, 3 * k)
     tau_floor = q_eval ** (k - 4)
@@ -328,7 +330,7 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
              "full-family bound"))
 
     _merge(checks,
-           fy_inequality(m, tau_floor, Fraction(1, 8)),
+           fy_inequality(m, tau_floor, Fraction(1, 8)).checks,
            "fy_")
 
     dim = dim_lower_bound(m, root if interval_mode else q_eval, k)
@@ -458,9 +460,8 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
              "closed-form values and separations"))
     margin = root ** (-2 * k - 4)
     imgs = [p.image for p in ws.points]
-    _merge(checks,
-           strongly_interleaved(imgs[0], imgs[2], imgs[1], imgs[3], margin),
-           "interleaving_")
+    stagger = strongly_interleaved(imgs[0], imgs[2], imgs[1], imgs[3], margin)
+    _merge(checks, stagger.checks, "interleaving_")
 
     # moving both families from the root to any base in the band shifts
     # them by less than the interleaving margin: per-sequence projection
@@ -494,19 +495,24 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "thickness_product_at_least_one", sk.tau * a_tau.tau,
         as_enclosure(1)))
 
-    # gap-lemma run on materialized descriptions of both families
+    # gap-lemma run in the run-limited family's own coordinates (the A
+    # family shifted down by 1); thickness is affine invariant, so the A
+    # family keeps the cover's tau, and S takes the closed form
     gap_depth = _GAP_DEPTH if depth is None else depth
-    gs_s = affine_image(gaps_of_Sk(q_eval, k - 1, gap_depth), 1, 1)
+    gs_s = gaps_of_Sk(q_eval, k - 1, gap_depth)
     gmap = GMap(q_eval, k)
-    gs_a = affine_image(cover, gmap.scale, gmap.offset)
-    _merge(checks, newhouse_certificate(gs_s, gs_a), "newhouse_")
+    gs_a = affine_image(cover, gmap.scale, gmap.offset - 1)
+    _merge(checks,
+           _gap_lemma_checks(interleaved(gs_s, gs_a),
+                             sk_thickness(q_eval, k - 1, gap_depth), a_tau),
+           "newhouse_")
 
     # located intersection point: the second witness image; exact at the
     # root, an approximation within the drift bounds elsewhere
     anchor = ws.points[1]
     y_val = pi_q(anchor.image_seq, q_eval)
-    in_s = gs_s.point_in(y_val)
-    in_a = gs_a.point_in(y_val)
+    in_s = gs_s.point_in(y_val - 1)
+    in_a = gs_a.point_in(y_val - 1)
     located_flag: Optional[bool]
     if in_s is True and in_a is True:
         located_flag = True
@@ -531,9 +537,8 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     x_val = pi_q(x_seq, root)
     count = certify_m_expansions(root, x_seq, 3, depth=_COUNT_DEPTH)
     for c in count.checks:
-        checks.append(Check(
-            name="count_" + c.name, lhs=c.lhs, rhs=c.rhs, status=c.status,
-            margin=c.margin,
+        checks.append(replace(
+            c, name="count_" + c.name,
             note=(c.note + "; " if c.note else "")
                  + "instantiated at the band center"))
 

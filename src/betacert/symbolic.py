@@ -216,32 +216,54 @@ class SubshiftSk:
         return avoids(seq, a) and avoids(seq, b)
 
 
+#: automaton state of the empty word; see _next_state
+_EMPTY = (None, 0, True)
+
+
+def _next_state(k: int, state: tuple, e: int) -> Optional[tuple]:
+    """Run-limited automaton for the order-k avoidance patterns.
+
+    A state is (last digit, length of the final run, whether that run is
+    the initial one).  Appending ``e`` gives the next state, or None when
+    a non-initial run would reach length k -- the word would then contain
+    01^k or 10^k.  Initial runs are unbounded.
+    """
+    last, run, initial = state
+    if e != last:
+        return (e, 1, last is None)
+    if initial or run + 1 <= k - 1:
+        return (e, run + 1, initial)
+    return None
+
+
+def _is_gap_index(k: int, state: tuple) -> bool:
+    """A word ending in ``state`` indexes a gap: its final non-initial run
+    is at most k-2, so both endpoint tails stay pattern-free."""
+    _, run, initial = state
+    return initial or run <= k - 2
+
+
+def _state_counts(k: int, n: int) -> Iterator[dict]:
+    """Number of words in each automaton state, for lengths 0, 1, ..., n."""
+    counts = {_EMPTY: 1}
+    yield counts
+    for _ in range(n):
+        nxt: dict = {}
+        for state, c in counts.items():
+            for e in (0, 1):
+                key = _next_state(k, state, e)
+                if key is not None:
+                    nxt[key] = nxt.get(key, 0) + c
+        counts = nxt
+        yield counts
+
+
 @lru_cache(maxsize=None)
 def _run_capped_count(k: int, n: int) -> int:
     """Number of binary words of length n whose non-initial runs are all
     shorter than k — equivalently, words avoiding 01^k and 10^k."""
-    if n == 0:
-        return 1
-    # state: (digit, run_length, initial_run?) after some prefix
-    counts: dict[tuple[int, int, bool], int] = {}
-    for d in (0, 1):
-        counts[(d, 1, True)] = 1
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, int, bool], int] = {}
-        for (d, run, initial), c in counts.items():
-            for e in (0, 1):
-                if e == d:
-                    if initial:
-                        key = (d, run + 1, True)
-                    elif run + 1 <= k - 1:
-                        key = (d, run + 1, False)
-                    else:
-                        continue
-                else:
-                    key = (e, 1, False)
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    return sum(counts.values())
+    *_, last = _state_counts(k, n)
+    return sum(last.values())
 
 
 def enumerate_sk_words(k: int, n: int, budget: int = ENUMERATION_BUDGET) -> list[Word]:
@@ -263,56 +285,25 @@ def enumerate_sk_words(k: int, n: int, budget: int = ENUMERATION_BUDGET) -> list
     out: list[Word] = []
     word: list[int] = []
 
-    def descend(last: int, run: int, initial: bool):
+    def descend(state):
         if len(word) == n:
             out.append(Word(tuple(word)))
             return
         for e in (0, 1):
-            if e == last:
-                if not initial and run + 1 > k - 1:
-                    continue
+            nxt = _next_state(k, state, e)
+            if nxt is not None:
                 word.append(e)
-                descend(e, run + 1, initial)
-                word.pop()
-            else:
-                word.append(e)
-                descend(e, 1, False)
+                descend(nxt)
                 word.pop()
 
-    if n == 0:
-        return [Word()]
-    for e in (0, 1):
-        word.append(e)
-        descend(e, 1, True)
-        word.pop()
+    descend(_EMPTY)
     return out
 
 
 def _admissible_count(k: int, max_len: int) -> int:
-    """Number of gap index words of length <= max_len: words whose
-    non-initial runs stay below k and whose final non-initial run is at
-    most k-2 (so both endpoint tails remain pattern-free)."""
-    total = 1  # empty word
-    for n in range(1, max_len + 1):
-        counts: dict[tuple[int, int, bool], int] = {(0, 1, True): 1, (1, 1, True): 1}
-        for _ in range(n - 1):
-            nxt: dict[tuple[int, int, bool], int] = {}
-            for (d, run, initial), c in counts.items():
-                for e in (0, 1):
-                    if e == d:
-                        if initial:
-                            key = (d, run + 1, True)
-                        elif run + 1 <= k - 1:
-                            key = (d, run + 1, False)
-                        else:
-                            continue
-                    else:
-                        key = (e, 1, False)
-                    nxt[key] = nxt.get(key, 0) + c
-            counts = nxt
-        total += sum(c for (d, run, initial), c in counts.items()
-                     if initial or run <= k - 2)
-    return total
+    """Number of gap index words of length <= max_len (see _is_gap_index)."""
+    return sum(c for counts in _state_counts(k, max_len)
+               for state, c in counts.items() if _is_gap_index(k, state))
 
 
 def gaps_of_Sk(q, k: int, max_delta_len: int,
@@ -369,32 +360,19 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
         gaps.append(Gap(left=val + scale * p0, right=val + scale * p1,
                         label="".join(str(d) for d in word)))
 
-    def descend(val: Enclosure, last: int, run: int, initial: bool):
-        if initial or run <= k - 2:
+    def descend(val: Enclosure, state):
+        if _is_gap_index(k, state):
             emit(val)
         if len(word) == max_delta_len:
             return
         for e in (0, 1):
-            if e == last:
-                if not initial and run + 1 > k - 1:
-                    continue
-                nrun, ninit = run + 1, initial
-            else:
-                nrun, ninit = 1, False
-            word.append(e)
-            descend(val + qinv_pow[len(word)] * Enclosure(e) if e else val,
-                    e, nrun, ninit)
-            word.pop()
+            nxt = _next_state(k, state, e)
+            if nxt is not None:
+                word.append(e)
+                descend(val + qinv_pow[len(word)] * Enclosure(e) if e else val, nxt)
+                word.pop()
 
-    if max_delta_len == 0:
-        emit(Enclosure(0))
-    else:
-        emit(Enclosure(0))
-        for e in (0, 1):
-            word.append(e)
-            val = qinv_pow[1] * Enclosure(e) if e else Enclosure(0)
-            descend(val, e, 1, True)
-            word.pop()
+    descend(Enclosure(0), _EMPTY)
 
     # GapSet sorts by position; equal enclosures are equal tuples, so a
     # dict finds every duplicate pair of endpoints

@@ -12,6 +12,10 @@ that survive on its sides among previously processed gaps, and tau is the
 infimum of the scores.  For the base-avoidance families produced by
 symbolic.gaps_of_Sk the same infimum has a closed form, implemented in
 sk_thickness and cross-validated against the generic routine in the tests.
+
+The gap lemma's checks are built in one place from an interleaving verdict
+and two ThicknessValues, however each tau was obtained: stepwise in
+newhouse_certificate, from values already at hand in the pipelines.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Iterable, Optional
 
 from .certificate import (
     Certificate,
+    Check,
     check_flag,
     check_ge,
     GRADE_EVIDENCE,
@@ -465,6 +470,27 @@ def hausdorff_distance(a: GapSet, b: GapSet) -> Enclosure:
     return Enclosure.from_endpoints(max(lo1, lo2), max(hi1, hi2))
 
 
+def _gap_lemma_checks(inter: bool, ta: ThicknessValue,
+                      tb: ThicknessValue) -> list[Check]:
+    """The gap lemma's hypotheses as checks: interleaving, and a thickness
+    product of at least one (a full interval's thickness is unbounded, so
+    then the partner only needs positive thickness)."""
+    checks = [check_flag("interleaved", inter)]
+    if ta.infinite or tb.infinite:
+        other = tb if ta.infinite else ta
+        if other.infinite:
+            checks.append(check_flag("thickness_product", True,
+                                     note="both descriptions are full intervals"))
+        else:
+            checks.append(check_flag(
+                "thickness_product", other.tau.gt(Enclosure(0)),
+                note="one description is a full interval; product is unbounded",
+            ))
+    else:
+        checks.append(check_ge("thickness_product", ta.tau * tb.tau, Enclosure(1)))
+    return checks
+
+
 def newhouse_certificate(a: GapSet, b: GapSet) -> Certificate:
     """Gap lemma certificate: interleaved hulls and thickness product >= 1.
 
@@ -472,30 +498,11 @@ def newhouse_certificate(a: GapSet, b: GapSet) -> Certificate:
     descriptions, so the product bound is a statement about the described
     approximations, not a closed-form inequality about the limit sets.
     """
-    inter = interleaved(a, b)
-    ta = thickness(a)
-    tb = thickness(b)
-    checks = [check_flag("interleaved", inter)]
-    one = Enclosure(1)
-    if ta.infinite or tb.infinite:
-        other = tb if ta.infinite else ta
-        if other.infinite:
-            checks.append(check_flag("thickness_product", True,
-                                     note="both descriptions are full intervals"))
-        else:
-            pos = other.tau.gt(Enclosure(0))
-            checks.append(check_flag(
-                "thickness_product",
-                True if pos is True else (None if pos is None else False),
-                note="one description is a full interval; product is unbounded",
-            ))
-    else:
-        checks.append(check_ge("thickness_product", ta.tau * tb.tau, one))
     depths = [d for d in (a.depth, b.depth) if d is not None]
     return Certificate(
         claim="newhouse-intersection",
         params={"gaps_a": len(a.gaps), "gaps_b": len(b.gaps)},
-        checks=checks,
+        checks=_gap_lemma_checks(interleaved(a, b), thickness(a), thickness(b)),
         evidence_depth=max(depths) if depths else None,
         grade=GRADE_EVIDENCE,
     )

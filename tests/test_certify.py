@@ -19,7 +19,9 @@ with the count parameter of the row below it.  The reproduction must
 report exactly that mismatch pattern, not paper over it.
 """
 
+import importlib
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -56,6 +58,7 @@ from betacert.realnum import (
     bonacci_root,
     precision,
 )
+from betacert.thickness import GapSet
 
 F = Fraction
 
@@ -398,6 +401,57 @@ def test_three_pipeline_depth_override():
     shallow = theorem_b_certify(10, depth=8)
     assert shallow.params["gap_depth"] == 8
     assert shallow.certified
+
+
+def _spy(monkeypatch, module, name):
+    """Record (args, result) of every call to ``module.name``, through
+    every binding of it in the package's modules."""
+    calls = []
+    target = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = target(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    for mod in list(sys.modules.values()):
+        if (mod.__name__.split(".")[0] == "betacert"
+                and getattr(mod, name, None) is target):
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
+    # the run-limited family takes its tau from the closed form and stays
+    # in its own coordinates; the only stepwise thickness pass and the
+    # only affine image are of the cover, which is far smaller
+    thickness_module = importlib.import_module("betacert.thickness")
+    built = []
+    validate = GapSet.__post_init__
+
+    def record(self):
+        validate(self)
+        built.append(self)
+
+    monkeypatch.setattr(GapSet, "__post_init__", record)
+    families = _spy(monkeypatch, importlib.import_module("betacert.symbolic"),
+                    "gaps_of_Sk")
+    covers = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
+                  "aq_gapset")
+    measured = _spy(monkeypatch, thickness_module, "thickness")
+    imaged = _spy(monkeypatch, thickness_module, "affine_image")
+
+    assert theorem_b_certify(10).certified
+    [(_, s_family)] = families
+    [(_, cover)] = covers
+    assert len(cover.gaps) < len(s_family.gaps)
+    assert all(len(args[0].gaps) <= len(cover.gaps) for args, _ in measured)
+    assert [args[0] is cover for args, _ in measured] == [True]
+    assert [args[0] is cover for args, _ in imaged] == [True]
+    # one GapSet per family, plus the one placement of the cover; nothing
+    # rebuilds the run-limited family
+    assert sum(len(g.gaps) == len(s_family.gaps) for g in built) == 1
+    assert len(built) == 3
 
 
 # ------------------------------------------------------- grade honesty

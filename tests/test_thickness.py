@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacert import realnum
+from betacert.certify import _GAP_DEPTH, _b_cover_depth
+from betacert.constructions import aq_gapset, fixed_expansion_of_one
 from betacert.realnum import Enclosure, bonacci_root
 from betacert.symbolic import gaps_of_Sk
 from betacert.thickness import (
@@ -293,6 +295,23 @@ def test_sk_thickness_matches_materialized_families(k, q):
         assert closed.intersects(generic), (k, depth)
         assert closed.width < F(1, 10 ** 60)
         assert generic.width < F(1, 10 ** 60)
+
+
+@pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
+def test_sk_thickness_matches_the_three_pipeline_family(k):
+    # theorem_b_certify takes the run-limited family's tau from the closed
+    # form in its gap-lemma product; pin that at the exact pipeline
+    # parameters: order k-1, the pipeline's gap depth, base the order-k root
+    q = bonacci_root(k).value
+    closed = sk_thickness(q, k - 1, _GAP_DEPTH).tau
+    generic = thickness(gaps_of_Sk(q, k - 1, _GAP_DEPTH)).tau
+    assert closed.intersects(generic)
+    assert closed.width < F(1, 10 ** 60)
+    assert generic.width < F(1, 10 ** 60)
+    depth = _b_cover_depth(k)
+    cover = aq_gapset(fixed_expansion_of_one(q, k, depth), depth, check=False)
+    cover_tau = thickness(cover).tau
+    assert (closed * cover_tau).float_bounds() == (generic * cover_tau).float_bounds()
 
 
 def test_sk_thickness_plateau_and_monotonicity():
