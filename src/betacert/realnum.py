@@ -26,11 +26,18 @@ Also provided:
                         consistency check against the a-priori bound
                             |q1 - q2| / ((q1 - 1)(q2 - 1)).
 
+An Enclosure holds its two endpoints as raw mpmath (libmp) tuples.  The
+arithmetic operators call mpmath's interval kernels (libmpi) on them
+directly, and comparisons and report floats read them directly, so the hot
+paths never go through mpmath's number-object dispatch; powers, logarithms
+and printing still do.
+
 Precision is a module-global (mpmath's interval context), default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
-BETACERT_PREC environment variable at import time.  Values are immutable:
-an Enclosure built at one precision keeps its exact endpoints; only new
-operations round at the then-current precision.
+BETACERT_PREC environment variable at import time (at least 64 bits, like
+set_precision).  Values are immutable: an Enclosure built at one precision
+keeps its exact endpoints; only new operations round at the then-current
+precision.
 """
 
 from __future__ import annotations
@@ -44,12 +51,11 @@ from math import nextafter
 from typing import Optional
 
 from mpmath import iv, mp
-from mpmath.libmp import mpf_cmp
+from mpmath.libmp import from_int, fzero, mpf_cmp, round_ceiling, round_floor, to_float
+from mpmath.libmp.libmpi import mpi_abs, mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
 
 
 DEFAULT_PRECISION = 256
-
-iv.prec = int(os.environ.get("BETACERT_PREC", DEFAULT_PRECISION))
 
 
 class PrecisionError(ArithmeticError):
@@ -70,6 +76,20 @@ def set_precision(bits: int) -> int:
 
 def get_precision() -> int:
     return iv.prec
+
+
+def _precision_from_env() -> int:
+    text = os.environ.get("BETACERT_PREC")
+    if text is None:
+        return DEFAULT_PRECISION
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"BETACERT_PREC must be an integer number of bits "
+                         f">= 64, got {text!r}") from None
+
+
+set_precision(_precision_from_env())
 
 
 @contextmanager
@@ -135,27 +155,56 @@ def _fraction_to_mpf_exact(fr: Fraction):
         return mp.mpf(num) / mp.mpf(den)
 
 
+def _int_raw(n: int) -> tuple:
+    """Endpoints of n at the working precision: the exact point when n fits
+    in it, else n rounded down and up, as mpmath's interval context
+    converts an int."""
+    prec = iv.prec
+    if n.bit_length() <= prec:
+        v = from_int(n)
+        return v, v
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _fraction_raw(fr: Fraction) -> tuple:
+    """Endpoints of numerator / denominator, each converted like an int and
+    divided with outward rounding at the working precision."""
+    return mpi_div(_int_raw(fr.numerator), _int_raw(fr.denominator), iv.prec)
+
+
+def _double_safe(raw) -> bool:
+    """Is raw zero, or in the normal double range with room to round up?
+    There libmp's floor and ceiling to a double give the right neighbour;
+    subnormals and values near 2**1024 take the rational route instead."""
+    _, man, exp, bc = raw
+    return raw == fzero or (bool(man) and -1021 <= exp + bc <= 1023)
+
+
 class Enclosure:
     """A closed interval [lo, hi] certified to contain one exact real.
 
-    Arithmetic delegates to mpmath's interval context (outward rounding);
-    comparisons are explicit tri-valued methods -- the class deliberately
-    defines no ordering dunders, so an Enclosure can never end up inside
-    sorted() by accident.
+    The endpoints are raw libmp tuples.  Arithmetic calls mpmath's interval
+    kernels on them at the working precision (outward rounding); powers
+    and printing go through mpmath's interval context.  Comparisons are
+    explicit tri-valued methods -- the class deliberately defines no
+    ordering dunders, so an Enclosure can never end up inside sorted() by
+    accident.
     """
 
-    __slots__ = ("_iv", "_lo", "_hi")
+    __slots__ = ("_raw", "_lo", "_hi")
 
     def __init__(self, value):
         if isinstance(value, float):
             raise TypeError(_FLOAT_ERROR)
         if isinstance(value, Enclosure):
-            self._iv = value._iv
+            self._raw = value._raw
+        elif isinstance(value, int):
+            self._raw = _int_raw(value)
         elif isinstance(value, Fraction):
-            self._iv = iv.mpf(value.numerator) / iv.mpf(value.denominator)
+            self._raw = _fraction_raw(value)
         else:
-            # int, decimal string, ivmpf, mpf
-            self._iv = iv.mpf(value)
+            # decimal string, ivmpf, mpf
+            self._raw = iv.mpf(value)._mpi_
         self._lo = None
         self._hi = None
 
@@ -165,34 +214,35 @@ class Enclosure:
             raise TypeError(_FLOAT_ERROR)
         if isinstance(lo, Fraction):
             lo = _fraction_to_mpf_exact(lo) if lo.denominator & (lo.denominator - 1) == 0 \
-                else iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
+                else iv.make_mpf(_fraction_raw(lo))
         if isinstance(hi, Fraction):
             hi = _fraction_to_mpf_exact(hi) if hi.denominator & (hi.denominator - 1) == 0 \
-                else iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-        out = cls.__new__(cls)
-        out._iv = iv.mpf([lo, hi])
-        out._lo = None
-        out._hi = None
-        return out
+                else iv.make_mpf(_fraction_raw(hi))
+        return cls._wrap(iv.mpf([lo, hi])._mpi_)
 
     # -- exact endpoint access -----------------------------------------
 
     @property
     def raw(self) -> tuple:
         """The (lo, hi) endpoints as raw libmp tuples, for exact_keys."""
-        return self._iv._mpi_
+        return self._raw
+
+    @property
+    def _iv(self):
+        """The value as an mpmath interval, for its dispatching functions."""
+        return iv.make_mpf(self._raw)
 
     @property
     def lo(self) -> Fraction:
         """Exact lower endpoint as a rational (endpoints are binary floats)."""
         if self._lo is None:
-            self._lo = _raw_to_fraction(self._iv._mpi_[0])
+            self._lo = _raw_to_fraction(self._raw[0])
         return self._lo
 
     @property
     def hi(self) -> Fraction:
         if self._hi is None:
-            self._hi = _raw_to_fraction(self._iv._mpi_[1])
+            self._hi = _raw_to_fraction(self._raw[1])
         return self._hi
 
     @property
@@ -205,6 +255,11 @@ class Enclosure:
 
     def float_bounds(self) -> tuple[float, float]:
         """Endpoints as doubles, rounded *outward* (for reports only)."""
+        a, b = self._raw
+        if _double_safe(a) and _double_safe(b):
+            return to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling)
+        # subnormal, huge or non-finite: the exact route, which raises on
+        # a non-finite endpoint or a double overflow
         lo_f = float(self.lo)
         hi_f = float(self.hi)
         if Fraction(lo_f) > self.lo:
@@ -217,64 +272,65 @@ class Enclosure:
 
     @staticmethod
     def _coerce(other):
+        """Raw endpoints of an operand, or None for an unsupported type."""
         if isinstance(other, Enclosure):
-            return other._iv
+            return other._raw
         if isinstance(other, int):
-            return other
+            return _int_raw(other)
         if isinstance(other, Fraction):
-            return (iv.mpf(other.numerator) / iv.mpf(other.denominator))
+            return _fraction_raw(other)
         if isinstance(other, float):
             raise TypeError(_FLOAT_ERROR)
         return None
 
     @staticmethod
-    def _wrap(value) -> "Enclosure":
-        """Enclosure around an interval already computed (no rounding)."""
+    def _wrap(raw) -> "Enclosure":
+        """Enclosure around raw endpoints already computed (no rounding)."""
         out = Enclosure.__new__(Enclosure)
-        out._iv = value
+        out._raw = raw
         out._lo = None
         out._hi = None
         return out
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self._iv + o)
+        return NotImplemented if o is None else self._wrap(mpi_add(self._raw, o, iv.prec))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self._iv - o)
+        return NotImplemented if o is None else self._wrap(mpi_sub(self._raw, o, iv.prec))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(o - self._iv)
+        return NotImplemented if o is None else self._wrap(mpi_sub(o, self._raw, iv.prec))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self._iv * o)
+        return NotImplemented if o is None else self._wrap(mpi_mul(self._raw, o, iv.prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self._iv / o)
+        return NotImplemented if o is None else self._wrap(mpi_div(self._raw, o, iv.prec))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(o / self._iv)
+        return NotImplemented if o is None else self._wrap(mpi_div(o, self._raw, iv.prec))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int):
-            return self._wrap(self._iv ** exponent)
+            return self._wrap((self._iv ** exponent)._mpi_)
         o = self._coerce(exponent)
-        return NotImplemented if o is None else self._wrap(self._iv ** o)
+        return NotImplemented if o is None else self._wrap((self._iv ** iv.make_mpf(o))._mpi_)
 
     def __neg__(self):
-        return self._wrap(-self._iv)
+        return self._wrap(mpi_neg(self._raw, iv.prec))
 
     def __abs__(self):
-        return self._wrap(abs(self._iv))
+        return self._wrap(mpi_abs(self._raw, iv.prec))
 
     # -- tri-valued comparisons ------------------------------------------
     #
@@ -283,8 +339,8 @@ class Enclosure:
     # exactly on the raw endpoints.
 
     def lt(self, other) -> Optional[bool]:
-        a, b = self._iv._mpi_
-        c, d = as_enclosure(other)._iv._mpi_
+        a, b = self._raw
+        c, d = as_enclosure(other)._raw
         if _cmp(b, c) < 0:
             return True
         if _cmp(a, d) >= 0:
@@ -292,8 +348,8 @@ class Enclosure:
         return None
 
     def le(self, other) -> Optional[bool]:
-        a, b = self._iv._mpi_
-        c, d = as_enclosure(other)._iv._mpi_
+        a, b = self._raw
+        c, d = as_enclosure(other)._raw
         if _cmp(b, c) <= 0:
             return True
         if _cmp(a, d) > 0:
@@ -310,17 +366,19 @@ class Enclosure:
 
     def encloses(self, x) -> bool:
         """Exact test: does the interval [lo, hi] contain the rational x?"""
+        if isinstance(x, float):
+            raise TypeError(_FLOAT_ERROR)
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
     def is_subset_of(self, other: "Enclosure") -> bool:
-        a, b = self._iv._mpi_
-        c, d = other._iv._mpi_
+        a, b = self._raw
+        c, d = other._raw
         return _cmp(a, c) >= 0 and _cmp(b, d) <= 0
 
     def intersects(self, other: "Enclosure") -> bool:
-        a, b = self._iv._mpi_
-        c, d = other._iv._mpi_
+        a, b = self._raw
+        c, d = other._raw
         return _cmp(a, d) <= 0 and _cmp(c, b) <= 0
 
     # -- structural equality (same endpoints), usable for dedup ----------
@@ -329,10 +387,10 @@ class Enclosure:
     def __eq__(self, other):
         if not isinstance(other, Enclosure):
             return NotImplemented
-        return self._iv._mpi_ == other._iv._mpi_
+        return self._raw == other._raw
 
     def __hash__(self):
-        return hash(self._iv._mpi_)
+        return hash(self._raw)
 
     def __repr__(self):
         return f"Enclosure({iv.nstr(self._iv, 20)})"
@@ -352,12 +410,12 @@ def _envelope(xs, sign: int) -> Enclosure:
     The chosen endpoints are exact, so nothing rounds."""
     picked = []
     for side in (0, 1):
-        best, *rest = [x._iv._mpi_[side] for x in xs]
+        best, *rest = [x._raw[side] for x in xs]
         for r in rest:
             if _cmp(r, best) == sign:
                 best = r
         picked.append(best)
-    return Enclosure._wrap(iv.make_mpf(tuple(picked)))
+    return Enclosure._wrap(tuple(picked))
 
 
 def enc_min(*xs: Enclosure) -> Enclosure:
@@ -371,8 +429,8 @@ def enc_max(*xs: Enclosure) -> Enclosure:
 
 def enc_log(x, base=None) -> Enclosure:
     x = as_enclosure(x)
-    return Enclosure._wrap(iv.log(x._iv) if base is None
-                           else iv.log(x._iv) / iv.log(as_enclosure(base)._iv))
+    value = iv.log(x._iv) if base is None else iv.log(x._iv) / iv.log(as_enclosure(base)._iv)
+    return Enclosure._wrap(value._mpi_)
 
 
 def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
@@ -383,9 +441,9 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     endpoints, x surely lies inside.  False means x surely lies outside.
     None otherwise (fail-closed for callers that count).
     """
-    a, b = as_enclosure(x)._iv._mpi_
-    lo_a, lo_b = lo._iv._mpi_
-    hi_a, hi_b = hi._iv._mpi_
+    a, b = as_enclosure(x)._raw
+    lo_a, lo_b = lo._raw
+    hi_a, hi_b = hi._raw
     if _cmp(a, lo_b) >= 0 and _cmp(b, hi_a) <= 0:
         return True
     if _cmp(b, lo_a) < 0 or _cmp(a, hi_b) > 0:
@@ -482,11 +540,10 @@ def _seq_parts(seq) -> tuple[tuple, tuple]:
 
 def _horner(digits: tuple, q: Enclosure) -> Enclosure:
     # sum_{i=1..n} d_i q^(-i), evaluated back to front, one division per digit
-    acc = iv.mpf(0)
-    qi = q._iv
+    acc = Enclosure(0)
     for d in reversed(digits):
-        acc = (acc + d) / qi
-    return Enclosure._wrap(acc)
+        acc = (acc + d) / q
+    return acc
 
 
 def pi_q(seq, q) -> Enclosure:

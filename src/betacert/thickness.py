@@ -148,7 +148,14 @@ class GapSet:
             return False
         inside_hull = self.hull_lo.le(x) is True and x.le(self.hull_hi) is True
         verdict: Optional[bool] = True if inside_hull else None
-        for g in self.gaps:
+        # Validation chains every endpoint strictly upward, so the gaps
+        # certifiably left of x (g.right <= x) form a prefix and those
+        # certifiably right of it (x <= g.left) a suffix; only the gaps
+        # between can hold x or leave it undecided.
+        gaps = self.gaps
+        start = bisect_left(gaps, True, key=lambda g: g.right.le(x) is not True)
+        stop = bisect_left(gaps, True, lo=start, key=lambda g: x.le(g.left) is True)
+        for g in gaps[start:stop]:
             if g.left.lt(x) is True and x.lt(g.right) is True:
                 return False
             strictly_out = x.le(g.left) is True or g.right.le(x) is True

@@ -226,6 +226,30 @@ def test_count_accepts_decimal_strings():
     assert r.possible_max[0] >= 1
 
 
+def test_branch_walk_bypasses_interval_operator_dispatch(monkeypatch):
+    # the walk's q*x - eps steps call the interval kernels on raw
+    # endpoints; going through mpmath's operator dispatch (operand
+    # conversion, method lookup, result wrapping) made it about a third
+    # slower, so count those calls instead of timing
+    import mpmath
+    from mpmath.ctx_iv import ivmpf
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mpmath.iv, "convert", counted("convert", mpmath.iv.convert))
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(ivmpf, op, counted(op, getattr(ivmpf, op)))
+    report = count_prefixes(F(3, 2), F(1, 20), 24)
+    assert report.nodes_processed > 24 and report.branch_events
+    assert calls == []
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     q=st.fractions(min_value=F(5, 4), max_value=F(19, 10), max_denominator=24),

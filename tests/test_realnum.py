@@ -1,10 +1,16 @@
 """Enclosure arithmetic, root isolation and projection values, checked
 against exact rational arithmetic wherever an exact route exists."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import nextafter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from betacert.realnum import (
     Enclosure,
@@ -178,6 +184,121 @@ def test_float_bounds_outward():
     e = Enclosure(Fraction(1, 3))
     lo_f, hi_f = e.float_bounds()
     assert Fraction(lo_f) <= e.lo and Fraction(hi_f) >= e.hi
+
+
+def test_encloses_rejects_binary_floats():
+    e = Enclosure("0.1")
+    with pytest.raises(TypeError, match="Fraction or a decimal string"):
+        e.encloses(0.1)
+    assert e.encloses(Fraction(1, 10)) and e.encloses("0.1")
+    assert Enclosure(3).encloses(3) and not Enclosure(3).encloses(2)
+
+
+# ----------------------------------------------------------------------
+# arithmetic kernels vs mpmath's interval operators
+# ----------------------------------------------------------------------
+
+# ints of 1 to 700 bits, nearly all of them significant, either sign:
+# shorter and longer than every tested precision
+dense_ints = st.builds(lambda neg, bits, low: (-1) ** neg * ((1 << bits) - 1 - low),
+                       st.booleans(), st.integers(1, 700), st.integers(0, 2 ** 40))
+operand_ints = st.one_of(st.integers(-5, 5), dense_ints)
+operand_fractions = st.one_of(
+    st.fractions(min_value=Fraction(-10 ** 9), max_value=Fraction(10 ** 9), max_denominator=10 ** 6),
+    st.builds(lambda n, d: Fraction(n, abs(d) or 1), dense_ints, dense_ints),
+)
+
+
+@st.composite
+def straddling_zero(draw):
+    """Divisors that contain zero: an endpoint on it, or zero inside."""
+    a = draw(st.fractions(min_value=Fraction(-4), max_value=Fraction(0), max_denominator=100))
+    b = draw(st.fractions(min_value=Fraction(0), max_value=Fraction(4), max_denominator=100))
+    return Enclosure.from_endpoints(a, b)
+
+
+def mpmath_operand(v):
+    """The operand the interval operators were given before: an interval
+    for enclosures and fractions, the int itself for ints."""
+    if isinstance(v, Enclosure):
+        return iv.make_mpf(v.raw)
+    if isinstance(v, Fraction):
+        return iv.mpf(v.numerator) / iv.mpf(v.denominator)
+    return v
+
+
+@given(st.one_of(enclosures(), straddling_zero()),
+       st.one_of(enclosures(), straddling_zero(), operand_ints, operand_fractions),
+       st.sampled_from([64, 256, 600]))
+@settings(max_examples=400, deadline=None)
+def test_arithmetic_kernels_match_interval_operators(x, y, bits):
+    with precision(bits):
+        a, b = iv.make_mpf(x.raw), mpmath_operand(y)
+        assert (x + y).raw == (a + b)._mpi_
+        assert (x - y).raw == (a - b)._mpi_
+        assert (x * y).raw == (a * b)._mpi_
+        assert (x / y).raw == (a / b)._mpi_
+        assert (-x).raw == (-a)._mpi_
+        assert abs(x).raw == abs(a)._mpi_
+        if not isinstance(y, Enclosure):
+            assert (y + x).raw == (b + a)._mpi_
+            assert (y - x).raw == (b - a)._mpi_
+            assert (y * x).raw == (b * a)._mpi_
+            assert (y / x).raw == (b / a)._mpi_
+        assert Enclosure(y).raw == iv.mpf(b)._mpi_
+
+
+def reference_float_bounds(e):
+    """Outward doubles through the exact rational endpoints."""
+    lo_f, hi_f = float(e.lo), float(e.hi)
+    if Fraction(lo_f) > e.lo:
+        lo_f = nextafter(lo_f, float("-inf"))
+    if Fraction(hi_f) < e.hi:
+        hi_f = nextafter(hi_f, float("inf"))
+    return lo_f, hi_f
+
+
+# zero, and dyadics with 1 to 70 significant bits from the subnormal
+# range up past the largest double
+report_endpoints = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
+              st.integers(-(2 ** 70), 2 ** 70),
+              st.one_of(st.integers(-1150, -1000), st.integers(-80, 80),
+                        st.integers(950, 1030))),
+)
+
+
+@given(report_endpoints, report_endpoints)
+@settings(max_examples=400, deadline=None)
+def test_float_bounds_match_the_rational_reference(a, b):
+    e = Enclosure.from_endpoints(min(a, b), max(a, b))
+    try:
+        want = reference_float_bounds(e)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            e.float_bounds()
+        return
+    assert e.float_bounds() == want
+
+
+def test_float_bounds_edge_endpoints():
+    tiny, huge = Fraction(2) ** -1074, Fraction(2) ** 1023
+    for lo, hi in [(0, 0), (-tiny, tiny), (Fraction(2) ** -1022, Fraction(3, 2)),
+                   (-huge * 2 + Fraction(2) ** 971, huge),  # minus the largest double
+                   (Fraction(1, 3), Fraction(2, 3))]:
+        e = Enclosure.from_endpoints(Fraction(lo), Fraction(hi))
+        assert e.float_bounds() == reference_float_bounds(e)
+    # above the largest double: within half an ulp of it the rational
+    # route gives inf, beyond that float() overflows
+    top = huge * 2 - Fraction(2) ** 971
+    e = Enclosure.from_endpoints(Fraction(0), top + Fraction(2) ** 900)
+    assert e.float_bounds() == reference_float_bounds(e) == (0.0, float("inf"))
+    for hi in (huge * 2 - Fraction(2) ** 900, huge * 2):
+        with pytest.raises(OverflowError):
+            Enclosure.from_endpoints(0, hi).float_bounds()
+    with pytest.raises(PrecisionError):
+        (Enclosure(1) / Enclosure.from_endpoints(-1, 1)).float_bounds()
 
 
 def test_log_contains():
@@ -388,3 +509,23 @@ def test_precision_context_narrows_enclosures():
 def test_set_precision_floor():
     with pytest.raises(ValueError):
         precision(32).__enter__()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def import_with_env_precision(value: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, BETACERT_PREC=value,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", "import betacert; print(betacert.get_precision())"],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_env_precision_is_validated_at_import():
+    ok = import_with_env_precision("128")
+    assert ok.returncode == 0 and ok.stdout.strip() == "128"
+    for bad in ("16", "256.5"):
+        proc = import_with_env_precision(bad)
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr and ">= 64" in proc.stderr

@@ -129,6 +129,53 @@ def test_point_membership():
     assert gs.point_in(F(1)) is True
 
 
+def scan_point_in(gs, x):
+    """GapSet.point_in as a linear scan over every gap."""
+    x = E(x)
+    if x.lt(gs.hull_lo) is True or gs.hull_hi.lt(x) is True:
+        return False
+    inside_hull = gs.hull_lo.le(x) is True and x.le(gs.hull_hi) is True
+    verdict = True if inside_hull else None
+    for g in gs.gaps:
+        if g.left.lt(x) is True and x.lt(g.right) is True:
+            return False
+        if not (x.le(g.left) is True or g.right.le(x) is True):
+            verdict = None
+    return verdict
+
+
+def blurred(v, r):
+    return E.from_endpoints(v - r, v + r) if r else E(v)
+
+
+@st.composite
+def gapsets_and_points(draw):
+    """Gap sets with point or blurred endpoints, and probes on gap
+    endpoints, on the hull ends, straddling one or more gaps, or anywhere."""
+    hull, gaps = draw(dyadic_gapsets(max_gaps=8))
+    r = draw(st.sampled_from([F(0), F(1, 512)]))  # endpoints stay 1/64 apart
+    gs = GapSet(blurred(hull[0], r), blurred(hull[1], r),
+                tuple(Gap(blurred(lo, r), blurred(hi, r)) for lo, hi in gaps))
+    ends = [hull[0], hull[1]] + [v for g in gaps for v in g]
+    pad = draw(st.sampled_from([F(0), F(1, 1024), F(1, 128)]))
+    i, j = sorted(draw(st.lists(st.integers(0, len(gaps) - 1), min_size=2, max_size=2)))
+    probes = [
+        draw(st.sampled_from(ends)),
+        E.from_endpoints(gaps[i][0] - pad, gaps[j][1] + pad),
+        draw(st.fractions(min_value=F(-1), max_value=F(10), max_denominator=256)),
+    ]
+    probes = [p if isinstance(p, E) else blurred(p, pad) for p in probes]
+    return gs, probes
+
+
+@given(gapsets_and_points())
+@settings(max_examples=300, deadline=None)
+def test_point_in_matches_linear_scan(case):
+    gs, probes = case
+    for x in probes:
+        assert gs.point_in(x) is scan_point_in(gs, x)
+
+
 def test_restrict_at_bridges():
     gs = to_gapset((F(0), F(1)), [(F(1, 8), F(1, 4)), (F(1, 2), F(3, 4))])
     cut = gs.restrict(lo=F(1, 4), hi=F(7, 8))
