@@ -32,7 +32,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -58,6 +57,7 @@ from .expansions import count_prefixes
 from .realnum import (
     DEFAULT_PRECISION,
     PrecisionError,
+    _precision_from_env,
     as_enclosure,
     bonacci_root,
     precision,
@@ -507,25 +507,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_precision(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(_ENV_PRECISION)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(
-                f"${_ENV_PRECISION} must be an integer, got {env!r}") from exc
-    return DEFAULT_PRECISION
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(
-            precision_bits=_resolve_precision(args.precision),
+            precision_bits=(_precision_from_env() if args.precision is None
+                            else args.precision),
             depth=args.depth,
             output_format=args.output_format,
             output_path=args.output_path,

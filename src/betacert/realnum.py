@@ -26,13 +26,14 @@ Also provided:
                         consistency check against the a-priori bound
                             |q1 - q2| / ((q1 - 1)(q2 - 1)).
 
-An Enclosure holds its two endpoints as raw mpmath (libmp) tuples.  The
-arithmetic operators call mpmath's interval kernels (libmpi) on them
-directly, and comparisons and report floats read them directly, so the hot
-paths never go through mpmath's number-object dispatch; powers, logarithms
-and printing still do.
+An Enclosure holds its two endpoints as raw mpmath (libmp) tuples.  Every
+operation -- arithmetic, powers, logarithms, parsing and printing -- calls
+mpmath's interval kernels (libmpi) on them directly, passing the working
+precision; comparisons and report floats read them directly.  No mpmath
+context is read or written, so a host program's mpmath settings and this
+module's precision never affect each other.
 
-Precision is a module-global (mpmath's interval context), default 256 bits,
+The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
 BETACERT_PREC environment variable at import time (at least 64 bits, like
 set_precision).  Values are immutable: an Enclosure built at one precision
@@ -50,12 +51,15 @@ from functools import lru_cache
 from math import nextafter
 from typing import Optional
 
-from mpmath import iv, mp
-from mpmath.libmp import from_int, fzero, mpf_cmp, round_ceiling, round_floor, to_float
-from mpmath.libmp.libmpi import mpi_abs, mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_cmp, round_ceiling,
+                          round_floor, to_float)
+from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
+                                 mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
 
 DEFAULT_PRECISION = 256
+
+_prec = DEFAULT_PRECISION  # the working precision, in bits of mantissa
 
 
 class PrecisionError(ArithmeticError):
@@ -68,14 +72,15 @@ class PrecisionError(ArithmeticError):
 
 def set_precision(bits: int) -> int:
     """Set the global working precision (bits of mantissa). Returns it."""
+    global _prec
     if bits < 64:
         raise ValueError(f"precision must be >= 64 bits, got {bits}")
-    iv.prec = bits
+    _prec = bits
     return bits
 
 
 def get_precision() -> int:
-    return iv.prec
+    return _prec
 
 
 def _precision_from_env() -> int:
@@ -95,12 +100,12 @@ set_precision(_precision_from_env())
 @contextmanager
 def precision(bits: int):
     """Temporarily run at a different working precision."""
-    old = iv.prec
+    old = _prec
     set_precision(bits)
     try:
         yield
     finally:
-        iv.prec = old
+        set_precision(old)
 
 
 # ======================================================================
@@ -148,28 +153,27 @@ _FLOAT_ERROR = ("binary floats are not exact inputs; pass a Fraction or a "
                 "decimal string such as '0.1'")
 
 
-def _fraction_to_mpf_exact(fr: Fraction):
-    """Exact mpf for a dyadic rational (denominator a power of two)."""
-    num, den = fr.numerator, fr.denominator
-    with mp.workprec(max(abs(num).bit_length(), den.bit_length(), 64) + 8):
-        return mp.mpf(num) / mp.mpf(den)
-
-
 def _int_raw(n: int) -> tuple:
     """Endpoints of n at the working precision: the exact point when n fits
-    in it, else n rounded down and up, as mpmath's interval context
-    converts an int."""
-    prec = iv.prec
-    if n.bit_length() <= prec:
+    in it, else n rounded down and up."""
+    if n.bit_length() <= _prec:
         v = from_int(n)
         return v, v
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+    return from_int(n, _prec, round_floor), from_int(n, _prec, round_ceiling)
 
 
 def _fraction_raw(fr: Fraction) -> tuple:
     """Endpoints of numerator / denominator, each converted like an int and
     divided with outward rounding at the working precision."""
-    return mpi_div(_int_raw(fr.numerator), _int_raw(fr.denominator), iv.prec)
+    return mpi_div(_int_raw(fr.numerator), _int_raw(fr.denominator), _prec)
+
+
+def _endpoint(x, side: int) -> tuple:
+    """Raw endpoint for from_endpoints: a dyadic Fraction exactly, anything
+    else the lower (side 0) or upper (side 1) end of Enclosure(x)."""
+    if isinstance(x, Fraction) and x.denominator & (x.denominator - 1) == 0:
+        return from_man_exp(x.numerator, 1 - x.denominator.bit_length())
+    return Enclosure(x)._raw[side]
 
 
 def _double_safe(raw) -> bool:
@@ -183,42 +187,30 @@ def _double_safe(raw) -> bool:
 class Enclosure:
     """A closed interval [lo, hi] certified to contain one exact real.
 
-    The endpoints are raw libmp tuples.  Arithmetic calls mpmath's interval
-    kernels on them at the working precision (outward rounding); powers
-    and printing go through mpmath's interval context.  Comparisons are
-    explicit tri-valued methods -- the class deliberately defines no
-    ordering dunders, so an Enclosure can never end up inside sorted() by
-    accident.
+    The endpoints are raw libmp tuples, the only state an Enclosure holds.
+    Every operation calls mpmath's interval kernels on them at the working
+    precision (outward rounding).  Comparisons are explicit tri-valued
+    methods -- the class deliberately defines no ordering dunders, so an
+    Enclosure can never end up inside sorted() by accident.
     """
 
-    __slots__ = ("_raw", "_lo", "_hi")
+    __slots__ = ("_raw",)
 
     def __init__(self, value):
-        if isinstance(value, float):
-            raise TypeError(_FLOAT_ERROR)
-        if isinstance(value, Enclosure):
-            self._raw = value._raw
-        elif isinstance(value, int):
-            self._raw = _int_raw(value)
-        elif isinstance(value, Fraction):
-            self._raw = _fraction_raw(value)
-        else:
-            # decimal string, ivmpf, mpf
-            self._raw = iv.mpf(value)._mpi_
-        self._lo = None
-        self._hi = None
+        raw = self._coerce(value)
+        if raw is None:
+            raise TypeError(f"cannot enclose a {type(value).__name__}; pass an int, "
+                            "a Fraction, a decimal string or an Enclosure")
+        self._raw = raw
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "Enclosure":
-        if isinstance(lo, float) or isinstance(hi, float):
-            raise TypeError(_FLOAT_ERROR)
-        if isinstance(lo, Fraction):
-            lo = _fraction_to_mpf_exact(lo) if lo.denominator & (lo.denominator - 1) == 0 \
-                else iv.make_mpf(_fraction_raw(lo))
-        if isinstance(hi, Fraction):
-            hi = _fraction_to_mpf_exact(hi) if hi.denominator & (hi.denominator - 1) == 0 \
-                else iv.make_mpf(_fraction_raw(hi))
-        return cls._wrap(iv.mpf([lo, hi])._mpi_)
+        """[lo, hi]: a dyadic Fraction endpoint is kept exactly, any other is
+        the lower (for lo) or upper (for hi) end of its own enclosure."""
+        a, b = _endpoint(lo, 0), _endpoint(hi, 1)
+        if mpf_cmp(a, b) > 0:
+            raise ValueError("endpoints must be properly ordered")
+        return cls._wrap((a, b))
 
     # -- exact endpoint access -----------------------------------------
 
@@ -228,22 +220,13 @@ class Enclosure:
         return self._raw
 
     @property
-    def _iv(self):
-        """The value as an mpmath interval, for its dispatching functions."""
-        return iv.make_mpf(self._raw)
-
-    @property
     def lo(self) -> Fraction:
         """Exact lower endpoint as a rational (endpoints are binary floats)."""
-        if self._lo is None:
-            self._lo = _raw_to_fraction(self._raw[0])
-        return self._lo
+        return _raw_to_fraction(self._raw[0])
 
     @property
     def hi(self) -> Fraction:
-        if self._hi is None:
-            self._hi = _raw_to_fraction(self._raw[1])
-        return self._hi
+        return _raw_to_fraction(self._raw[1])
 
     @property
     def width(self) -> Fraction:
@@ -260,11 +243,11 @@ class Enclosure:
             return to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling)
         # subnormal, huge or non-finite: the exact route, which raises on
         # a non-finite endpoint or a double overflow
-        lo_f = float(self.lo)
-        hi_f = float(self.hi)
-        if Fraction(lo_f) > self.lo:
+        lo, hi = self.lo, self.hi
+        lo_f, hi_f = float(lo), float(hi)
+        if Fraction(lo_f) > lo:
             lo_f = nextafter(lo_f, float("-inf"))
-        if Fraction(hi_f) < self.hi:
+        if Fraction(hi_f) < hi:
             hi_f = nextafter(hi_f, float("inf"))
         return lo_f, hi_f
 
@@ -279,6 +262,8 @@ class Enclosure:
             return _int_raw(other)
         if isinstance(other, Fraction):
             return _fraction_raw(other)
+        if isinstance(other, str):
+            return mpi_from_str(other, _prec)
         if isinstance(other, float):
             raise TypeError(_FLOAT_ERROR)
         return None
@@ -288,49 +273,45 @@ class Enclosure:
         """Enclosure around raw endpoints already computed (no rounding)."""
         out = Enclosure.__new__(Enclosure)
         out._raw = raw
-        out._lo = None
-        out._hi = None
         return out
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_add(self._raw, o, iv.prec))
+        return NotImplemented if o is None else self._wrap(mpi_add(self._raw, o, _prec))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_sub(self._raw, o, iv.prec))
+        return NotImplemented if o is None else self._wrap(mpi_sub(self._raw, o, _prec))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_sub(o, self._raw, iv.prec))
+        return NotImplemented if o is None else self._wrap(mpi_sub(o, self._raw, _prec))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_mul(self._raw, o, iv.prec))
+        return NotImplemented if o is None else self._wrap(mpi_mul(self._raw, o, _prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_div(self._raw, o, iv.prec))
+        return NotImplemented if o is None else self._wrap(mpi_div(self._raw, o, _prec))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_div(o, self._raw, iv.prec))
+        return NotImplemented if o is None else self._wrap(mpi_div(o, self._raw, _prec))
 
     def __pow__(self, exponent):
-        if isinstance(exponent, int):
-            return self._wrap((self._iv ** exponent)._mpi_)
         o = self._coerce(exponent)
-        return NotImplemented if o is None else self._wrap((self._iv ** iv.make_mpf(o))._mpi_)
+        return NotImplemented if o is None else self._wrap(mpi_pow(self._raw, o, _prec))
 
     def __neg__(self):
-        return self._wrap(mpi_neg(self._raw, iv.prec))
+        return self._wrap(mpi_neg(self._raw, _prec))
 
     def __abs__(self):
-        return self._wrap(mpi_abs(self._raw, iv.prec))
+        return self._wrap(mpi_abs(self._raw, _prec))
 
     # -- tri-valued comparisons ------------------------------------------
     #
@@ -393,10 +374,10 @@ class Enclosure:
         return hash(self._raw)
 
     def __repr__(self):
-        return f"Enclosure({iv.nstr(self._iv, 20)})"
+        return f"Enclosure({mpi_to_str(self._raw, 20)})"
 
     def str_digits(self, digits: int = 20) -> str:
-        return iv.nstr(self._iv, digits)
+        return mpi_to_str(self._raw, digits)
 
 
 def as_enclosure(x) -> Enclosure:
@@ -428,9 +409,10 @@ def enc_max(*xs: Enclosure) -> Enclosure:
 
 
 def enc_log(x, base=None) -> Enclosure:
-    x = as_enclosure(x)
-    value = iv.log(x._iv) if base is None else iv.log(x._iv) / iv.log(as_enclosure(base)._iv)
-    return Enclosure._wrap(value._mpi_)
+    value = mpi_log(as_enclosure(x)._raw, _prec)
+    if base is not None:
+        value = mpi_div(value, mpi_log(as_enclosure(base)._raw, _prec), _prec)
+    return Enclosure._wrap(value)
 
 
 def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
@@ -508,13 +490,12 @@ def bonacci_root(k: int, precision_bits: Optional[int] = None) -> BonacciRoot:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    bits = iv.prec if precision_bits is None else precision_bits
+    bits = _prec if precision_bits is None else precision_bits
     if bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {bits}")
     lo, hi = _root_bracket(k, bits)
-    with precision(bits + 16):
-        value = Enclosure.from_endpoints(lo, hi)
-    return BonacciRoot(k=k, value=value, bracket=(lo, hi))
+    # the bracket ends are dyadic, so from_endpoints keeps them exactly
+    return BonacciRoot(k=k, value=Enclosure.from_endpoints(lo, hi), bracket=(lo, hi))
 
 
 # ======================================================================

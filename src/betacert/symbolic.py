@@ -369,7 +369,7 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
             nxt = _next_state(k, state, e)
             if nxt is not None:
                 word.append(e)
-                descend(val + qinv_pow[len(word)] * Enclosure(e) if e else val, nxt)
+                descend(val + qinv_pow[len(word)] if e else val, nxt)
                 word.pop()
 
     descend(Enclosure(0), _EMPTY)

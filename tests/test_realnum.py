@@ -4,6 +4,7 @@ against exact rational arithmetic wherever an exact route exists."""
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import nextafter
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
+from betacert.certify import theorem_b_certify
 from betacert.realnum import (
     Enclosure,
     PrecisionError,
@@ -22,6 +24,7 @@ from betacert.realnum import (
     enc_max,
     enc_min,
     exact_keys,
+    get_precision,
     membership,
     pi_q,
     precision,
@@ -113,7 +116,7 @@ endpoints = st.one_of(
 @st.composite
 def enclosures(draw):
     """Random enclosures: point intervals, endpoints rounded at a precision
-    other than the current one, and k-Bonacci roots built at bits + 16."""
+    other than the current one, and k-Bonacci roots."""
     if draw(st.integers(0, 5)) == 0:
         return bonacci_root(draw(st.integers(2, 40))).value
     a = draw(endpoints)
@@ -227,12 +230,33 @@ def mpmath_operand(v):
     return v
 
 
+@contextmanager
+def interval_precision(bits):
+    """Run mpmath's interval context, the reference side, at bits; the
+    library's precision() leaves that context alone."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+small_fractions = st.fractions(min_value=Fraction(-8), max_value=Fraction(8), max_denominator=1000)
+# decimal literals of up to 15 significant digits and either sign
+decimal_literals = st.builds(lambda m, frac, e: f"{m}.{frac}e{e}",
+                             st.integers(-10 ** 8, 10 ** 8), st.integers(0, 10 ** 6),
+                             st.integers(-40, 40))
+
+
 @given(st.one_of(enclosures(), straddling_zero()),
        st.one_of(enclosures(), straddling_zero(), operand_ints, operand_fractions),
-       st.sampled_from([64, 256, 600]))
+       st.sampled_from([64, 256, 600]),
+       st.integers(-40, 40), small_fractions, small_fractions, decimal_literals,
+       st.integers(1, 60))
 @settings(max_examples=400, deadline=None)
-def test_arithmetic_kernels_match_interval_operators(x, y, bits):
-    with precision(bits):
+def test_arithmetic_kernels_match_interval_operators(x, y, bits, n, f, g, text, digits):
+    with precision(bits), interval_precision(bits):
         a, b = iv.make_mpf(x.raw), mpmath_operand(y)
         assert (x + y).raw == (a + b)._mpi_
         assert (x - y).raw == (a - b)._mpi_
@@ -246,6 +270,23 @@ def test_arithmetic_kernels_match_interval_operators(x, y, bits):
             assert (y * x).raw == (b * a)._mpi_
             assert (y / x).raw == (b / a)._mpi_
         assert Enclosure(y).raw == iv.mpf(b)._mpi_
+        # powers and logarithms of a positive base
+        base = abs(x) + Fraction(1, 3)
+        p = iv.make_mpf(base.raw)
+        exponent = Enclosure.from_endpoints(min(f, g), max(f, g))
+        for e in (n, f, exponent):
+            assert (base ** e).raw == (p ** mpmath_operand(e))._mpi_
+        assert enc_log(base).raw == iv.log(p)._mpi_
+        other = abs(Enclosure(y)) + Fraction(1, 3)
+        for log_base in (2, other):
+            assert enc_log(base, log_base).raw == \
+                (iv.log(p) / iv.log(mpmath_operand(log_base)))._mpi_
+        # parsing and printing
+        assert Enclosure(text).raw == iv.mpf(text)._mpi_
+        assert x.str_digits(digits) == iv.nstr(a, digits)
+        assert repr(x) == f"Enclosure({iv.nstr(a, 20)})"
+        printed = x.str_digits(digits)
+        assert Enclosure(printed).raw == iv.mpf(printed)._mpi_
 
 
 def reference_float_bounds(e):
@@ -529,3 +570,37 @@ def test_env_precision_is_validated_at_import():
         proc = import_with_env_precision(bad)
         assert proc.returncode != 0
         assert "ValueError" in proc.stderr and ">= 64" in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# isolation from the host's mpmath contexts
+# ----------------------------------------------------------------------
+
+def test_host_interval_precision_leaves_certificates_alone():
+    def certificate():
+        doc = theorem_b_certify(10).to_json_dict()
+        del doc["wall_time_ms"]
+        return doc
+
+    reference = certificate()
+    with interval_precision(64):
+        assert certificate() == reference
+
+
+def test_precision_leaves_host_interval_precision_alone():
+    with interval_precision(99):
+        with precision(512):
+            assert get_precision() == 512 and iv.prec == 99
+        assert iv.prec == 99
+
+
+def test_import_leaves_host_interval_precision_alone():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("BETACERT_PREC", None)
+    code = "from mpmath import iv; before = iv.prec; import betacert; print(before, iv.prec)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
