@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .realnum import Enclosure
+from .realnum import Enclosure, as_enclosure
 
 GRADE_PROVED = "proved-inequality"
 GRADE_EVIDENCE = "finite-depth-evidence"
@@ -21,6 +21,11 @@ GRADE_EVIDENCE = "finite-depth-evidence"
 STATUS_CERTIFIED = "certified"
 STATUS_FAILED = "failed"
 STATUS_UNCERTAIN = "uncertain"
+
+
+def _float_pair(x) -> list[float]:
+    """[lo, hi] of x as outward-rounded doubles: how reports write an enclosure."""
+    return list(as_enclosure(x).float_bounds())
 
 
 @dataclass
@@ -35,10 +40,7 @@ class Check:
 
     def to_json_dict(self) -> dict:
         def bounds(e):
-            if e is None:
-                return None
-            lo, hi = e.float_bounds()
-            return [lo, hi]
+            return None if e is None else _float_pair(e)
 
         out = {
             "name": self.name,

@@ -55,6 +55,7 @@ from .certificate import (
     check_gt,
     check_le,
     check_lt,
+    _float_pair,
 )
 from .constructions import (
     GMap,
@@ -129,11 +130,6 @@ _COUNT_DEPTH = 200
 
 def _merge(checks: list[Check], sub: list[Check], prefix: str) -> None:
     checks.extend(replace(c, name=prefix + c.name) for c in sub)
-
-
-def _bounds(e: Enclosure) -> list[float]:
-    lo, hi = e.float_bounds()
-    return [lo, hi]
 
 
 # ======================================================================
@@ -215,11 +211,10 @@ def fy_inequality(m: int, tau, beta, c=None, *, search: bool = False) -> Certifi
                 pre, main, used, searched = cand_pre, cand_main, cand, True
                 break
 
-    clo, chi = used.float_bounds()
     return Certificate(
         claim="count-vs-overlap-inequality",
-        params={"m": m, "tau": _bounds(tau), "beta": _bounds(beta),
-                "c": [clo, chi], "searched": searched},
+        params={"m": m, "tau": _float_pair(tau), "beta": _float_pair(beta),
+                "c": _float_pair(used), "searched": searched},
         checks=pre + [main],
         grade=GRADE_PROVED,
         wall_time_ms=(time.perf_counter() - start) * 1000.0,
@@ -303,8 +298,8 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
             return Certificate(
                 claim="pinned-interval-m-plus-2",
                 params={"m": m, "k": k, "k_threshold": threshold,
-                        "q": _bounds(q_eval), "center": _bounds(root),
-                        "radius": _bounds(rho),
+                        "q": _float_pair(q_eval), "center": _float_pair(root),
+                        "radius": _float_pair(rho),
                         "verdict": VERDICT_HYPOTHESIS_NOT_MET},
                 checks=checks + [pin],
                 grade=GRADE_PROVED,
@@ -342,14 +337,14 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
         "k": k,
         "k_threshold": threshold,
         "mode": "interval" if interval_mode else "point",
-        "center": _bounds(root),
-        "radius": _bounds(rho),
-        "beta": _bounds(anchors.beta),
-        "dim_lower_bound": _bounds(dim),
+        "center": _float_pair(root),
+        "radius": _float_pair(rho),
+        "beta": _float_pair(anchors.beta),
+        "dim_lower_bound": _float_pair(dim),
         "verdict": VERDICT_COMPLETE,
     }
     if not interval_mode:
-        params["q"] = _bounds(q_eval)
+        params["q"] = _float_pair(q_eval)
     return Certificate(
         claim="pinned-interval-m-plus-2",
         params=params,
@@ -415,7 +410,7 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
             return Certificate(
                 claim="pinned-interval-three",
                 params={"k": k, "verdict": VERDICT_HYPOTHESIS_NOT_MET,
-                        "q": _bounds(q_eval), "center": _bounds(root)},
+                        "q": _float_pair(q_eval), "center": _float_pair(root)},
                 checks=[check_flag(
                     "base_strictly_above_root", False,
                     note="the order-9 band is one-sided: bases at or below "
@@ -443,8 +438,8 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
                 pin.note += "; undecidable at current precision"
             return Certificate(
                 claim="pinned-interval-three",
-                params={"k": k, "q": _bounds(q_eval),
-                        "center": _bounds(root), "radius": _bounds(rho),
+                params={"k": k, "q": _float_pair(q_eval),
+                        "center": _float_pair(root), "radius": _float_pair(rho),
                         "verdict": VERDICT_HYPOTHESIS_NOT_MET},
                 checks=checks + [pin],
                 grade=GRADE_PROVED,
@@ -545,18 +540,18 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     params = {
         "k": k,
         "mode": "interval" if interval_mode else "point",
-        "center": _bounds(root),
-        "radius": _bounds(rho),
+        "center": _float_pair(root),
+        "radius": _float_pair(rho),
         "radius_side": "right" if one_sided else "both",
-        "intersection_point": _bounds(y_val),
-        "three_expansion_point": _bounds(x_val),
+        "intersection_point": _float_pair(y_val),
+        "three_expansion_point": _float_pair(x_val),
         "count_base": "band-center",
         "gap_depth": gap_depth,
         "cover_depth": cover_depth,
         "verdict": VERDICT_COMPLETE,
     }
     if not interval_mode:
-        params["q"] = _bounds(q_eval)
+        params["q"] = _float_pair(q_eval)
     return Certificate(
         claim="pinned-interval-three",
         params=params,

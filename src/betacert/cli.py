@@ -45,6 +45,7 @@ from .certificate import (
     STATUS_CERTIFIED,
     STATUS_FAILED,
     STATUS_UNCERTAIN,
+    _float_pair,
 )
 from .certify import (
     k_threshold,
@@ -57,6 +58,7 @@ from .expansions import count_prefixes
 from .realnum import (
     DEFAULT_PRECISION,
     PrecisionError,
+    _ENV_PRECISION,
     _precision_from_env,
     as_enclosure,
     bonacci_root,
@@ -66,8 +68,6 @@ from .symbolic import ResourceError, gaps_of_Sk
 from .thickness import sk_thickness
 
 __all__ = ["RunConfig", "main", "parse_base"]
-
-_ENV_PRECISION = "BETACERT_PREC"
 
 
 class UsageError(Exception):
@@ -98,7 +98,7 @@ _QK_FORM = re.compile(r"^qk:(\d+)(?:([+-])([0-9.eE+-]+))?$")
 def _decimal_fraction(text: str) -> Fraction:
     try:
         return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
+    except (InvalidOperation, ValueError, OverflowError) as exc:  # Infinity overflows
         raise UsageError(f"cannot parse decimal {text!r}") from exc
 
 
@@ -290,7 +290,7 @@ def cmd_gaps(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> int:
     if cfg.output_format == "json":
         doc = {
             "family_order": k - 1,
-            "base": _enc_bounds(q),
+            "base": _float_pair(q),
             "depth": depth,
             "hull": [hull[0], hull[1]],
             "gaps": [dict(zip(header, r)) for r in rows],
@@ -304,11 +304,6 @@ def cmd_gaps(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> int:
         else:
             sys.stdout.write(text)
     return 0
-
-
-def _enc_bounds(x) -> list[float]:
-    lo, hi = as_enclosure(x).float_bounds()
-    return [lo, hi]
 
 
 # ----------------------------------------------------------------- thickness
@@ -327,13 +322,13 @@ def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> in
 
     doc = {
         "family_order": k - 1,
-        "base": _enc_bounds(q),
+        "base": _float_pair(q),
         "depth": depth,
-        "tau": None if value.infinite else _enc_bounds(value.tau),
+        "tau": None if value.infinite else _float_pair(value.tau),
         "infinite": value.infinite,
         "gap_count": value.gap_count,
         "reference_power": k - 4,
-        "reference_power_value": _enc_bounds(power),
+        "reference_power_value": _float_pair(power),
         "exceeds_reference_power": exceeds,
     }
     if cfg.output_format == "text":
@@ -362,13 +357,13 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
         report = count_prefixes(q, x, depth=depth)
 
     doc = {
-        "base": _enc_bounds(q),
-        "x": _enc_bounds(report.x),
+        "base": _float_pair(q),
+        "x": _float_pair(report.x),
         "depth": report.depth,
         "certified_min": list(report.certified_min),
         "possible_max": list(report.possible_max),
         "stabilized": report.stabilized,
-        "branch_events": [[d, _enc_bounds(v)] for d, v in report.branch_events],
+        "branch_events": [[d, _float_pair(v)] for d, v in report.branch_events],
         "nodes_processed": report.nodes_processed,
     }
     if cfg.output_format == "csv":
@@ -413,24 +408,24 @@ def cmd_witness(k: Optional[int], cfg: RunConfig) -> int:
         seps = []
         pts = ws.points
         for a, b in zip(pts, pts[1:]):
-            seps.append(_enc_bounds(b.image - a.image))
+            seps.append(_float_pair(b.image - a.image))
 
     doc = {
         "k": k,
-        "base": _enc_bounds(ws.q),
+        "base": _float_pair(ws.q),
         "points": [
             {
                 "label": p.label,
                 "sequence": str(p.seq),
-                "value": _enc_bounds(p.value),
+                "value": _float_pair(p.value),
                 "image_sequence": str(p.image_seq),
-                "image": _enc_bounds(p.image),
+                "image": _float_pair(p.image),
             }
             for p in pts
         ],
         "image_separations": seps,
-        "min_image_separation": _enc_bounds(ws.min_image_separation),
-        "interleaving_margin": _enc_bounds(margin),
+        "min_image_separation": _float_pair(ws.min_image_separation),
+        "interleaving_margin": _float_pair(margin),
         "certificate": ws.certificate.to_json_dict(),
     }
     if cfg.output_format == "text":
@@ -531,16 +526,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "witness":
             return cmd_witness(args.k, cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PrecisionError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PrecisionError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -40,6 +40,7 @@ from .certificate import (
     check_gt,
     check_le,
     check_lt,
+    _float_pair,
 )
 from .expansions import _require_base
 from .realnum import (
@@ -331,10 +332,9 @@ def pq_certificate(anchors: PQAnchors) -> Certificate:
     checks.append(check_gt(
         "relative_overlap_exceeds_one_eighth", a.beta,
         as_enclosure(Fraction(1, 8))))
-    qlo, qhi = q.float_bounds()
     return Certificate(
         claim="pq-hull-layout",
-        params={"k": k, "m": m, "q": [qlo, qhi]},
+        params={"k": k, "m": m, "q": _float_pair(q)},
         checks=checks,
         grade=GRADE_PROVED,
     )
@@ -536,7 +536,7 @@ def fixed_expansion_of_one(q, k: int, depth: int) -> AqDescription:
     cert = Certificate(
         claim="fixed-spine-expansion",
         params={"k": k, "depth": depth,
-                "q": list(q.float_bounds()),
+                "q": _float_pair(q),
                 "certified_blocks": steps},
         checks=[pin, start_check, value_check],
         evidence_depth=depth,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .certificate import Certificate, GRADE_EVIDENCE, check_flag
+from .certificate import Certificate, GRADE_EVIDENCE, _float_pair, check_flag
 from .realnum import Enclosure, as_enclosure, membership, pi_q
 from .symbolic import ResourceError
 
@@ -256,8 +256,7 @@ def certify_m_expansions(q, x, m: int, depth: int = 200) -> Certificate:
     return Certificate(
         claim="expansion-count",
         params={"m": m, "depth": depth, "window": window,
-                "q": list(as_enclosure(q).float_bounds()),
-                "x": list(report.x.float_bounds())},
+                "q": _float_pair(q), "x": _float_pair(report.x)},
         checks=checks,
         evidence_depth=depth,
         grade=GRADE_EVIDENCE,

@@ -33,6 +33,13 @@ precision; comparisons and report floats read them directly.  No mpmath
 context is read or written, so a host program's mpmath settings and this
 module's precision never affect each other.
 
+Both endpoints are always finite.  Only division, powers, logarithms and
+decimal parsing can make an infinite or nan endpoint from finite operands,
+and each of them raises where it happens: PrecisionError for the three
+operations (a division by an enclosure that contains zero, say), and
+ValueError for a string such as "inf".  Compares, keys and exact reads
+therefore never re-check.
+
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
 BETACERT_PREC environment variable at import time (at least 64 bits, like
@@ -51,13 +58,14 @@ from functools import lru_cache
 from math import nextafter
 from typing import Optional
 
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_cmp, round_ceiling,
+from mpmath.libmp import (from_int, from_man_exp, mpf_cmp, round_ceiling,
                           round_floor, to_float)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
 
 DEFAULT_PRECISION = 256
+_ENV_PRECISION = "BETACERT_PREC"  # the environment variable read at import
 
 _prec = DEFAULT_PRECISION  # the working precision, in bits of mantissa
 
@@ -84,13 +92,13 @@ def get_precision() -> int:
 
 
 def _precision_from_env() -> int:
-    text = os.environ.get("BETACERT_PREC")
+    text = os.environ.get(_ENV_PRECISION)
     if text is None:
         return DEFAULT_PRECISION
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"BETACERT_PREC must be an integer number of bits "
+        raise ValueError(f"{_ENV_PRECISION} must be an integer number of bits "
                          f">= 64, got {text!r}") from None
 
 
@@ -112,26 +120,24 @@ def precision(bits: int):
 # Enclosure
 # ======================================================================
 
+def _finite(raw, op: str, error: type = PrecisionError) -> tuple:
+    """raw, the endpoints op produced, if both are finite; else raise error
+    naming op.  A libmp tuple (sign, man, exp, bc) with bc < 0 is inf or nan."""
+    if raw[0][3] < 0 or raw[1][3] < 0:
+        raise error(f"non-finite endpoint from {op}")
+    return raw
+
+
+_DIVISION = "a division by an enclosure that contains zero"
+
+
 def _raw_to_fraction(raw) -> Fraction:
-    # raw is a libmp mpf tuple (sign, man, exp, bc); man == 0 with bc < 0
-    # encodes inf/nan, which never legitimately appears in an enclosure.
-    sign, man, exp, bc = raw
-    if man == 0:
-        if bc != 0:
-            raise PrecisionError("non-finite endpoint in enclosure")
-        return Fraction(0)
+    # raw is a finite libmp mpf tuple (sign, man, exp, bc); zero has exp 0
+    sign, man, exp, _ = raw
     m = int(man)
     if sign:
         m = -m
     return Fraction(m) * Fraction(2) ** exp if exp >= 0 else Fraction(m, 2 ** (-exp))
-
-
-def _cmp(s, t) -> int:
-    """Exact order (-1, 0, 1) of two raw libmp endpoints, decided with no
-    rational conversion; a non-finite one (bc < 0) raises like .lo/.hi."""
-    if s[3] < 0 or t[3] < 0:
-        raise PrecisionError("non-finite endpoint in enclosure")
-    return mpf_cmp(s, t)
 
 
 def exact_keys(raws) -> list[int]:
@@ -143,8 +149,6 @@ def exact_keys(raws) -> list[int]:
     not comparable.  ``Enclosure.raw`` supplies the endpoints.
     """
     raws = list(raws)
-    if any(bc < 0 for (_, _, _, bc) in raws):
-        raise PrecisionError("non-finite endpoint in enclosure")
     e0 = min((exp for (_, _, exp, _) in raws), default=0)
     return [(-man if sign else man) << (exp - e0) for (sign, man, exp, _) in raws]
 
@@ -181,7 +185,7 @@ def _double_safe(raw) -> bool:
     There libmp's floor and ceiling to a double give the right neighbour;
     subnormals and values near 2**1024 take the rational route instead."""
     _, man, exp, bc = raw
-    return raw == fzero or (bool(man) and -1021 <= exp + bc <= 1023)
+    return not man or -1021 <= exp + bc <= 1023
 
 
 class Enclosure:
@@ -241,8 +245,8 @@ class Enclosure:
         a, b = self._raw
         if _double_safe(a) and _double_safe(b):
             return to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling)
-        # subnormal, huge or non-finite: the exact route, which raises on
-        # a non-finite endpoint or a double overflow
+        # subnormal or huge: the exact route, which raises OverflowError
+        # beyond the double range
         lo, hi = self.lo, self.hi
         lo_f, hi_f = float(lo), float(hi)
         if Fraction(lo_f) > lo:
@@ -263,7 +267,8 @@ class Enclosure:
         if isinstance(other, Fraction):
             return _fraction_raw(other)
         if isinstance(other, str):
-            return mpi_from_str(other, _prec)
+            return _finite(mpi_from_str(other, _prec), f"the decimal string {other!r}",
+                           ValueError)
         if isinstance(other, float):
             raise TypeError(_FLOAT_ERROR)
         return None
@@ -297,15 +302,18 @@ class Enclosure:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_div(self._raw, o, _prec))
+        return NotImplemented if o is None else self._wrap(_finite(
+            mpi_div(self._raw, o, _prec), _DIVISION))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_div(o, self._raw, _prec))
+        return NotImplemented if o is None else self._wrap(_finite(
+            mpi_div(o, self._raw, _prec), _DIVISION))
 
     def __pow__(self, exponent):
         o = self._coerce(exponent)
-        return NotImplemented if o is None else self._wrap(mpi_pow(self._raw, o, _prec))
+        return NotImplemented if o is None else self._wrap(_finite(
+            mpi_pow(self._raw, o, _prec), "a power of an enclosure that contains zero"))
 
     def __neg__(self):
         return self._wrap(mpi_neg(self._raw, _prec))
@@ -322,18 +330,18 @@ class Enclosure:
     def lt(self, other) -> Optional[bool]:
         a, b = self._raw
         c, d = as_enclosure(other)._raw
-        if _cmp(b, c) < 0:
+        if mpf_cmp(b, c) < 0:
             return True
-        if _cmp(a, d) >= 0:
+        if mpf_cmp(a, d) >= 0:
             return False
         return None
 
     def le(self, other) -> Optional[bool]:
         a, b = self._raw
         c, d = as_enclosure(other)._raw
-        if _cmp(b, c) <= 0:
+        if mpf_cmp(b, c) <= 0:
             return True
-        if _cmp(a, d) > 0:
+        if mpf_cmp(a, d) > 0:
             return False
         return None
 
@@ -355,12 +363,12 @@ class Enclosure:
     def is_subset_of(self, other: "Enclosure") -> bool:
         a, b = self._raw
         c, d = other._raw
-        return _cmp(a, c) >= 0 and _cmp(b, d) <= 0
+        return mpf_cmp(a, c) >= 0 and mpf_cmp(b, d) <= 0
 
     def intersects(self, other: "Enclosure") -> bool:
         a, b = self._raw
         c, d = other._raw
-        return _cmp(a, d) <= 0 and _cmp(c, b) <= 0
+        return mpf_cmp(a, d) <= 0 and mpf_cmp(c, b) <= 0
 
     # -- structural equality (same endpoints), usable for dedup ----------
     # libmp tuples are normalised, so equal values have equal tuples
@@ -393,7 +401,7 @@ def _envelope(xs, sign: int) -> Enclosure:
     for side in (0, 1):
         best, *rest = [x._raw[side] for x in xs]
         for r in rest:
-            if _cmp(r, best) == sign:
+            if mpf_cmp(r, best) == sign:
                 best = r
         picked.append(best)
     return Enclosure._wrap(tuple(picked))
@@ -412,7 +420,8 @@ def enc_log(x, base=None) -> Enclosure:
     value = mpi_log(as_enclosure(x)._raw, _prec)
     if base is not None:
         value = mpi_div(value, mpi_log(as_enclosure(base)._raw, _prec), _prec)
-    return Enclosure._wrap(value)
+    return Enclosure._wrap(_finite(value, "a logarithm of an enclosure that reaches "
+                                          "zero, or to a base that contains 1"))
 
 
 def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
@@ -426,9 +435,9 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     a, b = as_enclosure(x)._raw
     lo_a, lo_b = lo._raw
     hi_a, hi_b = hi._raw
-    if _cmp(a, lo_b) >= 0 and _cmp(b, hi_a) <= 0:
+    if mpf_cmp(a, lo_b) >= 0 and mpf_cmp(b, hi_a) <= 0:
         return True
-    if _cmp(b, lo_a) < 0 or _cmp(a, hi_b) > 0:
+    if mpf_cmp(b, lo_a) < 0 or mpf_cmp(a, hi_b) > 0:
         return False
     return None
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .realnum import Enclosure, as_enclosure, bonacci_root, pi_q
-from .thickness import Gap, GapSet
+from .realnum import Enclosure, pi_q
+from .thickness import Gap, GapSet, _family_base
 
 __all__ = [
     "ResourceError",
@@ -323,15 +323,7 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
     """
     if k < 2:
         raise ValueError("order must be at least 2")
-    if max_delta_len < 0:
-        raise ValueError("max_delta_len must be nonnegative")
-    q = as_enclosure(q)
-    root = bonacci_root(k)
-    if q.gt(root.value) is not True:
-        raise ValueError(
-            f"base must certifiably exceed the order-{k} root "
-            f"{root.value.str_digits(20)}"
-        )
+    q = _family_base(q, k, max_delta_len)
     total = _admissible_count(k, max_delta_len)
     if total > budget:
         raise ResourceError(

@@ -291,6 +291,21 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
     return ThicknessValue(tau=tau, infinite=False, depth=gapset.depth, gap_count=n)
 
 
+def _family_base(q, k: int, max_delta_len: int) -> Enclosure:
+    """q as an enclosure, once the checks every run-limited family makes
+    pass: a nonnegative depth and a base certifiably above the order-k root."""
+    if max_delta_len < 0:
+        raise ValueError("max_delta_len must be nonnegative")
+    q = as_enclosure(q)
+    root = bonacci_root(k)
+    if q.gt(root.value) is not True:
+        raise ValueError(
+            f"base must certifiably exceed the order-{k} root "
+            f"{root.value.str_digits(20)}"
+        )
+    return q
+
+
 def sk_thickness(q, k: int, max_delta_len: int) -> ThicknessValue:
     """Finite-depth thickness of the order-k avoidance gap family, in closed
     form, without materializing the gaps.
@@ -315,15 +330,7 @@ def sk_thickness(q, k: int, max_delta_len: int) -> ThicknessValue:
             "(adjacent index words share an endpoint sequence), so no "
             "positive-bridge gap structure exists"
         )
-    if max_delta_len < 0:
-        raise ValueError("max_delta_len must be nonnegative")
-    q = as_enclosure(q)
-    root = bonacci_root(k)
-    if q.gt(root.value) is not True:
-        raise ValueError(
-            f"base must certifiably exceed the order-{k} root "
-            f"{root.value.str_digits(20)}"
-        )
+    q = _family_base(q, k, max_delta_len)
     one = Enclosure(1)
     p0 = (q ** (k - 1) - one) / ((q - one) * (q ** k - one))
     p1 = q ** (k - 1) / (q ** k - one)

@@ -77,6 +77,8 @@ def test_parse_golden_synonym():
     "4/0",
     "one",
     "qk:9+bogus",
+    "inf",           # a decimal must be finite
+    "-Infinity",
 ])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(UsageError):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
+from mpmath.libmp import finf, fnan, fninf
 
 from betacert.certify import theorem_b_certify
 from betacert.realnum import (
@@ -168,11 +169,22 @@ def test_exact_keys_order_as_fractions(xs):
 
 
 def test_non_finite_endpoints_raise():
-    unbounded = Enclosure(1) / Enclosure.from_endpoints(-1, 1)
-    with pytest.raises(PrecisionError):
-        unbounded.lt(0)
-    with pytest.raises(PrecisionError):
-        exact_keys(unbounded.raw)
+    # the operation that would make an infinite or nan endpoint raises,
+    # naming itself, so no such enclosure is ever built
+    one, unit = Enclosure(1), Enclosure.from_endpoints(0, 1)
+    straddle = Enclosure.from_endpoints(-1, 1)
+    for build, op in ((lambda: one / straddle, "division"),
+                      (lambda: one / Enclosure.from_endpoints(0, 0), "division"),
+                      (lambda: 1 / straddle, "division"),
+                      (lambda: Fraction(1, 3) / unit, "division"),
+                      (lambda: unit ** -1, "power"),
+                      (lambda: enc_log(unit), "logarithm")):
+        with pytest.raises(PrecisionError, match=op):
+            build()
+    for build in (lambda: Enclosure("inf"), lambda: Enclosure("nan"),
+                  lambda: Enclosure.from_endpoints(0, "inf")):
+        with pytest.raises(ValueError, match="decimal string"):
+            build()
 
 
 def test_binary_floats_rejected():
@@ -242,6 +254,27 @@ def interval_precision(bits):
         iv.prec = saved
 
 
+def unbounded(raw) -> bool:
+    """Does a raw (lo, hi) pair have an infinite or nan endpoint?"""
+    return any(end in (finf, fninf, fnan) for end in raw)
+
+
+def finite_raw(e: Enclosure) -> tuple:
+    """e.raw, once both of its endpoints are checked to be finite."""
+    assert not unbounded(e.raw)
+    return e.raw
+
+
+def assert_quotient(quotient, reference) -> None:
+    """quotient() has exactly the reference interval's endpoints; where
+    those are not all finite, it raises PrecisionError instead."""
+    if unbounded(reference._mpi_):
+        with pytest.raises(PrecisionError, match="division|logarithm"):
+            quotient()
+    else:
+        assert finite_raw(quotient()) == reference._mpi_
+
+
 small_fractions = st.fractions(min_value=Fraction(-8), max_value=Fraction(8), max_denominator=1000)
 # decimal literals of up to 15 significant digits and either sign
 decimal_literals = st.builds(lambda m, frac, e: f"{m}.{frac}e{e}",
@@ -258,35 +291,35 @@ decimal_literals = st.builds(lambda m, frac, e: f"{m}.{frac}e{e}",
 def test_arithmetic_kernels_match_interval_operators(x, y, bits, n, f, g, text, digits):
     with precision(bits), interval_precision(bits):
         a, b = iv.make_mpf(x.raw), mpmath_operand(y)
-        assert (x + y).raw == (a + b)._mpi_
-        assert (x - y).raw == (a - b)._mpi_
-        assert (x * y).raw == (a * b)._mpi_
-        assert (x / y).raw == (a / b)._mpi_
-        assert (-x).raw == (-a)._mpi_
-        assert abs(x).raw == abs(a)._mpi_
+        assert finite_raw(x + y) == (a + b)._mpi_
+        assert finite_raw(x - y) == (a - b)._mpi_
+        assert finite_raw(x * y) == (a * b)._mpi_
+        assert_quotient(lambda: x / y, a / b)
+        assert finite_raw(-x) == (-a)._mpi_
+        assert finite_raw(abs(x)) == abs(a)._mpi_
         if not isinstance(y, Enclosure):
-            assert (y + x).raw == (b + a)._mpi_
-            assert (y - x).raw == (b - a)._mpi_
-            assert (y * x).raw == (b * a)._mpi_
-            assert (y / x).raw == (b / a)._mpi_
-        assert Enclosure(y).raw == iv.mpf(b)._mpi_
+            assert finite_raw(y + x) == (b + a)._mpi_
+            assert finite_raw(y - x) == (b - a)._mpi_
+            assert finite_raw(y * x) == (b * a)._mpi_
+            assert_quotient(lambda: y / x, b / a)
+        assert finite_raw(Enclosure(y)) == iv.mpf(b)._mpi_
         # powers and logarithms of a positive base
         base = abs(x) + Fraction(1, 3)
         p = iv.make_mpf(base.raw)
         exponent = Enclosure.from_endpoints(min(f, g), max(f, g))
         for e in (n, f, exponent):
-            assert (base ** e).raw == (p ** mpmath_operand(e))._mpi_
-        assert enc_log(base).raw == iv.log(p)._mpi_
+            assert finite_raw(base ** e) == (p ** mpmath_operand(e))._mpi_
+        assert finite_raw(enc_log(base)) == iv.log(p)._mpi_
         other = abs(Enclosure(y)) + Fraction(1, 3)
         for log_base in (2, other):
-            assert enc_log(base, log_base).raw == \
-                (iv.log(p) / iv.log(mpmath_operand(log_base)))._mpi_
+            assert_quotient(lambda: enc_log(base, log_base),
+                            iv.log(p) / iv.log(mpmath_operand(log_base)))
         # parsing and printing
-        assert Enclosure(text).raw == iv.mpf(text)._mpi_
+        assert finite_raw(Enclosure(text)) == iv.mpf(text)._mpi_
         assert x.str_digits(digits) == iv.nstr(a, digits)
         assert repr(x) == f"Enclosure({iv.nstr(a, 20)})"
         printed = x.str_digits(digits)
-        assert Enclosure(printed).raw == iv.mpf(printed)._mpi_
+        assert finite_raw(Enclosure(printed)) == iv.mpf(printed)._mpi_
 
 
 def reference_float_bounds(e):
