@@ -76,7 +76,7 @@ from .realnum import (
     pi_q,
     precision,
 )
-from .symbolic import SymbolicSeq, gaps_of_Sk
+from .symbolic import SymbolicSeq, _sk_gaps_near
 from .thickness import (
     _gap_lemma_checks,
     affine_image,
@@ -118,10 +118,11 @@ _OVERLAP_MODULUS = 432 ** 2
 VERDICT_COMPLETE = "complete"
 VERDICT_HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
-#: materialization depth of the run-limited gap family inside the
-#: three-expansions pipeline.  Twelve index digits resolve the gap
-#: structure three orders finer than the witness cluster while keeping
-#: the description a few thousand gaps.
+#: index depth of the run-limited gap family inside the three-expansions
+#: pipeline.  Twelve index digits resolve the gap structure three orders
+#: finer than the witness cluster; the family has a few thousand gaps at
+#: this depth, of which the pipeline builds only those on its probes'
+#: search paths.
 _GAP_DEPTH = 12
 
 #: branch-count horizon handed to the expansion counter.
@@ -379,13 +380,19 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     thickness floors) are evaluated over the whole band in interval
     mode.  With a concrete ``q`` the materialized set descriptions (the
     signed-digit cover, the gap-lemma run) are built at that base.  The
-    branch count of the located three-expansion point always runs at the
-    band center -- the one base where that point is exactly
-    representable; elsewhere the claim rides the drift and gap-lemma
-    checks.
+    gap-lemma run reads the run-limited family only at its hull and next
+    to three probes (the cover's hull ends and the located point), so of
+    that family only the gaps on the probes' search paths through its
+    index tree are built and validated; its thickness is the closed form
+    sk_thickness.  The branch count of the located three-expansion point
+    always runs at the band center -- the one base where that point is
+    exactly representable; elsewhere the claim rides the drift and
+    gap-lemma checks.
 
-    ``depth`` overrides the materialization depth of the run-limited gap
-    family (default 12 index digits).
+    ``depth`` overrides the index depth of the run-limited gap family
+    (default 12 index digits); a depth whose whole family exceeds the
+    enumeration budget is refused with ResourceError, as gaps_of_Sk
+    refuses it.
     """
     if k < 9:
         raise ValueError(f"k must be >= 9, got {k}")
@@ -492,20 +499,23 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
 
     # gap-lemma run in the run-limited family's own coordinates (the A
     # family shifted down by 1); thickness is affine invariant, so the A
-    # family keeps the cover's tau, and S takes the closed form
+    # family keeps the cover's tau, and S takes the closed form.  The
+    # located intersection point is the second witness image; exact at the
+    # root, an approximation within the drift bounds elsewhere.
     gap_depth = _GAP_DEPTH if depth is None else depth
-    gs_s = gaps_of_Sk(q_eval, k - 1, gap_depth)
     gmap = GMap(q_eval, k)
     gs_a = affine_image(cover, gmap.scale, gmap.offset - 1)
+    anchor = ws.points[1]
+    y_val = pi_q(anchor.image_seq, q_eval)
+    # interleaving reads S at its hull and at the gap next to A's hull,
+    # membership at the gap next to y - 1; those gaps lie on the probes'
+    # search paths, so only the paths are built
+    gs_s = _sk_gaps_near(q_eval, k - 1, gap_depth,
+                         (gs_a.hull_lo, gs_a.hull_hi, y_val - 1))
     _merge(checks,
            _gap_lemma_checks(interleaved(gs_s, gs_a),
                              sk_thickness(q_eval, k - 1, gap_depth), a_tau),
            "newhouse_")
-
-    # located intersection point: the second witness image; exact at the
-    # root, an approximation within the drift bounds elsewhere
-    anchor = ws.points[1]
-    y_val = pi_q(anchor.image_seq, q_eval)
     in_s = gs_s.point_in(y_val - 1)
     in_a = gs_a.point_in(y_val - 1)
     located_flag: Optional[bool]

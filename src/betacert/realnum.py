@@ -38,7 +38,10 @@ decimal parsing can make an infinite or nan endpoint from finite operands,
 and each of them raises where it happens: PrecisionError for the three
 operations (a division by an enclosure that contains zero, say), and
 ValueError for a string such as "inf".  Compares, keys and exact reads
-therefore never re-check.
+therefore never re-check.  A logarithm or a non-integer power is refused
+before the kernel runs when its argument reaches below zero: ValueError
+if the argument is certifiably negative, PrecisionError if it straddles
+zero.
 
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
@@ -58,8 +61,8 @@ from functools import lru_cache
 from math import nextafter
 from typing import Optional
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_cmp, round_ceiling,
-                          round_floor, to_float)
+from mpmath.libmp import (from_int, from_man_exp, mpf_cmp, mpf_sign, round_ceiling,
+                          round_floor, to_float, to_int)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
@@ -129,6 +132,19 @@ def _finite(raw, op: str, error: type = PrecisionError) -> tuple:
 
 
 _DIVISION = "a division by an enclosure that contains zero"
+
+
+def _not_negative(raw, what: str) -> tuple:
+    """raw, the argument of a logarithm or the base of a non-integer power,
+    unless it reaches below zero: ValueError naming what when it is
+    certifiably negative, PrecisionError when it straddles zero or reaches
+    it from below."""
+    lo, hi = raw
+    if mpf_sign(lo) >= 0:
+        return raw
+    if mpf_sign(hi) < 0:
+        raise ValueError(f"{what} is negative")
+    raise PrecisionError(f"{what} reaches below zero")
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -312,8 +328,13 @@ class Enclosure:
 
     def __pow__(self, exponent):
         o = self._coerce(exponent)
-        return NotImplemented if o is None else self._wrap(_finite(
-            mpi_pow(self._raw, o, _prec), "a power of an enclosure that contains zero"))
+        if o is None:
+            return NotImplemented
+        base = self._raw
+        if o[0] != o[1] or from_int(to_int(o[0])) != o[0]:
+            base = _not_negative(base, "the base of a non-integer power")
+        return self._wrap(_finite(
+            mpi_pow(base, o, _prec), "a power of an enclosure that contains zero"))
 
     def __neg__(self):
         return self._wrap(mpi_neg(self._raw, _prec))
@@ -417,9 +438,11 @@ def enc_max(*xs: Enclosure) -> Enclosure:
 
 
 def enc_log(x, base=None) -> Enclosure:
-    value = mpi_log(as_enclosure(x)._raw, _prec)
+    value = mpi_log(_not_negative(as_enclosure(x)._raw, "the argument of a logarithm"),
+                    _prec)
     if base is not None:
-        value = mpi_div(value, mpi_log(as_enclosure(base)._raw, _prec), _prec)
+        value = mpi_div(value, mpi_log(_not_negative(
+            as_enclosure(base)._raw, "the base of a logarithm"), _prec), _prec)
     return Enclosure._wrap(_finite(value, "a logarithm of an enclosure that reaches "
                                           "zero, or to a base that contains 1"))
 

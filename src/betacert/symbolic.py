@@ -317,9 +317,32 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
     a final non-initial run of at most k-2.  Gaps are returned inside the
     hull [0, 1/(q-1)], sorted by position, with the index word as label.
 
+    This is the walk of _sk_gaps_near that visits every child.  Its callers
+    are the ``gaps`` command, build_pq_family and the tests, which measure
+    it stepwise to cross-validate sk_thickness; the three-expansions
+    pipeline builds only the gaps next to its probes.
+
     For k = 2 any positive depth fails GapSet validation — adjacent index
     words there share an endpoint sequence, so the gaps touch and the
     family has no positive-bridge structure.
+    """
+    return _sk_gaps_near(q, k, max_delta_len, None, budget)
+
+
+def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
+                  budget: int = ENUMERATION_BUDGET) -> GapSet:
+    """The gaps of gaps_of_Sk(q, k, max_delta_len) on the search paths of
+    the probe enclosures, in a GapSet with the family's hull; with
+    ``probes=None``, the whole family.
+
+    The index words form a binary search tree over the gaps: the gap of
+    delta lies between the delta0 subtree (at most delta(01^{k-1})^inf, its
+    left end) and the delta1 subtree (at least delta(10^{k-1})^inf, its
+    right end), and a word that is not a gap index has only its forced
+    child.  A probe goes left at a gap when it is certifiably below the
+    gap, right when certifiably above it, and both ways otherwise, so the
+    gaps next to each probe on either side are visited.  GapSet validation
+    certifies every visited gap, and the budget refusal is the family's.
     """
     if k < 2:
         raise ValueError("order must be at least 2")
@@ -347,24 +370,27 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
     gaps: list[Gap] = []
     word: list[int] = []
 
-    def emit(val: Enclosure):
-        scale = qinv_pow[len(word)]
-        gaps.append(Gap(left=val + scale * p0, right=val + scale * p1,
-                        label="".join(str(d) for d in word)))
-
-    def descend(val: Enclosure, state):
+    def descend(val: Enclosure, state, here):
+        # here: the probes whose search paths reach this node, None for all
+        sides = (here, here)
         if _is_gap_index(k, state):
-            emit(val)
+            scale = qinv_pow[len(word)]
+            gap = Gap(left=val + scale * p0, right=val + scale * p1,
+                      label="".join(str(d) for d in word))
+            gaps.append(gap)
+            if here is not None:
+                sides = (tuple(x for x in here if gap.right.lt(x) is not True),
+                         tuple(x for x in here if x.lt(gap.left) is not True))
         if len(word) == max_delta_len:
             return
-        for e in (0, 1):
+        for e, live in zip((0, 1), sides):
             nxt = _next_state(k, state, e)
-            if nxt is not None:
+            if nxt is not None and (live is None or live):
                 word.append(e)
-                descend(val + qinv_pow[len(word)] if e else val, nxt)
+                descend(val + qinv_pow[len(word)] if e else val, nxt, live)
                 word.pop()
 
-    descend(Enclosure(0), _EMPTY)
+    descend(Enclosure(0), _EMPTY, probes)
 
     # GapSet sorts by position; equal enclosures are equal tuples, so a
     # dict finds every duplicate pair of endpoints

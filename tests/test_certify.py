@@ -43,6 +43,7 @@ from betacert.certify import (
     TABLE_THREE_REFERENCE,
     VERDICT_COMPLETE,
     VERDICT_HYPOTHESIS_NOT_MET,
+    _GAP_DEPTH,
     _reference_band,
     _render_like,
     dim_lower_bound,
@@ -58,6 +59,7 @@ from betacert.realnum import (
     bonacci_root,
     precision,
 )
+from betacert.symbolic import ResourceError
 from betacert.thickness import GapSet
 
 F = Fraction
@@ -401,6 +403,10 @@ def test_three_pipeline_depth_override():
     shallow = theorem_b_certify(10, depth=8)
     assert shallow.params["gap_depth"] == 8
     assert shallow.certified
+    # the run-limited family is walked only along search paths, but a
+    # depth whose whole family exceeds the enumeration budget is refused
+    with pytest.raises(ResourceError):
+        theorem_b_certify(10, depth=40)
 
 
 def _spy(monkeypatch, module, name):
@@ -422,9 +428,11 @@ def _spy(monkeypatch, module, name):
 
 
 def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
-    # the run-limited family takes its tau from the closed form and stays
-    # in its own coordinates; the only stepwise thickness pass and the
-    # only affine image are of the cover, which is far smaller
+    # the run-limited family takes its tau from the closed form, stays in
+    # its own coordinates and is never materialized: only the gaps on the
+    # search paths of the pipeline's probes are built.  The only stepwise
+    # thickness pass and the only affine image are of the cover
+    symbolic = importlib.import_module("betacert.symbolic")
     thickness_module = importlib.import_module("betacert.thickness")
     built = []
     validate = GapSet.__post_init__
@@ -434,24 +442,24 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(GapSet, "__post_init__", record)
-    families = _spy(monkeypatch, importlib.import_module("betacert.symbolic"),
-                    "gaps_of_Sk")
+    families = _spy(monkeypatch, symbolic, "gaps_of_Sk")
+    near = _spy(monkeypatch, symbolic, "_sk_gaps_near")
     covers = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
                   "aq_gapset")
     measured = _spy(monkeypatch, thickness_module, "thickness")
     imaged = _spy(monkeypatch, thickness_module, "affine_image")
 
     assert theorem_b_certify(10).certified
-    [(_, s_family)] = families
+    assert families == []
+    [(_, s_near)] = near
+    assert len(s_near.gaps) <= 3 * (_GAP_DEPTH + 1)
     [(_, cover)] = covers
-    assert len(cover.gaps) < len(s_family.gaps)
     assert all(len(args[0].gaps) <= len(cover.gaps) for args, _ in measured)
     assert [args[0] is cover for args, _ in measured] == [True]
     assert [args[0] is cover for args, _ in imaged] == [True]
-    # one GapSet per family, plus the one placement of the cover; nothing
-    # rebuilds the run-limited family
-    assert sum(len(g.gaps) == len(s_family.gaps) for g in built) == 1
+    # one GapSet per family, plus the one placement of the cover
     assert len(built) == 3
+    assert sum(g is s_near for g in built) == 1
 
 
 # ------------------------------------------------------- grade honesty

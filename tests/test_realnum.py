@@ -187,6 +187,37 @@ def test_non_finite_endpoints_raise():
             build()
 
 
+def test_logarithms_and_real_powers_below_zero():
+    # an argument that reaches or straddles zero is a precision matter,
+    # like the non-finite endpoints above; a certifiably negative one is
+    # outside the domain, with the library's own message, not mpmath's
+    straddle = Enclosure.from_endpoints(-1, 1)
+    unit = Enclosure.from_endpoints(0, 1)
+    negative = Enclosure(-2)
+    half = Fraction(1, 2)
+    for x in (straddle, unit):
+        with pytest.raises(PrecisionError, match="logarithm"):
+            enc_log(x)
+    with pytest.raises(PrecisionError, match="power"):
+        straddle ** half
+    assert (unit ** half).raw == unit.raw  # sqrt of [0, 1] is defined
+    for build, op in ((lambda: enc_log(negative), "logarithm"),
+                      (lambda: negative ** half, "power")):
+        with pytest.raises(ValueError, match=op) as caught:
+            build()
+        assert type(caught.value) is ValueError
+    # log to a base below zero, and non-integer exponents given as enclosures
+    with pytest.raises(PrecisionError, match="logarithm"):
+        enc_log(2, straddle)
+    with pytest.raises(ValueError, match="logarithm"):
+        enc_log(2, negative)
+    with pytest.raises(ValueError, match="power"):
+        negative ** Enclosure.from_endpoints(1, 2)
+    # integer exponents keep the integer power on any base
+    assert (negative ** 3).raw == Enclosure(-8).raw
+    assert (straddle ** Enclosure(2)).raw == unit.raw
+
+
 def test_binary_floats_rejected():
     for build in (Enclosure, as_enclosure, Enclosure._coerce,
                   lambda v: Enclosure(1) + v,

@@ -6,28 +6,33 @@ Oracles:
   * exact Fraction evaluation of eventually periodic values at rational
     bases (gap endpoints);
   * definitional gap admissibility: both endpoint tails pattern-free,
-    checked through avoids() on the assembled sequences.
+    checked through avoids() on the assembled sequences;
+  * the materialized gap family, for the gaps built along probes' search
+    paths (point membership and containment answers).
 """
 
 import itertools
+import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betacert.realnum import Enclosure, as_enclosure, bonacci_root, pi_q
+from betacert.realnum import Enclosure, as_enclosure, bonacci_root, pi_q, precision
 from betacert.symbolic import (
     ResourceError,
     SubshiftSk,
     SymbolicSeq,
     Word,
     _admissible_count,
+    _sk_gaps_near,
     avoids,
     enumerate_sk_words,
     gaps_of_Sk,
 )
-from betacert.thickness import MalformedGapSet
+from betacert.thickness import GapSet, MalformedGapSet, _contained_in_complement
 
 # bases certifiably above the order-k roots, exact rationals
 BASE_ABOVE = {3: Fraction(15, 8), 4: Fraction(39, 20), 5: Fraction(79, 40), 6: Fraction(199, 100)}
@@ -268,3 +273,90 @@ def test_gap_count_growth_is_budgeted():
     n8 = _admissible_count(3, 8)
     with pytest.raises(ResourceError):
         gaps_of_Sk(BASE_ABOVE[3], 3, 8, budget=n8 - 1)
+
+
+# ------------------------------------------- gaps near probes vs the family
+
+def _gap_sample(family: GapSet, rng: random.Random, size: Optional[int]) -> list:
+    """All gaps of the family (size None), or a seeded sample of at most
+    ``size`` of them, in position order."""
+    n = len(family.gaps)
+    if size is None or size >= n:
+        return list(family.gaps)
+    return [family.gaps[i] for i in sorted(rng.sample(range(n), size))]
+
+
+def _point_probes(family: GapSet, rng: random.Random, endpoints: Optional[int]) -> list:
+    """Hull ends; gap endpoints and enclosures straddling them, at all gaps
+    or at a seeded sample of ``endpoints`` gaps; points inside a few gaps;
+    seeded random points across the hull and a little beyond it."""
+    probes = [family.hull_lo, family.hull_hi]
+    for g in _gap_sample(family, rng, endpoints):
+        quarter = g.width / 4
+        probes += [g.left, g.right,
+                   Enclosure.from_endpoints((g.left - quarter).lo, (g.left + quarter).hi),
+                   Enclosure.from_endpoints((g.right - quarter).lo, (g.right + quarter).hi)]
+    for g in _gap_sample(family, rng, 8):
+        quarter = g.width / 4
+        probes += [g.left + quarter, g.right - quarter]
+    probes += [family.hull_hi * Fraction(rng.randrange(-50, 1051), 1000)
+               for _ in range(20)]
+    return probes
+
+
+def _hull_probes(family: GapSet, rng: random.Random) -> list:
+    """(lo, hi) hulls: inside a gap, exactly a gap, straddling one end of a
+    gap or a whole gap, spanning neighbouring gaps, and random ones."""
+    gaps = _gap_sample(family, rng, 8)
+    hulls = [(family.hull_lo - 1, family.hull_hi + 1)]
+    for i, g in enumerate(gaps):
+        quarter = g.width / 4
+        hulls += [(g.left + quarter, g.right - quarter), (g.left, g.right),
+                  (g.left - quarter, g.left + quarter), (g.left - quarter, g.right + quarter)]
+        if i + 1 < len(gaps):
+            hulls.append((g.left + quarter, gaps[i + 1].right - quarter))
+    for _ in range(20):
+        a, b = sorted(rng.sample(range(-50, 1051), 2))
+        hulls.append((family.hull_hi * Fraction(a, 1000), family.hull_hi * Fraction(b, 1000)))
+    return hulls
+
+
+def _assert_near_agrees(family: GapSet, q, order: int, depth: int,
+                        rng: random.Random, endpoints: Optional[int]) -> None:
+    """Gaps built along the probes' search paths answer point membership
+    and containment in both directions as the whole family does."""
+    gaps = set(family.gaps)
+    for x in _point_probes(family, rng, endpoints):
+        near = _sk_gaps_near(q, order, depth, (x,))
+        assert set(near.gaps) <= gaps
+        assert (near.hull_lo, near.hull_hi) == (family.hull_lo, family.hull_hi)
+        assert near.point_in(x) is family.point_in(x)
+    for lo, hi in _hull_probes(family, rng):
+        inner = GapSet(lo, hi, ())
+        near = _sk_gaps_near(q, order, depth, (lo, hi))
+        assert set(near.gaps) <= gaps
+        assert (_contained_in_complement(inner, near)
+                is _contained_in_complement(inner, family))
+        assert (_contained_in_complement(near, inner)
+                is _contained_in_complement(family, inner))
+
+
+@pytest.mark.parametrize("k", range(9, 14))
+def test_gaps_near_probes_answer_like_the_whole_family(k):
+    # the three-expansions pipeline's families: order k-1 at the order-k
+    # root, every depth up to its default of 12
+    rng = random.Random(k)
+    q = bonacci_root(k).value
+    for depth in range(13):
+        family = gaps_of_Sk(q, k - 1, depth)
+        _assert_near_agrees(family, q, k - 1, depth, rng,
+                            None if depth <= 6 else 8)
+
+
+@pytest.mark.parametrize("k", range(9, 14))
+def test_gaps_near_probes_answer_like_the_whole_family_at_64_bits(k):
+    rng = random.Random(100 + k)
+    with precision(64):
+        q = bonacci_root(k).value
+        family = gaps_of_Sk(q, k - 1, 12)
+        _assert_near_agrees(family, q, k - 1, 12, rng, 8)
