@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .certificate import Certificate, GRADE_EVIDENCE, _float_pair, check_flag
-from .realnum import Enclosure, as_enclosure, membership, pi_q
+from .realnum import (Enclosure, PrecisionError, _affine, _within, _wider, as_enclosure,
+                      membership, pi_q)
 from .symbolic import ResourceError
 
 __all__ = [
@@ -83,7 +84,7 @@ class DigitMaps:
     def apply(self, eps: int, x) -> Enclosure:
         if eps not in (-1, 0, 1):
             raise ValueError(f"digit must be -1, 0, or 1, got {eps}")
-        return self.q * as_enclosure(x) - eps
+        return Enclosure._wrap(_affine(self.q.raw, as_enclosure(x).raw, eps))
 
     def domain(self, eps: int) -> tuple[Enclosure, Enclosure]:
         """Domain of the binary digit map: the values it keeps inside the
@@ -128,7 +129,10 @@ def count_prefixes(q, x, depth: int = 200,
 
     A node spawns a child for each digit whose domain does not certifiably
     exclude it; only children reached through all-certified memberships
-    count toward ``certified_min``.
+    count toward ``certified_min``.  Nodes are raw endpoint pairs, stepped
+    and classified by realnum's kernel.  An undecided node wider than the
+    switch region raises PrecisionError: the enclosures have widened past
+    deciding anything, and the walk would only grind into the node budget.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -138,29 +142,37 @@ def count_prefixes(q, x, depth: int = 200,
     if root_in is False:
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
 
-    dom0 = maps.domain(0)
-    dom1 = maps.domain(1)
-    frontier: list[tuple[Enclosure, bool]] = [(x, root_in is True)]
+    q = maps.q.raw
+    zero, s_hi = (e.raw for e in maps.domain(0))
+    s_lo, top = (e.raw for e in maps.domain(1))
+    switch = (s_lo[0], s_hi[1])  # the switch region's widest reading
+    frontier: list[tuple[tuple, bool]] = [(x.raw, root_in is True)]
     cmin: list[int] = []
     cmax: list[int] = []
     events: list[tuple[int, Enclosure]] = []
     processed = 0
     for d in range(1, depth + 1):
-        nxt: list[tuple[Enclosure, bool]] = []
+        nxt: list[tuple[tuple, bool]] = []
         for y, certified in frontier:
             processed += 1
             if processed > node_budget:
                 raise ResourceError(
                     f"branch walk exceeded the node budget of {node_budget} "
                     f"at depth {d} (frontier size {len(frontier)})")
-            m0 = membership(y, *dom0)
-            m1 = membership(y, *dom1)
-            if m0 is True and m1 is True:
-                events.append((d - 1, y))
+            m0 = _within(y, zero, s_hi)
+            m1 = _within(y, s_lo, top)
+            if m0 is None or m1 is None:
+                if _wider(y, switch):
+                    raise PrecisionError(
+                        f"enclosure widening: a node at depth {d - 1} of the branch "
+                        "walk is wider than the switch region; raise the working "
+                        "precision (--precision)")
+            elif m0 and m1:
+                events.append((d - 1, Enclosure._wrap(y)))
             if m0 is not False:
-                nxt.append((maps.apply(0, y), certified and m0 is True))
+                nxt.append((_affine(q, y, 0), certified and m0 is True))
             if m1 is not False:
-                nxt.append((maps.apply(1, y), certified and m1 is True))
+                nxt.append((_affine(q, y, 1), certified and m1 is True))
         frontier = nxt
         cmin.append(sum(1 for _, c in frontier if c))
         cmax.append(len(frontier))

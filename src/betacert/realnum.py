@@ -41,7 +41,7 @@ ValueError for a string such as "inf".  Compares, keys and exact reads
 therefore never re-check.  A logarithm or a non-integer power is refused
 before the kernel runs when its argument reaches below zero: ValueError
 if the argument is certifiably negative, PrecisionError if it straddles
-zero.
+zero.  A logarithm to a base of exactly 0 raises ValueError.
 
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
@@ -61,8 +61,8 @@ from functools import lru_cache
 from math import nextafter
 from typing import Optional
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_cmp, mpf_sign, round_ceiling,
-                          round_floor, to_float, to_int)
+from mpmath.libmp import (from_int, from_man_exp, mpf_cmp, mpf_mul, mpf_sign, mpf_sub,
+                          round_ceiling, round_floor, to_float, to_int)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
@@ -441,8 +441,10 @@ def enc_log(x, base=None) -> Enclosure:
     value = mpi_log(_not_negative(as_enclosure(x)._raw, "the argument of a logarithm"),
                     _prec)
     if base is not None:
-        value = mpi_div(value, mpi_log(_not_negative(
-            as_enclosure(base)._raw, "the base of a logarithm"), _prec), _prec)
+        base = _not_negative(as_enclosure(base)._raw, "the base of a logarithm")
+        if not base[1][1]:  # [0, 0]; mpi_log would give -inf and the quotient 0
+            raise ValueError("the base of a logarithm is zero")
+        value = mpi_div(value, mpi_log(base, _prec), _prec)
     return Enclosure._wrap(_finite(value, "a logarithm of an enclosure that reaches "
                                           "zero, or to a base that contains 1"))
 
@@ -455,14 +457,40 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     endpoints, x surely lies inside.  False means x surely lies outside.
     None otherwise (fail-closed for callers that count).
     """
-    a, b = as_enclosure(x)._raw
-    lo_a, lo_b = lo._raw
-    hi_a, hi_b = hi._raw
-    if mpf_cmp(a, lo_b) >= 0 and mpf_cmp(b, hi_a) <= 0:
+    return _within(as_enclosure(x)._raw, lo._raw, hi._raw)
+
+
+def _within(x, lo, hi) -> Optional[bool]:
+    """membership on raw pairs, the kernel it shares with the branch walk.
+    A lower end that is exactly 0 (mantissa 0; endpoints are finite) is a
+    sign test: libmp's zero has sign bit 0."""
+    a, b = x
+    lo_a, lo_b = lo
+    hi_a, hi_b = hi
+    if (mpf_cmp(a, lo_b) >= 0 if lo_b[1] else not a[0]) and mpf_cmp(b, hi_a) <= 0:
         return True
-    if mpf_cmp(b, lo_a) < 0 or mpf_cmp(a, hi_b) > 0:
+    if (mpf_cmp(b, lo_a) < 0 if lo_a[1] else b[0]) or mpf_cmp(a, hi_b) > 0:
         return False
     return None
+
+
+def _affine(q, x, eps: int) -> tuple:
+    """Raw q x - eps for a digit eps, rounded exactly as Enclosure's
+    q * x - eps; q's lower end must be positive."""
+    a, b = x
+    if a[1] and not a[0]:  # x > 0 as well: mpi_mul's positive branch, inlined
+        x = mpf_mul(q[0], a, _prec, round_floor), mpf_mul(q[1], b, _prec, round_ceiling)
+    else:
+        x = mpi_mul(q, x, _prec)
+    if eps:  # the product has at most _prec bits: subtracting 0 would return it
+        n = from_int(eps)
+        x = mpf_sub(x[0], n, _prec, round_floor), mpf_sub(x[1], n, _prec, round_ceiling)
+    return x
+
+
+def _wider(x, y) -> bool:
+    """Is the raw pair x wider than the raw pair y?  Exact: no rounding."""
+    return mpf_cmp(mpf_sub(x[1], x[0]), mpf_sub(y[1], y[0])) > 0
 
 
 # ======================================================================

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -236,6 +237,18 @@ def test_tables_insufficient_precision_exits_3():
     code, out, err = run(["tables", "--precision", "64"])
     assert code == 3
     assert "255" in err
+
+
+def test_certify_widening_walk_fails_fast_on_precision():
+    # at 64 bits the three-expansion branch walk's nodes outgrow the switch
+    # region near depth 60; the walk used to grind on into the node budget
+    # for half a minute and blame it
+    start = time.perf_counter()
+    code, out, err = run(["certify", "--k", "10", "--interval", "--precision", "64"])
+    assert code == 3
+    assert "enclosure widening" in err and "--precision" in err
+    assert "node budget" not in err
+    assert time.perf_counter() - start < 5
 
 
 def test_precision_below_floor_is_usage_error():

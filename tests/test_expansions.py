@@ -18,13 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacert.expansions import (
+    CountReport,
     DigitMaps,
     NODE_BUDGET,
     certify_m_expansions,
     count_prefixes,
     map_uniquely_check,
 )
-from betacert.realnum import as_enclosure, bonacci_root
+from betacert.realnum import (Enclosure, PrecisionError, as_enclosure, bonacci_root,
+                              membership, precision)
 from betacert.symbolic import ResourceError, SymbolicSeq, Word
 
 F = Fraction
@@ -210,6 +212,98 @@ def test_count_rejects_certified_outsiders():
 def test_count_node_budget_overflow():
     with pytest.raises(ResourceError):
         count_prefixes(F(3, 2), 1, depth=20, node_budget=10)
+
+
+def reference_walk(q, x, depth: int):
+    """count_prefixes written with Enclosure operations only: each
+    membership is also read off the tri-valued compares, each step is
+    ``q * y - eps``, and an undecided node wider than the widest reading
+    of the switch region stops the walk.  Returns the CountReport, or the
+    depth at which the walk stopped."""
+    q, x = as_enclosure(q), as_enclosure(x)
+    top = 1 / (q - 1)
+    zero, s_lo, s_hi = Enclosure(0), 1 / q, top / q
+
+    def member(y, lo, hi):
+        m = membership(y, lo, hi)
+        if y.ge(lo) is True and y.le(hi) is True:
+            assert m is True
+        elif y.lt(lo) is True or y.gt(hi) is True:
+            assert m is False
+        else:
+            assert m is None
+        return m
+
+    frontier = [(x, member(x, zero, top) is True)]
+    cmin, cmax, events = [], [], []
+    processed = 0
+    for d in range(1, depth + 1):
+        nxt = []
+        for y, certified in frontier:
+            processed += 1
+            m0, m1 = member(y, zero, s_hi), member(y, s_lo, top)
+            if None in (m0, m1) and y.width > s_hi.hi - s_lo.lo:
+                return d - 1
+            if m0 is True and m1 is True:
+                events.append((d - 1, y))
+            for eps, m in ((0, m0), (1, m1)):
+                if m is not False:
+                    nxt.append((q * y - eps, certified and m is True))
+        frontier = nxt
+        cmin.append(sum(1 for _, c in frontier if c))
+        cmax.append(len(frontier))
+    tail = cmin[-max(1, depth // 4):] + cmax[-max(1, depth // 4):]
+    return CountReport(x=x, depth=depth, certified_min=tuple(cmin),
+                       possible_max=tuple(cmax), branch_events=tuple(events),
+                       nodes_processed=processed,
+                       stabilized=len(set(tail)) == 1)
+
+
+def _walk_cases():
+    """(q, x, depth) built at the current precision: the branch-walk
+    bases, x = 0 (lower end 0, the product's general branch), golden at
+    x = 1 (undecided memberships), a forking point, and band enclosures
+    whose nodes straddle the domain ends and, deeper down, outgrow the
+    switch region: around the order-10 root with both memberships
+    undecided there, around 3/2 with only digit 1's; and a start wider
+    than the switch region, which stops the walk at once."""
+    golden = bonacci_root(2).value
+    root = bonacci_root(10).value
+    band = Enclosure.from_endpoints(root.lo - F(1, 10 ** 9), root.hi + F(1, 10 ** 9))
+    wide = Enclosure.from_endpoints(F(3, 2) - F(1, 10 ** 4), F(3, 2) + F(1, 10 ** 4))
+    cases = [(q, F(j, 20), 24) for q in (F(3, 2), F(8, 5), F(5, 3), F(17, 10), golden)
+             for j in (3, 11, 19)]
+    cases += [(F(3, 2), 0, 30), (golden, 0, 30), (golden, 1, 16), (F(3, 2), 1, 14),
+              (F(17, 10), F(4, 5), 16), (band, 1, 17), (band, F(1, 4), 22),
+              (band, F(1, 2), 60), (wide, F(1, 20), 40),
+              (F(3, 2), Enclosure.from_endpoints(F(1, 10), F(9, 10)), 5)]
+    return cases
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_walk_kernel_matches_enclosure_reference(bits):
+    with precision(bits):
+        stopped = 0
+        for q, x, depth in _walk_cases():
+            want = reference_walk(q, x, depth)
+            if isinstance(want, int):
+                stopped += 1
+                with pytest.raises(PrecisionError, match=f"widening.*depth {want} "):
+                    count_prefixes(q, x, depth)
+                continue
+            got = count_prefixes(q, x, depth)
+            assert got == want
+            assert got.x.raw == want.x.raw
+            assert [(d, v.raw) for d, v in got.branch_events] == \
+                [(d, v.raw) for d, v in want.branch_events]
+        assert stopped == 3  # the deep band walks and the wide start
+        # DigitMaps.apply runs the same kernel: equal to q * x - eps on
+        # points, zero, negative and straddling values
+        maps = DigitMaps(F(8, 5))
+        for x in (F(3, 7), 0, F(-5, 9), Enclosure.from_endpoints(-1, F(1, 3)),
+                  Enclosure.from_endpoints(0, 1)):
+            for eps in (-1, 0, 1):
+                assert maps.apply(eps, x).raw == (maps.q * as_enclosure(x) - eps).raw
 
 
 def test_count_accepts_symbolic_points():

@@ -211,6 +211,13 @@ def test_logarithms_and_real_powers_below_zero():
         enc_log(2, straddle)
     with pytest.raises(ValueError, match="logarithm"):
         enc_log(2, negative)
+    # a base of exactly zero is outside the domain; one that only reaches
+    # zero is a precision matter
+    with pytest.raises(ValueError, match="base of a logarithm is zero") as caught:
+        enc_log(2, Enclosure(0))
+    assert type(caught.value) is ValueError
+    with pytest.raises(PrecisionError, match="logarithm"):
+        enc_log(2, unit)
     with pytest.raises(ValueError, match="power"):
         negative ** Enclosure.from_endpoints(1, 2)
     # integer exponents keep the integer power on any base
