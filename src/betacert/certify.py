@@ -21,8 +21,8 @@ This module strings the lower layers into the two headline claims:
   is where the three expansions live: one branch falls into the
   run-limited family, the other reaches the intersection point's two).
   Each family is built, validated and measured once: the run-limited
-  family's thickness is the closed form ``sk_thickness``, and the
-  cover's one stepwise value also serves its affine image.
+  family's thickness is the closed form ``sk_thickness``, and the gap
+  lemma runs in the cover's own coordinates, so the cover is never moved.
 
 ``reproduce_tables`` recomputes every row of the two reference tables
 (roots, radii, dimension bounds, order thresholds) and flags each column
@@ -251,8 +251,8 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
     "interval".  In interval mode every closed-form check is evaluated
     over one wide enclosure spanning the whole pinned band
     [root_k - rho, root_k + rho], rho = root_k^(-(m+2)k-3), so a
-    certified check holds simultaneously for every base in the band; the
-    dimension bound is reported at the root.  In concrete mode the
+    certified check holds simultaneously for every base in the band,
+    the dimension bound's positivity included.  In concrete mode the
     membership |q - root_k| < rho is itself a check.
 
     Orders below ``k_threshold(m)`` short-circuit to a
@@ -329,7 +329,7 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
            fy_inequality(m, tau_floor, Fraction(1, 8)).checks,
            "fy_")
 
-    dim = dim_lower_bound(m, root if interval_mode else q_eval, k)
+    dim = dim_lower_bound(m, q_eval, k)
     checks.append(check_gt(
         "dimension_bound_positive", dim, as_enclosure(0)))
 
@@ -381,13 +381,14 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     mode.  With a concrete ``q`` the materialized set descriptions (the
     signed-digit cover, the gap-lemma run) are built at that base.  The
     gap-lemma run reads the run-limited family only at its hull and next
-    to three probes (the cover's hull ends and the located point), so of
-    that family only the gaps on the probes' search paths through its
-    index tree are built and validated; its thickness is the closed form
-    sk_thickness.  The branch count of the located three-expansion point
-    always runs at the band center -- the one base where that point is
-    exactly representable; elsewhere the claim rides the drift and
-    gap-lemma checks.
+    to three probes (the images of the cover's hull ends and the located
+    point), so of that family only the gaps on the probes' search paths
+    through its index tree are built, validated and pulled back into the
+    cover's coordinates; its thickness is the closed form sk_thickness.
+    The branch count of the located three-expansion point always runs at
+    the band center -- the one base where that point is exactly
+    representable; elsewhere the claim rides the drift and gap-lemma
+    checks.
 
     ``depth`` overrides the index depth of the run-limited gap family
     (default 12 index digits); a depth whose whole family exceeds the
@@ -497,34 +498,33 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "thickness_product_at_least_one", sk.tau * a_tau.tau,
         as_enclosure(1)))
 
-    # gap-lemma run in the run-limited family's own coordinates (the A
-    # family shifted down by 1); thickness is affine invariant, so the A
-    # family keeps the cover's tau, and S takes the closed form.  The
-    # located intersection point is the second witness image; exact at the
-    # root, an approximation within the drift bounds elsewhere.
+    # gap-lemma run in the cover's own coordinates: A is the cover moved
+    # by x -> g(x) - 1, and interleaving, membership and thickness are
+    # affine invariant, so the few S gaps the run reads are pulled back
+    # instead, and A keeps the cover's tau.  The located intersection
+    # point y is the second witness image (exact at the root, within the
+    # drift bounds elsewhere), so g^-1(y) is the value of the witness seq.
     gap_depth = _GAP_DEPTH if depth is None else depth
     gmap = GMap(q_eval, k)
-    gs_a = affine_image(cover, gmap.scale, gmap.offset - 1)
+    shift = gmap.offset - 1
     anchor = ws.points[1]
     y_val = pi_q(anchor.image_seq, q_eval)
     # interleaving reads S at its hull and at the gap next to A's hull,
     # membership at the gap next to y - 1; those gaps lie on the probes'
     # search paths, so only the paths are built
     gs_s = _sk_gaps_near(q_eval, k - 1, gap_depth,
-                         (gs_a.hull_lo, gs_a.hull_hi, y_val - 1))
+                         (gmap.scale * cover.hull_lo + shift,
+                          gmap.scale * cover.hull_hi + shift, y_val - 1))
+    gs_s_in_a = affine_image(gs_s, q_eval ** k, -(shift * q_eval ** k))
     _merge(checks,
-           _gap_lemma_checks(interleaved(gs_s, gs_a),
+           _gap_lemma_checks(interleaved(gs_s_in_a, cover),
                              sk_thickness(q_eval, k - 1, gap_depth), a_tau),
            "newhouse_")
     in_s = gs_s.point_in(y_val - 1)
-    in_a = gs_a.point_in(y_val - 1)
-    located_flag: Optional[bool]
-    if in_s is True and in_a is True:
-        located_flag = True
-    elif in_s is False or in_a is False:
-        located_flag = False
-    else:
-        located_flag = None
+    in_a = cover.point_in(pi_q(anchor.seq, q_eval))
+    # three-valued and: one certified miss decides, else undecided unless
+    # both are certified
+    located_flag = False if False in (in_s, in_a) else in_s and in_a
     checks.append(check_flag(
         "intersection_point_in_both_descriptions", located_flag,
         note="membership in the outer finite-depth descriptions"))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -446,6 +447,7 @@ def cmd_witness(k: Optional[int], cfg: RunConfig) -> int:
 
 # ----------------------------------------------------------------- plumbing
 
+@functools.cache  # parse_args leaves the parser unchanged; built on first use
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betacert",

@@ -262,7 +262,7 @@ def pq_hull_data(q, k: int, m: int) -> PQAnchors:
     """
     q = _pq_validate(q, k, m)
     fp = pi_q(SymbolicSeq.periodic(contraction_block(k)), q)
-    eps = epsilon_q(q, k)
+    eps = EpsilonQ(q=q, k=k, value=1 - fp)
     # the cut gap's left endpoint: value of 0^{k-3} (0 1^{k-2})^inf; one
     # overall factor q^{-km} turns it into the common hull diameter
     cut_left_tail = SymbolicSeq.eventually(
@@ -569,30 +569,21 @@ def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14,
         raise ResourceError(
             f"cover needs {count} cylinders at depth {depth}, over the "
             f"budget of {budget}")
+    # 1 on the spine's 1s and rank-1 zeros; 0 on its -1s, its rank-3 zeros
+    # and (for the base value) the free zeros
     fixed1 = set(desc.J_fixed1)
-    template = []
-    for j in range(1, depth + 1):
-        cj = desc.c[j - 1]
-        if cj == 1 or (cj == 0 and j in fixed1):
-            template.append(1)
-        else:
-            # -1 digits, rank-3 zeros and (for the base value) free zeros
-            template.append(0)
-    base_value = pi_q(Word(tuple(template)), q)
+    base_value = pi_q(Word(tuple(
+        int(cj == 1 or (cj == 0 and j in fixed1))
+        for j, cj in enumerate(desc.c.digits[:depth], start=1))), q)
     powers = [q ** (-j) for j in free]
     tail_band = q ** (-depth) / (q - 1)
-    pieces = []
-    for bits in range(count):
-        value = base_value
-        b = bits
-        idx = 0
-        while b:
-            if b & 1:
-                value = value + powers[idx]
-            b >>= 1
-            idx += 1
-        pieces.append((value, value + tail_band))
-    hull_lo = enc_min(*(p[0] for p in pieces))
+    # by doubling: values[bits] adds powers[i] for each set bit i of bits,
+    # lowest first
+    values = [base_value]
+    for p in powers:
+        values += [v + p for v in values]
+    pieces = [(v, v + tail_band) for v in values]
+    hull_lo = enc_min(*values)
     hull_hi = enc_max(*(p[1] for p in pieces))
     cover = gapset_from_intervals(hull_lo, hull_hi, pieces, depth=depth)
     if check:

@@ -41,7 +41,8 @@ ValueError for a string such as "inf".  Compares, keys and exact reads
 therefore never re-check.  A logarithm or a non-integer power is refused
 before the kernel runs when its argument reaches below zero: ValueError
 if the argument is certifiably negative, PrecisionError if it straddles
-zero.  A logarithm to a base of exactly 0 raises ValueError.
+zero.  A logarithm of exactly 0, or to a base of exactly 0 or 1, raises
+ValueError.
 
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
@@ -61,8 +62,8 @@ from functools import lru_cache
 from math import nextafter
 from typing import Optional
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_cmp, mpf_mul, mpf_sign, mpf_sub,
-                          round_ceiling, round_floor, to_float, to_int)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_cmp, mpf_mul, mpf_sign,
+                          mpf_sub, round_ceiling, round_floor, to_float, to_int)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
@@ -438,12 +439,16 @@ def enc_max(*xs: Enclosure) -> Enclosure:
 
 
 def enc_log(x, base=None) -> Enclosure:
-    value = mpi_log(_not_negative(as_enclosure(x)._raw, "the argument of a logarithm"),
-                    _prec)
+    x = _not_negative(as_enclosure(x)._raw, "the argument of a logarithm")
+    if x == (fzero, fzero):  # mpi_log would give -inf
+        raise ValueError("the argument of a logarithm is zero")
+    value = mpi_log(x, _prec)
     if base is not None:
         base = _not_negative(as_enclosure(base)._raw, "the base of a logarithm")
-        if not base[1][1]:  # [0, 0]; mpi_log would give -inf and the quotient 0
+        if base == (fzero, fzero):  # mpi_log would give -inf and the quotient 0
             raise ValueError("the base of a logarithm is zero")
+        if base == (fone, fone):  # mpi_log would give a zero divisor
+            raise ValueError("the base of a logarithm is one")
         value = mpi_div(value, mpi_log(base, _prec), _prec)
     return Enclosure._wrap(_finite(value, "a logarithm of an enclosure that reaches "
                                           "zero, or to a base that contains 1"))

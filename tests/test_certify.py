@@ -53,14 +53,16 @@ from betacert.certify import (
     theorem_a_certify,
     theorem_b_certify,
 )
+from betacert.constructions import GMap, witness_points
 from betacert.realnum import (
     PrecisionError,
     as_enclosure,
     bonacci_root,
+    pi_q,
     precision,
 )
 from betacert.symbolic import ResourceError
-from betacert.thickness import GapSet
+from betacert.thickness import GapSet, affine_image, interleaved
 
 F = Fraction
 
@@ -264,6 +266,17 @@ def test_main_pipeline_interval_all_reference_rows():
         assert cert.params["dim_lower_bound"][0] > 0.9999
 
 
+def test_main_pipeline_interval_dimension_bound_covers_the_band():
+    # the bound is evaluated on the band enclosure, not at the root, so its
+    # positivity check covers every base the certificate claims
+    for m, k, *_ in TABLE_MAIN_REFERENCE:
+        root = bonacci_root(k).value
+        rho = root ** (-(m + 2) * k - 3)
+        lhs = checks_by_name(theorem_a_certify(m, k))["dimension_bound_positive"].lhs
+        for end in (root.lo - rho.hi, root.hi + rho.hi):
+            assert lhs.intersects(dim_lower_bound(m, end, k))
+
+
 def test_main_pipeline_below_threshold_is_verdict_not_error():
     cert = theorem_a_certify(1, 30)
     assert cert.params["verdict"] == VERDICT_HYPOTHESIS_NOT_MET
@@ -428,10 +441,11 @@ def _spy(monkeypatch, module, name):
 
 
 def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
-    # the run-limited family takes its tau from the closed form, stays in
-    # its own coordinates and is never materialized: only the gaps on the
-    # search paths of the pipeline's probes are built.  The only stepwise
-    # thickness pass and the only affine image are of the cover
+    # the run-limited family takes its tau from the closed form and is
+    # never materialized: only the gaps on the search paths of the
+    # pipeline's probes are built.  The only stepwise thickness pass is of
+    # the cover, which stays in its own coordinates; the only affine image
+    # is of the built run-limited gaps
     symbolic = importlib.import_module("betacert.symbolic")
     thickness_module = importlib.import_module("betacert.thickness")
     built = []
@@ -456,10 +470,62 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     [(_, cover)] = covers
     assert all(len(args[0].gaps) <= len(cover.gaps) for args, _ in measured)
     assert [args[0] is cover for args, _ in measured] == [True]
-    assert [args[0] is cover for args, _ in imaged] == [True]
-    # one GapSet per family, plus the one placement of the cover
+    assert [args[0] is s_near for args, _ in imaged] == [True]
+    # one GapSet per family, plus the one placement of the run-limited gaps
     assert len(built) == 3
     assert sum(g is s_near for g in built) == 1
+    # validation sees each cover gap once and each run-limited gap twice
+    assert (sum(len(g.gaps) for g in built)
+            == len(cover.gaps) + 2 * len(s_near.gaps))
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
+def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
+    # oracle: the interleaving and A-membership verdicts the pipeline
+    # reaches in the cover's coordinates equal those of the reference
+    # route, which images the whole cover into the run-limited family's
+    # coordinates (x -> g(x) - 1) and tests y - 1 there
+    thickness_module = importlib.import_module("betacert.thickness")
+    covers = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
+                  "aq_gapset")
+    near = _spy(monkeypatch, importlib.import_module("betacert.symbolic"),
+                "_sk_gaps_near")
+    verdicts = _spy(monkeypatch, thickness_module, "interleaved")
+    members = []
+    point_in = GapSet.point_in
+
+    def record(self, x):
+        out = point_in(self, x)
+        members.append((self, out))
+        return out
+
+    monkeypatch.setattr(GapSet, "point_in", record)
+    seen = set()
+    with precision(bits):
+        root = bonacci_root(k).value
+        rho = root ** (-2 * k - 6)
+        offsets = [t for t in (-7, -4, -1, 1, 4, 7) if k > 9 or t > 0]
+        for q in ["interval"] + [root + rho * F(t, 8) for t in offsets]:
+            for calls in (covers, near, verdicts, members):
+                calls.clear()
+            try:
+                theorem_b_certify(k, q)
+            except PrecisionError:
+                assert bits == 64  # the branch count, after the gap lemma
+            [(_, cover)] = covers
+            [((_, _, _, probes), s_near)] = near
+            [(_, inter)] = verdicts
+            [in_a] = [out for gs, out in members if gs is cover]
+            q_eval = root if q == "interval" else q
+            gmap = GMap(q_eval, k)
+            gs_a = affine_image(cover, gmap.scale, gmap.offset - 1)
+            y = pi_q(witness_points(k).points[1].image_seq, q_eval)
+            assert [p.raw for p in probes[:2]] == [gs_a.hull_lo.raw, gs_a.hull_hi.raw]
+            assert inter is interleaved(s_near, gs_a)
+            assert in_a is point_in(gs_a, y - 1)
+            seen.add(in_a)
+    assert seen == {True, False}  # both verdicts occur: the oracle bites
 
 
 # ------------------------------------------------------- grade honesty

@@ -14,6 +14,7 @@ Oracles:
     Hausdorff routine from the thickness tests.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,39 @@ def test_cover_thickness_clears_the_coarse_bound(spine9):
     tau = thickness(cover)
     assert tau.tau is not None
     assert tau.tau.ge(spine9.q ** -5) is True
+
+
+def test_cover_cylinders_by_doubling_equal_the_bit_decoded_ones(spine9, monkeypatch):
+    # each cylinder's left end adds the powers of its set bits, lowest
+    # first, to the base value: the same left fold by doubling as by
+    # decoding every index, down to the raw endpoints
+    constructions = importlib.import_module("betacert.constructions")
+    pieces = []
+    build = constructions.gapset_from_intervals
+
+    def record(hull_lo, hull_hi, rows, depth=None):
+        pieces.extend(rows)
+        return build(hull_lo, hull_hi, rows, depth=depth)
+
+    monkeypatch.setattr(constructions, "gapset_from_intervals", record)
+    depth = 26
+    aq_gapset(spine9, depth)
+    q = spine9.q
+    fixed1 = set(spine9.J_fixed1)
+    base = pi_q(Word(tuple(
+        1 if spine9.c[j - 1] == 1 or (spine9.c[j - 1] == 0 and j in fixed1) else 0
+        for j in range(1, depth + 1))), q)
+    powers = [q ** (-j) for j in spine9.J_free if j <= depth]
+    tail = q ** (-depth) / (q - 1)
+    decoded = []
+    for bits in range(1 << len(powers)):
+        value = base
+        for i, p in enumerate(powers):
+            if bits >> i & 1:
+                value = value + p
+        decoded.append((value.raw, (value + tail).raw))
+    assert len(decoded) > 8
+    assert [(a.raw, b.raw) for a, b in pieces] == decoded
 
 
 def test_cover_budget_and_depth_guards(spine9):

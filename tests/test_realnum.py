@@ -218,6 +218,15 @@ def test_logarithms_and_real_powers_below_zero():
     assert type(caught.value) is ValueError
     with pytest.raises(PrecisionError, match="logarithm"):
         enc_log(2, unit)
+    # so are an argument of exactly zero and a base of exactly one; a base
+    # that only contains one is a precision matter
+    for build, what in ((lambda: enc_log(Enclosure(0)), "argument of a logarithm is zero"),
+                        (lambda: enc_log(2, Enclosure(1)), "base of a logarithm is one")):
+        with pytest.raises(ValueError, match=what) as caught:
+            build()
+        assert type(caught.value) is ValueError
+    with pytest.raises(PrecisionError, match="logarithm"):
+        enc_log(2, Enclosure.from_endpoints(half, 2))
     with pytest.raises(ValueError, match="power"):
         negative ** Enclosure.from_endpoints(1, 2)
     # integer exponents keep the integer power on any base
