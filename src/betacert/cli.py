@@ -515,6 +515,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.output_format,
             output_path=args.output_path,
         )
+        if cfg.output_format == "csv" and args.command in ("certify", "thickness", "witness"):
+            raise UsageError(f"{args.command} writes --format text or json, not csv")
         if args.command == "tables":
             return cmd_tables(cfg)
         if args.command == "certify":

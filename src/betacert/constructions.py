@@ -105,13 +105,12 @@ class EpsilonQ:
 
     @property
     def sign(self) -> Optional[int]:
-        if self.value.lo > 0:
+        if self.value.gt(0):
             return 1
-        if self.value.hi < 0:
+        if self.value.lt(0):
             return -1
-        if self.value.lo == self.value.hi:
-            return 0
-        return None
+        lo, hi = self.value.raw
+        return 0 if lo == hi else None
 
 
 def epsilon_q(q, k: int, m: Optional[int] = None) -> EpsilonQ:

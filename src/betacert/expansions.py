@@ -31,7 +31,6 @@ __all__ = [
     "NODE_BUDGET",
     "certify_m_expansions",
     "count_prefixes",
-    "map_uniquely_check",
 ]
 
 #: processed-node cap for the breadth-first branch walk; the count of
@@ -184,60 +183,6 @@ def count_prefixes(q, x, depth: int = 200,
                        certified_min=tuple(cmin), possible_max=tuple(cmax),
                        branch_events=tuple(events),
                        nodes_processed=processed, stabilized=stabilized)
-
-
-def map_uniquely_check(q, x, target, word) -> Optional[bool]:
-    """Does x reach ``target`` through ``word`` without ever standing on a
-    fork?
-
-    Verifies that applying the binary digits of ``word`` in order carries
-    x to ``target`` with the start and every intermediate value certified
-    inside the attractor and outside the switch region — the condition
-    under which x and target have exactly as many expansions as each
-    other.  Returns True when the whole chain is certified, False when any
-    requirement is certifiably violated (value leaves a domain, stands in
-    the switch region, or misses the target), and None when some
-    membership is undecidable at working precision.
-
-    The start must be certifiably off the switch region: a certified
-    violation of that raises ValueError, an undecided one returns None.
-    """
-    maps = DigitMaps(q)
-    x = _coerce_point(x, maps.q)
-    target = _coerce_point(target, maps.q)
-    digits = list(word.digits if hasattr(word, "digits") else
-                  (int(c) for c in word) if isinstance(word, str) else word)
-    if any(d not in (0, 1) for d in digits):
-        raise ValueError("word must use binary digits only")
-
-    in_attr = maps.in_attractor(x)
-    in_switch = maps.in_switch(x)
-    if in_attr is False or in_switch is True:
-        raise ValueError(
-            "start must lie in the attractor and off the switch region; "
-            "this start certifiably does not")
-    verdict: Optional[bool] = True
-    if in_attr is None or in_switch is None:
-        verdict = None
-
-    y = x
-    last = len(digits) - 1
-    for i, eps in enumerate(digits):
-        m = membership(y, *maps.domain(eps))
-        if m is False:
-            return False
-        if m is None:
-            verdict = None
-        y = maps.apply(eps, y)
-        if i < last:
-            forked = maps.in_switch(y)
-            if forked is True:
-                return False
-            if forked is None:
-                verdict = None
-    if not y.intersects(target):
-        return False
-    return verdict
 
 
 def certify_m_expansions(q, x, m: int, depth: int = 200) -> Certificate:

@@ -6,12 +6,15 @@ enclosure arithmetic; a comparison that cannot be certified either fails
 closed (predicates) or raises PrecisionError (orderings that the stepwise
 thickness construction depends on).
 
-Thickness is computed stepwise: gaps are processed in decreasing diameter
-(ties left to right), each gap is scored by the nearer of the two bridges
-that survive on its sides among previously processed gaps, and tau is the
-infimum of the scores.  For the base-avoidance families produced by
-symbolic.gaps_of_Sk the same infimum has a closed form, implemented in
-sk_thickness and cross-validated against the generic routine in the tests.
+Thickness is computed stepwise, in Newhouse's sense: gaps are processed
+in decreasing diameter (ties left to right), and a gap's bridges end at
+the nearest gap on each side processed before it, or at the hull.  One
+nearest-earlier-gap pass each way over the validated position order finds
+those ends for every gap; each gap scores its shorter bridge over its
+width, and tau is the minimum of the scores.  For the base-avoidance
+families produced by symbolic.gaps_of_Sk the same minimum has a closed
+form, implemented in sk_thickness and cross-validated against the generic
+routine in the tests.
 
 The gap lemma's checks are built in one place from an interleaving verdict
 and two ThicknessValues, however each tau was obtained: stepwise in
@@ -21,9 +24,10 @@ newhouse_certificate, from values already at hand in the pipelines.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Optional
 
 from .certificate import (
@@ -216,15 +220,17 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
               strict: bool = False) -> ThicknessValue:
     """Stepwise Newhouse thickness of a finite gap description.
 
-    Gaps are processed in decreasing diameter; gaps whose width enclosures
-    coincide exactly form a tie block processed left to right (or in an
-    order drawn from ``tie_rng``, for invariance testing — the value is
-    independent of the choice).  When two width enclosures overlap without
-    coinciding, the true diameter order is unknowable at this precision:
-    with ``strict=True`` that raises PrecisionError; by default the sort
-    order (upper width bound descending) is used as the processing order,
-    which is the right call for families whose equal-width gaps acquire
-    unequal enclosures through rounding.
+    Gaps are processed in decreasing diameter.  Each is scored against the
+    nearest gap on either side processed before it (or the hull end), and
+    tau is the minimum score.  Gaps whose width enclosures coincide exactly
+    form a tie block processed left to right (or in an order drawn from
+    ``tie_rng``, for invariance testing — the value is independent of the
+    choice).  When two width enclosures overlap without coinciding, the
+    true diameter order is unknowable at this precision: with
+    ``strict=True`` that raises PrecisionError; by default the sort order
+    (upper width bound descending) is used as the processing order, which
+    is the right call for families whose equal-width gaps acquire unequal
+    enclosures through rounding.
     """
     gaps = gapset.gaps
     n = len(gaps)
@@ -232,14 +238,13 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
         return ThicknessValue(tau=None, infinite=True, depth=gapset.depth, gap_count=0)
 
     widths = [g.width for g in gaps]
-    # exact integer keys, one scale for both width ends and one for the
-    # lower ends of both gap endpoints
+    # exact integer keys, one scale for both width ends
     width_ends = exact_keys([end for w in widths for end in w.raw])
     w_lo, w_hi = width_ends[0::2], width_ends[1::2]
-    positions = exact_keys([g.left.raw[0] for g in gaps] + [g.right.raw[0] for g in gaps])
-    left_at, right_at = positions[:n], positions[n:]
 
-    order = sorted(range(n), key=lambda i: (-w_hi[i], left_at[i]))
+    # validation left the gaps in position order, so a stable sort breaks
+    # width ties left to right
+    order = sorted(range(n), key=lambda i: -w_hi[i])
     if strict:
         for a, b in zip(order, order[1:]):
             if (w_lo[a], w_hi[a]) == (w_lo[b], w_hi[b]):
@@ -250,45 +255,36 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
                 )
     if tie_rng is not None:
         shuffled: list[int] = []
-        block: list[int] = []
-        block_key: Optional[tuple[int, int]] = None
-        for i in order:
-            key = (w_lo[i], w_hi[i])
-            if key == block_key:
-                block.append(i)
-            else:
-                tie_rng.shuffle(block)
-                shuffled.extend(block)
-                block, block_key = [i], key
-        tie_rng.shuffle(block)
-        shuffled.extend(block)
+        for _, block in groupby(order, key=lambda i: (w_lo[i], w_hi[i])):
+            block = list(block)
+            tie_rng.shuffle(block)
+            shuffled += block
         order = shuffled
 
-    # placed endpoints, keyed by exact lower bounds for bisection; the keys
-    # are consistent because the gaps were validated pairwise separated
-    right_keys: list[int] = []
-    right_vals: list[Enclosure] = []
-    left_keys: list[int] = []
-    left_vals: list[Enclosure] = []
-
-    tau: Optional[Enclosure] = None
-    for i in order:
-        g = gaps[i]
-        left_key, right_key = left_at[i], right_at[i]
-        idx = bisect_right(right_keys, left_key)
-        anchor_l = right_vals[idx - 1] if idx > 0 else gapset.hull_lo
-        jdx = bisect_left(left_keys, right_key)
-        anchor_r = left_vals[jdx] if jdx < len(left_vals) else gapset.hull_hi
-        score = enc_min(g.left - anchor_l, anchor_r - g.right) / widths[i]
-        tau = score if tau is None else enc_min(tau, score)
-        insort_pos = bisect_left(left_keys, left_key)
-        left_keys.insert(insort_pos, left_key)
-        left_vals.insert(insort_pos, g.left)
-        insort_pos = bisect_left(right_keys, right_key)
-        right_keys.insert(insort_pos, right_key)
-        right_vals.insert(insort_pos, g.right)
-
+    # a gap's anchors are the nearest gaps on each side processed before it
+    rank = {i: r for r, i in enumerate(order)}
+    anchor_l = _nearest_earlier(rank, range(n), [g.right for g in gaps], gapset.hull_lo)
+    anchor_r = _nearest_earlier(rank, reversed(range(n)), [g.left for g in gaps],
+                                gapset.hull_hi)
+    tau = enc_min(*(enc_min(g.left - a, b - g.right) / w
+                    for g, w, a, b in zip(gaps, widths, anchor_l, anchor_r)))
     return ThicknessValue(tau=tau, infinite=False, depth=gapset.depth, gap_count=n)
+
+
+def _nearest_earlier(rank, scan, ends, hull_end) -> list[Enclosure]:
+    """Per gap, the end in ``ends`` of the nearest gap before it in ``scan``
+    with a smaller processing rank, or ``hull_end`` if there is none: one
+    monotonic-stack pass ("all nearest smaller values"; Berkman, Schieber
+    and Vishkin, J. Algorithms 14, 1993)."""
+    anchors = [hull_end] * len(ends)
+    stack: list[int] = []
+    for i in scan:
+        while stack and rank[stack[-1]] > rank[i]:
+            stack.pop()
+        if stack:
+            anchors[i] = ends[stack[-1]]
+        stack.append(i)
+    return anchors
 
 
 def _family_base(q, k: int, max_delta_len: int) -> Enclosure:
@@ -379,9 +375,9 @@ def _contained_in_complement(inner: GapSet, outer: GapSet) -> Optional[bool]:
     if side_low is True or side_high is True:
         return True
     uncertain = side_low is None or side_high is None
-    # only gaps positioned to straddle the inner hull can contain it
-    *keys, probe = exact_keys([g.left.raw[0] for g in outer.gaps] + [lo.raw[1]])
-    start = bisect_right(keys, probe)
+    # only gaps positioned to straddle the inner hull can contain it; the
+    # gaps certifiably right of lo form a suffix of the validated order
+    start = bisect_left(outer.gaps, True, key=lambda g: lo.lt(g.left) is True)
     for g in outer.gaps[max(0, start - 2): start + 2]:
         in_gap_l = g.left.lt(lo)
         in_gap_r = hi.lt(g.right)
@@ -421,32 +417,22 @@ def strongly_interleaved(a1, a2, b1, b2, eps) -> Certificate:
     )
 
 
-def _distance_to_set(x: Enclosure, bset: GapSet) -> Enclosure:
-    """Enclosure of dist(x, set described by bset), using the bridge list.
+def _distance_to_set(x: Enclosure, bridges) -> Enclosure:
+    """Enclosure of dist(x, union of the closed ``bridges``), the bridge
+    list of a validated GapSet.
 
-    Scans outward from the bisection position until the window is walled on
-    each side by a bridge certified entirely on that side of x (or by the
-    ends of the list); bridges beyond such a wall are certifiably farther
-    than the wall itself, so the minimum over the window encloses the true
-    distance.
+    Validation chains every bridge endpoint strictly upward, so the bridges
+    certified entirely left of x form a prefix and those certified entirely
+    right of it a suffix.  The window runs from the last of the first to the
+    first of the second (or the ends of the list); bridges beyond such a wall
+    are certifiably farther than the wall itself, so the minimum over the
+    window encloses the true distance.
     """
-    bridges = bset.bridges()
-    *keys, probe = exact_keys([u.raw[0] for (u, _) in bridges] + [x.raw[0]])
-    idx = bisect_right(keys, probe)
-    lo_j = idx - 1
-    while lo_j > 0 and bridges[lo_j][1].lt(x) is not True:
-        lo_j -= 1
-    hi_j = idx
-    while hi_j < len(bridges) - 1 and x.lt(bridges[hi_j][0]) is not True:
-        hi_j += 1
+    lo_j = bisect_left(bridges, True, key=lambda b: b[1].lt(x) is not True) - 1
+    hi_j = bisect_left(bridges, True, key=lambda b: x.lt(b[0]) is True)
     zero = Enclosure(0)
-    best: Optional[Enclosure] = None
-    for j in range(max(0, lo_j), min(len(bridges), hi_j + 1)):
-        u, v = bridges[j]
-        d = enc_max(zero, u - x, x - v)
-        best = d if best is None else enc_min(best, d)
-    assert best is not None
-    return best
+    window = bridges[max(0, lo_j):hi_j + 1]
+    return enc_min(*(enc_max(zero, u - x, x - v) for u, v in window))
 
 
 def _directed_hausdorff(a: GapSet, b: GapSet) -> tuple[Fraction, Fraction]:
@@ -467,10 +453,11 @@ def _directed_hausdorff(a: GapSet, b: GapSet) -> tuple[Fraction, Fraction]:
         member = a.point_in(mid)
         if member is not False:
             candidates.append((mid, member))
+    bridges = b.bridges()
     lo = Fraction(0)
     hi = Fraction(0)
     for x, member in candidates:
-        d = _distance_to_set(x, b)
+        d = _distance_to_set(x, bridges)
         hi = max(hi, d.hi)
         if member is True:
             lo = max(lo, d.lo)

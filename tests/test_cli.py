@@ -402,6 +402,20 @@ def test_witness_low_order_is_usage_error():
     assert run(["witness", "--k", "5"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "10", "--interval"],
+    ["thickness", "--k", "10"],
+    ["witness", "--k", "9"],
+])
+def test_csv_format_is_a_usage_error_where_no_csv_exists(argv, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(argv + ["--format", "csv", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert "text or json" in err
+    assert not out_path.exists()
+
+
 # ----------------------------------------------------------------------
 # argparse-level behavior
 # ----------------------------------------------------------------------

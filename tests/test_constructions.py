@@ -15,12 +15,14 @@ Oracles:
 """
 
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacert import realnum
 from betacert.certificate import STATUS_CERTIFIED, STATUS_FAILED
 from betacert.constructions import (
     AqDescription,
@@ -82,12 +84,22 @@ def test_epsilon_matches_fraction_oracle():
         assert contains_fraction(eps.value, 1 - oracle_fixed_point(q, k))
 
 
-def test_epsilon_sign_trichotomy():
+def test_epsilon_sign_trichotomy(monkeypatch):
     # root_3 ~ 1.8393: 9/5 sits below it, 15/8 above it
-    assert epsilon_q(F(9, 5), 3).sign == -1
-    assert epsilon_q(F(15, 8), 3).sign == 1
+    below, above = epsilon_q(F(9, 5), 3), epsilon_q(F(15, 8), 3)
     # an enclosure of the root itself cannot be signed
-    assert epsilon_q(bonacci_root(10).value, 10).sign is None
+    at_root = epsilon_q(bonacci_root(10).value, 10)
+    exact_zero = replace(above, value=Enclosure(0))
+    # the sign is read off the raw endpoints, with no rational view of them
+    conversions = []
+    convert = realnum._raw_to_fraction
+    monkeypatch.setattr(realnum, "_raw_to_fraction",
+                        lambda raw: conversions.append(raw) or convert(raw))
+    assert below.sign == -1
+    assert above.sign == 1
+    assert at_root.sign is None
+    assert exact_zero.sign == 0
+    assert conversions == []
 
 
 def test_epsilon_band_certifies_inside_pinning_radius():

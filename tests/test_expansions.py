@@ -1,4 +1,4 @@
-"""Branch counting, the switch region, and unique-chain verification.
+"""Branch counting, the switch region, and digit cycles.
 
 Oracles:
   * an exhaustive exact-Fraction branch walk over all digit strings
@@ -6,7 +6,6 @@ Oracles:
   * an exact golden-base walk in Z[G] (G^2 = G + 1, sign decisions through
     the minimal polynomial) for the classic x = 1 instance whose true
     per-depth count is d + 1;
-  * hand-built rational chains for the unique-mapping check;
   * the first witness value at the order-9 root, whose two children both
     continue along eventually periodic run-limited digit strings.
 """
@@ -23,7 +22,6 @@ from betacert.expansions import (
     NODE_BUDGET,
     certify_m_expansions,
     count_prefixes,
-    map_uniquely_check,
 )
 from betacert.realnum import (Enclosure, PrecisionError, as_enclosure, bonacci_root,
                               membership, precision)
@@ -392,60 +390,30 @@ def test_branch_events_mark_certified_forks():
     assert count_prefixes(F(3, 2), 2, depth=10).branch_events == ()
 
 
-# ------------------------------------------------------- unique chains
-
-
-def test_chain_preimage_through_zeros_reaches_the_switch_region():
-    # start at x/q^3 for x = 3/4 inside the switch region of q = 3/2:
-    # every intermediate sits strictly left of the region
-    q = F(3, 2)
-    x = F(3, 4)
-    assert map_uniquely_check(q, x / q ** 3, x, "000") is True
-
-
-def test_chain_on_an_exact_corner_is_indeterminate():
-    # x = 1: the intermediate x/q equals the switch region's left corner
-    # exactly, which no enclosure can certify either way
-    q = F(3, 2)
-    assert map_uniquely_check(q, F(8, 27), 1, "000") is None
-
-
-def test_chain_through_a_certified_fork_is_false():
-    # 0.5 -> 0.75 lies certifiably inside [2/3, 4/3]
-    assert map_uniquely_check(F(3, 2), F(1, 2), F(9, 8), "00") is False
-
-
-def test_chain_leaving_a_domain_is_false():
-    assert map_uniquely_check(F(3, 2), F(1, 10), F(1, 20), "1") is False
-
-
-def test_chain_missing_the_target_is_false():
-    assert map_uniquely_check(F(3, 2), F(2, 9), F(9, 10), "000") is False
-
-
-def test_chain_start_preconditions():
-    q = F(3, 2)
-    with pytest.raises(ValueError):
-        map_uniquely_check(q, 1, F(3, 2), "0")  # certified inside the region
-    with pytest.raises(ValueError):
-        map_uniquely_check(q, 3, 1, "0")  # certified outside the attractor
-    with pytest.raises(ValueError):
-        map_uniquely_check(q, F(1, 4), 1, (0, 2, 1))  # non-binary word
+# ------------------------------------------------------- digit cycles
 
 
 def test_chain_fixed_point_cycle_across_the_root():
-    # the contraction's fixed point maps uniquely to itself through one
-    # full digit cycle when the base exceeds the order-k root (the last
-    # intermediate falls just left of the switch region), and certifiably
-    # fails to when the base is below the root (it falls inside)
+    # the digit cycle 1^9 0 carries the contraction's fixed point back to
+    # itself, off the switch region until its last intermediate; that one
+    # falls just left of the region when the base exceeds the order-10
+    # root, and certifiably inside it when the base is below the root
     from betacert.constructions import contraction_block
     from betacert.realnum import pi_q
     root = bonacci_root(10).value
-    word = "1" * 9 + "0"
-    for offset, expected in [(F(1, 10 ** 9), True), (-F(1, 10 ** 9), False)]:
+    for offset, above in [(F(1, 10 ** 9), True), (-F(1, 10 ** 9), False)]:
         q = root + as_enclosure(offset)
+        maps = DigitMaps(q)
         fp = pi_q(SymbolicSeq.periodic(contraction_block(10)), q)
-        assert map_uniquely_check(q, fp, fp, word) is expected
+        y = fp
+        for _ in range(9):
+            assert maps.in_switch(y) is False
+            y = maps.apply(1, y)
+        assert maps.apply(0, y).intersects(fp)
+        if above:
+            assert y.lt(maps.switch[0]) is True
+        else:
+            assert maps.in_switch(y) is True
 
 
 # ------------------------------------------------------- m-expansion calls

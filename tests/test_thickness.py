@@ -9,6 +9,7 @@ Oracles:
     routine on materialized gap families across orders and depths.
 """
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from betacert import realnum
 from betacert.certify import _GAP_DEPTH, _b_cover_depth
 from betacert.constructions import aq_gapset, fixed_expansion_of_one
-from betacert.realnum import Enclosure, bonacci_root
+from betacert.realnum import (Enclosure, PrecisionError, bonacci_root, enc_max, enc_min,
+                              exact_keys)
 from betacert.symbolic import gaps_of_Sk
 from betacert.thickness import (
     Gap,
@@ -34,6 +36,7 @@ from betacert.thickness import (
     strongly_interleaved,
     thickness,
 )
+from betacert.thickness import _contained_in_complement, _distance_to_set
 
 F = Fraction
 E = Enclosure
@@ -455,3 +458,185 @@ def test_hausdorff_matches_fraction_oracle(case_a, case_b):
     d = hausdorff_distance(to_gapset(ha, ga), to_gapset(hb, gb))
     assert d.encloses(expected)
     assert d.width == 0
+
+
+# ---------------------------- raw identity with the placement-list form
+#
+# thickness walks the gaps in the position order that GapSet validation
+# certified; the references below are the earlier forms, which rebuilt that
+# order from exact integer keys.  Both must give the same raw endpoints.
+
+
+def ref_thickness(gapset, tie_rng=None, strict=False):
+    """Stepwise thickness over insertion-sorted placed endpoints, keyed by
+    exact lower bounds, with two bisects and two inserts per gap."""
+    gaps = gapset.gaps
+    n = len(gaps)
+    widths = [g.width for g in gaps]
+    width_ends = exact_keys([end for w in widths for end in w.raw])
+    w_lo, w_hi = width_ends[0::2], width_ends[1::2]
+    positions = exact_keys([g.left.raw[0] for g in gaps] + [g.right.raw[0] for g in gaps])
+    left_at, right_at = positions[:n], positions[n:]
+    order = sorted(range(n), key=lambda i: (-w_hi[i], left_at[i]))
+    if strict:
+        for a, b in zip(order, order[1:]):
+            if (w_lo[a], w_hi[a]) != (w_lo[b], w_hi[b]) and w_lo[a] < w_hi[b]:
+                raise PrecisionError("uncertain diameter order")
+    if tie_rng is not None:
+        shuffled, block, block_key = [], [], None
+        for i in order:
+            key = (w_lo[i], w_hi[i])
+            if key == block_key:
+                block.append(i)
+            else:
+                tie_rng.shuffle(block)
+                shuffled.extend(block)
+                block, block_key = [i], key
+        tie_rng.shuffle(block)
+        shuffled.extend(block)
+        order = shuffled
+    right_keys, right_vals, left_keys, left_vals = [], [], [], []
+    tau = None
+    for i in order:
+        g = gaps[i]
+        idx = bisect.bisect_right(right_keys, left_at[i])
+        anchor_l = right_vals[idx - 1] if idx > 0 else gapset.hull_lo
+        jdx = bisect.bisect_left(left_keys, right_at[i])
+        anchor_r = left_vals[jdx] if jdx < len(left_vals) else gapset.hull_hi
+        score = enc_min(g.left - anchor_l, anchor_r - g.right) / widths[i]
+        tau = score if tau is None else enc_min(tau, score)
+        pos = bisect.bisect_left(left_keys, left_at[i])
+        left_keys.insert(pos, left_at[i])
+        left_vals.insert(pos, g.left)
+        pos = bisect.bisect_left(right_keys, right_at[i])
+        right_keys.insert(pos, right_at[i])
+        right_vals.insert(pos, g.right)
+    return tau
+
+
+def ref_contained_in_complement(inner, outer):
+    lo, hi = inner.hull_lo, inner.hull_hi
+    side_low = hi.lt(outer.hull_lo)
+    side_high = outer.hull_hi.lt(lo)
+    if side_low is True or side_high is True:
+        return True
+    uncertain = side_low is None or side_high is None
+    *keys, probe = exact_keys([g.left.raw[0] for g in outer.gaps] + [lo.raw[1]])
+    start = bisect.bisect_right(keys, probe)
+    for g in outer.gaps[max(0, start - 2): start + 2]:
+        in_gap_l = g.left.lt(lo)
+        in_gap_r = hi.lt(g.right)
+        if in_gap_l is True and in_gap_r is True:
+            return True
+        if in_gap_l is not False and in_gap_r is not False:
+            uncertain = True
+    return None if uncertain else False
+
+
+def ref_distance_to_set(x, bset):
+    """Distance by an outward scan from an exact-key bisection position."""
+    bridges = bset.bridges()
+    *keys, probe = exact_keys([u.raw[0] for (u, _) in bridges] + [x.raw[0]])
+    idx = bisect.bisect_right(keys, probe)
+    lo_j = idx - 1
+    while lo_j > 0 and bridges[lo_j][1].lt(x) is not True:
+        lo_j -= 1
+    hi_j = idx
+    while hi_j < len(bridges) - 1 and x.lt(bridges[hi_j][0]) is not True:
+        hi_j += 1
+    best = None
+    for j in range(max(0, lo_j), min(len(bridges), hi_j + 1)):
+        u, v = bridges[j]
+        d = enc_max(E(0), u - x, x - v)
+        best = d if best is None else enc_min(best, d)
+    return best
+
+
+def assert_locators_match(a, b, probes):
+    """Containment both ways and distances to b at every probe agree with
+    the references, raw endpoint for raw endpoint."""
+    assert _contained_in_complement(a, b) is ref_contained_in_complement(a, b)
+    assert _contained_in_complement(b, a) is ref_contained_in_complement(b, a)
+    bridges = b.bridges()
+    for x in probes:
+        assert _distance_to_set(x, bridges).raw == ref_distance_to_set(x, b).raw
+        inner = GapSet(x, x + E(x.width + F(1, 10 ** 6)), ())
+        assert (_contained_in_complement(inner, b)
+                is ref_contained_in_complement(inner, b))
+
+
+def family_probes(gs, rng, count):
+    """Bridge ends, gap midpoints, and points and short windows anywhere
+    across the hull, some of them wide enough to straddle several gaps."""
+    ends = [e for u, v in gs.bridges() for e in (u, v)]
+    mids = [(g.left + g.right) * E(F(1, 2)) for g in gs.gaps]
+    span = gs.hull_hi - gs.hull_lo
+    probes = rng.sample(ends, min(count, len(ends))) + rng.sample(mids, min(count, len(mids)))
+    for _ in range(count):
+        t = F(rng.randrange(-50, 1051), 1000)
+        x = gs.hull_lo + span * E(t)
+        r = rng.choice([F(0), F(1, 10 ** 9), F(1, 10 ** 4)])
+        probes.append(x + E.from_endpoints(-r, r) if r else x)
+    return probes
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
+def test_ordered_walks_match_the_placement_list_reference(k, bits):
+    rng = random.Random(1000 * k + bits)
+    with realnum.precision(bits):
+        q = bonacci_root(k).value
+        depth = _b_cover_depth(k)
+        cover = aq_gapset(fixed_expansion_of_one(q, k, depth), depth, check=False)
+        family = gaps_of_Sk(q, k - 1, 8)
+        for gs in (cover, family):
+            assert thickness(gs).tau.raw == ref_thickness(gs).raw
+        assert thickness(family, tie_rng=random.Random(k)).tau.raw == \
+            ref_thickness(family, tie_rng=random.Random(k)).raw
+        image = affine_image(family, F(1, 2), F(1, 4))  # inside the cover's hull
+        assert_locators_match(cover, image, family_probes(image, rng, 60))
+        assert_locators_match(image, cover, family_probes(cover, rng, 60))
+
+
+@st.composite
+def tied_gapsets(draw):
+    """Dyadic gaps of three repeated widths; with a blur, each endpoint is
+    widened by 0 to 2 tiny radii, so width enclosures can also overlap
+    without coinciding."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    widths = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n + 1,
+                          max_size=n + 1))
+    eps = draw(st.sampled_from([F(0), F(1, 2 ** 300)]))
+    radii = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=2 * n,
+                          max_size=2 * n))
+    at, gaps = 0, []
+    for i, w in enumerate(widths):
+        at += steps[i]
+        gaps.append(Gap(blurred(F(at, 64), radii[2 * i] * eps),
+                        blurred(F(at + w, 64), radii[2 * i + 1] * eps)))
+        at += w
+    order = draw(st.permutations(range(n)))
+    return GapSet(E(0), E(F(at + steps[n], 64)), tuple(gaps[i] for i in order))
+
+
+@given(tied_gapsets(), st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_tied_thickness_matches_the_placement_list_reference(gs, seed, strict):
+    try:
+        expected = ref_thickness(gs, tie_rng=random.Random(seed), strict=strict)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            thickness(gs, tie_rng=random.Random(seed), strict=True)
+        return
+    got = thickness(gs, tie_rng=random.Random(seed), strict=strict).tau
+    assert got.raw == expected.raw
+    assert thickness(gs, strict=strict).tau.raw == ref_thickness(gs, strict=strict).raw
+
+
+@given(gapsets_and_points(), gapsets_and_points())
+@settings(max_examples=150, deadline=None)
+def test_locators_match_the_exact_key_reference(case_a, case_b):
+    (a, probes_a), (b, probes_b) = case_a, case_b
+    assert_locators_match(a, b, probes_a + probes_b)
+    assert_locators_match(b, a, probes_a + probes_b)
