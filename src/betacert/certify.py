@@ -36,7 +36,6 @@ evidence.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -71,10 +70,8 @@ from .realnum import (
     PrecisionError,
     as_enclosure,
     bonacci_root,
-    enc_log,
     get_precision,
     pi_q,
-    precision,
 )
 from .symbolic import SymbolicSeq, _sk_gaps_near
 from .thickness import (
@@ -107,9 +104,8 @@ __all__ = [
 #: the logarithm in any of the roots the pipelines run at.
 GROWTH_FLOOR = Fraction(1999, 1000)
 
-#: exponent split in the thickness-vs-overlap inequality; fixed once for
-#: the whole artifact (the c-grid search below is opt-in and off by
-#: default).
+#: exponent split c of the thickness-vs-overlap inequality: the paper's
+#: chain fixes this one value for every order and target count.
 DEFAULT_SPLIT = Fraction(19, 20)
 
 #: squared modulus constant of the overlap inequality's right-hand side.
@@ -140,83 +136,60 @@ def _merge(checks: list[Check], sub: list[Check], prefix: str) -> None:
 def k_threshold(m: int) -> int:
     """Smallest order the main pipeline supports for target count m+2.
 
-    Exact ceiling of (20/19) (log_{1999/1000}(m+2) + 24) + 4, evaluated
-    with enclosures; if the enclosure straddles an integer the evaluation
-    retries at doubled precision before giving up.
+    The ceiling of (20/19) (log_{1999/1000}(m+2) + 24) + 4, decided in
+    integers: an order K meets the bound iff e = 19 (K - 4) - 480 is
+    nonnegative and 1999^e >= (m+2)^20 1000^e.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    bits = get_precision()
-    for _ in range(6):
-        with precision(bits):
-            expr = Fraction(20, 19) * (enc_log(m + 2, GROWTH_FLOOR) + 24) + 4
-            lo, hi = math.ceil(expr.lo), math.ceil(expr.hi)
-        if lo == hi:
-            return lo
-        bits *= 2
-    raise PrecisionError(
-        "threshold expression straddles an integer at every retry "
-        f"precision up to {bits} bits")
+    # e = 14 at K = 30, which no m >= 1 meets (m+2 >= 3 > 1.999^(14/20)),
+    # and e grows by 19 per order
+    num, den = GROWTH_FLOOR.numerator, GROWTH_FLOOR.denominator
+    k, lhs, rhs = 30, num ** 14, (m + 2) ** 20 * den ** 14
+    while lhs < rhs:
+        k, lhs, rhs = k + 1, lhs * num ** 19, rhs * den ** 19
+    return k
 
 
 # ======================================================================
 # the thickness-vs-overlap inequality
 # ======================================================================
 
-def fy_inequality(m: int, tau, beta, c=None, *, search: bool = False) -> Certificate:
+def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
     """Certify (m+2) tau^(-c) <= beta^c (1 - beta^(1-c)) / 432^2.
 
-    ``c`` defaults to 19/20.  With ``search`` set and the fixed exponent
-    failing, a coarse grid of exponents in (0, 1) is scanned and the
-    first certifying value is used instead (recorded in the params).
-    Premises -- tau > 0, beta in (0, 1/4], c in (0, 1) -- are emitted as
-    checks, and the main comparison is left undecided when they fail.
+    ``c`` defaults to ``DEFAULT_SPLIT``.  Premises -- tau > 0, beta in
+    (0, 1/4], c in (0, 1) -- are emitted as checks, and the main
+    comparison is left undecided when they fail.
     """
     start = time.perf_counter()
     tau = as_enclosure(tau)
     beta = as_enclosure(beta)
     c = as_enclosure(DEFAULT_SPLIT if c is None else c)
-
-    def premises(cc: Enclosure) -> list[Check]:
-        quarter = as_enclosure(Fraction(1, 4))
-        return [
-            check_gt("premise_tau_positive", tau, as_enclosure(0)),
-            check_flag(
-                "premise_beta_in_quarter",
-                beta.gt(0) is True and beta.le(quarter) is True,
-                note="beta must lie in (0, 1/4]"),
-            check_flag(
-                "premise_c_in_unit_interval",
-                cc.gt(0) is True and cc.lt(1) is True),
-        ]
-
-    def main_check(cc: Enclosure, pre: list[Check]) -> Check:
-        if not all(p.status == STATUS_CERTIFIED for p in pre):
-            return Check(name="count_term_within_overlap_budget",
-                         lhs=None, rhs=None, status=STATUS_UNCERTAIN,
-                         note="not evaluated: a premise is not certified")
-        lhs = (m + 2) * tau ** (-cc)
-        rhs = beta ** cc * (1 - beta ** (1 - cc)) / _OVERLAP_MODULUS
-        return check_le("count_term_within_overlap_budget", lhs, rhs)
-
-    pre = premises(c)
-    main = main_check(c, pre)
-    used = c
-    searched = False
-    if search and main.status != STATUS_CERTIFIED:
-        for j in range(1, 40):
-            cand = as_enclosure(Fraction(j, 40))
-            cand_pre = premises(cand)
-            cand_main = main_check(cand, cand_pre)
-            if cand_main.status == STATUS_CERTIFIED:
-                pre, main, used, searched = cand_pre, cand_main, cand, True
-                break
+    checks = [
+        check_gt("premise_tau_positive", tau, as_enclosure(0)),
+        check_flag(
+            "premise_beta_in_quarter",
+            beta.gt(0) is True and beta.le(as_enclosure(Fraction(1, 4))) is True,
+            note="beta must lie in (0, 1/4]"),
+        check_flag(
+            "premise_c_in_unit_interval",
+            c.gt(0) is True and c.lt(1) is True),
+    ]
+    if all(p.status == STATUS_CERTIFIED for p in checks):
+        lhs = (m + 2) * tau ** (-c)
+        rhs = beta ** c * (1 - beta ** (1 - c)) / _OVERLAP_MODULUS
+        checks.append(check_le("count_term_within_overlap_budget", lhs, rhs))
+    else:
+        checks.append(Check(name="count_term_within_overlap_budget",
+                            lhs=None, rhs=None, status=STATUS_UNCERTAIN,
+                            note="not evaluated: a premise is not certified"))
 
     return Certificate(
         claim="count-vs-overlap-inequality",
         params={"m": m, "tau": _float_pair(tau), "beta": _float_pair(beta),
-                "c": _float_pair(used), "searched": searched},
-        checks=pre + [main],
+                "c": _float_pair(c)},
+        checks=checks,
         grade=GRADE_PROVED,
         wall_time_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -487,7 +460,7 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "s_family_thickness_exceeds_power", sk.tau, q_span ** (k - 4)))
     cover_depth = _b_cover_depth(k)
     spine = fixed_expansion_of_one(q_eval, k, cover_depth)
-    cover = aq_gapset(spine, cover_depth, check=False)
+    cover = aq_gapset(spine, cover_depth)
     a_tau = thickness(cover)
     a_note = ("cover evidence at the evaluation base; the floor holds for "
               "bases above the order-9 root")

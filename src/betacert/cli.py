@@ -65,7 +65,7 @@ from .realnum import (
     bonacci_root,
     precision,
 )
-from .symbolic import ResourceError, gaps_of_Sk
+from .symbolic import ResourceError, _admissible_count, gaps_of_Sk
 from .thickness import sk_thickness
 
 __all__ = ["RunConfig", "main", "parse_base"]
@@ -92,6 +92,9 @@ class RunConfig:
         if self.output_format not in ("json", "csv", "text"):
             raise UsageError(f"unknown format {self.output_format!r}")
 
+
+_DEPTH_COMMANDS = ("--depth applies to gaps, thickness, count, and certify "
+                   "without --m or with --m 1 at orders 9..30")
 
 _QK_FORM = re.compile(r"^qk:(\d+)(?:([+-])([0-9.eE+-]+))?$")
 
@@ -244,16 +247,17 @@ def cmd_certify(m: Optional[int], k: Optional[int], q_text: Optional[str],
         raise UsageError("certify requires exactly one of --q or --interval")
     if m is not None and m < 1:
         raise UsageError(f"--m must be at least 1, got {m}")
+    # no --m, or m = 1 (three expansions) at an order from 9 up to below the
+    # main pipeline's threshold, takes the three-expansions pipeline
+    main_pipeline = m is not None and (m >= 2 or k >= k_threshold(m) or k < 9)
+    if main_pipeline and cfg.depth is not None:
+        raise UsageError(f"the main pipeline takes no --depth; {_DEPTH_COMMANDS}")
     q = "interval" if interval else parse_base(q_text)
 
     with precision(cfg.precision_bits):
-        if m is not None and (m >= 2 or k >= k_threshold(m)):
+        if main_pipeline:
             cert = theorem_a_certify(m, k, q)
-        elif m is not None and k < 9:
-            cert = theorem_a_certify(m, k, q)  # reports the order shortfall
         else:
-            # m absent, or m = 1 with an order only the three-expansions
-            # band supports (three expansions is the m = 1 target count)
             cert = theorem_b_certify(k, q, depth=cfg.depth)
 
     if cfg.output_format == "text":
@@ -319,29 +323,31 @@ def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> in
         q = _family_base(q_text, k)
         value = sk_thickness(q, k - 1, depth)
         power = as_enclosure(q) ** (k - 4)
-        exceeds = True if value.infinite else value.tau.gt(power)
+        exceeds = value.tau.gt(power)
+    # the closed form builds no gaps, so the family's size is counted here
+    gap_count = _admissible_count(k - 1, depth)
 
     doc = {
         "family_order": k - 1,
         "base": _float_pair(q),
         "depth": depth,
-        "tau": None if value.infinite else _float_pair(value.tau),
+        "tau": _float_pair(value.tau),
         "infinite": value.infinite,
-        "gap_count": value.gap_count,
+        "gap_count": gap_count,
         "reference_power": k - 4,
         "reference_power_value": _float_pair(power),
         "exceeds_reference_power": exceeds,
     }
     if cfg.output_format == "text":
-        print(f"family order {k - 1} at base {_fmt_bounds(doc['base'])}, "
-              f"gap depth {depth}")
-        tau_text = ("unbounded (no gaps)" if value.infinite
-                    else _fmt_bounds(doc["tau"]))
-        print(f"thickness: {tau_text} over {value.gap_count} gaps")
         verdict = {True: "exceeds", False: "does not exceed",
                    None: "cannot be separated from"}[exceeds]
-        print(f"{verdict} the reference power q^{k - 4}"
-              f" = {_fmt_bounds(doc['reference_power_value'])}")
+        # one write, so a count too long to print fails before any output
+        sys.stdout.write(
+            f"family order {k - 1} at base {_fmt_bounds(doc['base'])}, "
+            f"gap depth {depth}\n"
+            f"thickness: {_fmt_bounds(doc['tau'])} over {gap_count} gaps\n"
+            f"{verdict} the reference power q^{k - 4}"
+            f" = {_fmt_bounds(doc['reference_power_value'])}\n")
     _emit_json(doc, cfg)
     return 0 if exceeds is True else 1
 
@@ -455,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "digit expansions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, depth_default=None):
+    def common(p):
         p.add_argument("--precision", type=int, default=None,
                        help="working precision in mantissa bits (>= 64); "
                             f"overrides ${_ENV_PRECISION}")
@@ -463,8 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="text", dest="output_format")
         p.add_argument("--out", default=None, dest="output_path",
                        help="write the JSON/CSV document(s) to this path")
-        p.add_argument("--depth", type=int, default=depth_default,
-                       help="finite-depth budget where the command takes one")
 
     p = sub.add_parser("tables", help="recompute the reference tables")
     common(p)
@@ -501,17 +505,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=None, help="root order (>= 9)")
 
+    # only the commands that read --depth declare it
+    for name in ("certify", "gaps", "thickness", "count"):
+        sub.choices[name].add_argument("--depth", type=int, default=None,
+                                       help="finite-depth budget")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        hint = (f"; {_DEPTH_COMMANDS}"
+                if any(a.partition("=")[0] == "--depth" for a in extra) else "")
+        parser.error(f"unrecognized arguments: {' '.join(extra)}{hint}")
     try:
         cfg = RunConfig(
             precision_bits=(_precision_from_env() if args.precision is None
                             else args.precision),
-            depth=args.depth,
+            depth=getattr(args, "depth", None),
             output_format=args.output_format,
             output_path=args.output_path,
         )
@@ -529,7 +541,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_count(args.q, args.x, cfg)
         if args.command == "witness":
             return cmd_witness(args.k, cfg)
-        raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

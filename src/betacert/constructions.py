@@ -23,7 +23,6 @@ up to the width of a discarded gap.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -54,7 +53,7 @@ from .realnum import (
     pi_q,
 )
 from .symbolic import ResourceError, SubshiftSk, SymbolicSeq, Word, gaps_of_Sk
-from .thickness import GapSet, affine_image, gapset_from_intervals, thickness
+from .thickness import GapSet, affine_image, gapset_from_intervals
 
 __all__ = [
     "AqDescription",
@@ -76,8 +75,6 @@ __all__ = [
     "pq_hull_data",
     "witness_points",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def contraction_block(k: int) -> Word:
@@ -546,15 +543,12 @@ def fixed_expansion_of_one(q, k: int, depth: int) -> AqDescription:
                          certificate=cert)
 
 
-def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14,
-              check: bool = True) -> GapSet:
+def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
     """Outer cylinder cover of the signed-digit family's projection.
 
     Enumerates all 2^(free zeros <= depth) admissible prefixes, projects
     each cylinder to [value, value + q^{-depth}/(q-1)], and merges them
-    into a gap description.  With ``check`` set, the cover's thickness is
-    compared against q^{-5} and a warning is logged if that bound cannot
-    be certified at this depth.
+    into a gap description, which this function does not measure.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -584,15 +578,7 @@ def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14,
     pieces = [(v, v + tail_band) for v in values]
     hull_lo = enc_min(*values)
     hull_hi = enc_max(*(p[1] for p in pieces))
-    cover = gapset_from_intervals(hull_lo, hull_hi, pieces, depth=depth)
-    if check:
-        tau = thickness(cover)
-        bound = q ** (-5)
-        if tau.tau is not None and tau.tau.ge(bound) is not True:
-            log.warning(
-                "cover thickness at depth %d not certifiably >= q^-5 "
-                "(tau in %s)", depth, tau.tau)
-    return cover
+    return gapset_from_intervals(hull_lo, hull_hi, pieces, depth=depth)
 
 
 # ======================================================================

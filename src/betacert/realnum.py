@@ -382,11 +382,6 @@ class Enclosure:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def is_subset_of(self, other: "Enclosure") -> bool:
-        a, b = self._raw
-        c, d = other._raw
-        return mpf_cmp(a, c) >= 0 and mpf_cmp(b, d) <= 0
-
     def intersects(self, other: "Enclosure") -> bool:
         a, b = self._raw
         c, d = other._raw
@@ -530,18 +525,17 @@ def _root_bracket(k: int, precision_bits: int) -> tuple[Fraction, Fraction]:
     # On [3/2, 2] the polynomial x^(k+1) - 2x^k + 1 changes sign exactly
     # once, at the root we want: it is negative at 3/2 (value 1 - x^k(2-x)
     # with x^k(2-x) > 1 there for every k >= 2) and equals +1 at x = 2.
+    # By the rational root theorem its only rational root is 1, so no
+    # midpoint is a root and the sign is never 0.
     lo, hi = Fraction(3, 2), Fraction(2)
     assert characteristic_sign(k, lo) < 0
     target = Fraction(1, 2 ** (precision_bits + 2))
     while hi - lo > target:
         mid = (lo + hi) / 2
-        s = characteristic_sign(k, mid)
-        if s < 0:
+        if characteristic_sign(k, mid) < 0:
             lo = mid
-        elif s > 0:
+        else:
             hi = mid
-        else:  # rational root impossible for k >= 2, but be total
-            return (mid, mid)
     return (lo, hi)
 
 

@@ -10,7 +10,6 @@ possible, and a trailing zero tail normalized to a finite word.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -27,8 +26,6 @@ __all__ = [
     "enumerate_sk_words",
     "gaps_of_Sk",
 ]
-
-log = logging.getLogger(__name__)
 
 ENUMERATION_BUDGET = 1 << 24
 
@@ -391,15 +388,4 @@ def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
                 word.pop()
 
     descend(Enclosure(0), _EMPTY, probes)
-
-    # GapSet sorts by position; equal enclosures are equal tuples, so a
-    # dict finds every duplicate pair of endpoints
-    unique: dict[tuple[Enclosure, Enclosure], Gap] = {}
-    for g in gaps:
-        first = unique.setdefault((g.left, g.right), g)
-        if first is not g:
-            log.warning(
-                "duplicate gap endpoints for index words %r and %r; keeping the first",
-                first.label, g.label,
-            )
-    return GapSet(hull_lo, hull_hi, tuple(unique.values()), depth=max_delta_len)
+    return GapSet(hull_lo, hull_hi, tuple(gaps), depth=max_delta_len)

@@ -428,7 +428,7 @@ def test_09_hausdorff_transport_bounds_on_depth_matched_descriptions():
         g_root = GMap(root, k)
         a_root = affine_image(
             aq_gapset(fixed_expansion_of_one(root, k, cover_depth),
-                      cover_depth, check=False),
+                      cover_depth),
             g_root.scale, g_root.offset)
 
         for off in offsets:
@@ -441,7 +441,7 @@ def test_09_hausdorff_transport_bounds_on_depth_matched_descriptions():
             g_q = GMap(q, k)
             a_q = affine_image(
                 aq_gapset(fixed_expansion_of_one(q, k, cover_depth),
-                          cover_depth, check=False),
+                          cover_depth),
                 g_q.scale, g_q.offset)
             d_a = hausdorff_distance(a_q, a_root)
             assert d_a.lt(margin) is True, (

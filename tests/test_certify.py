@@ -178,15 +178,7 @@ def test_fy_premise_failure_leaves_main_undecided():
     assert by["count_term_within_overlap_budget"].status == STATUS_UNCERTAIN
 
 
-def test_fy_custom_split_and_search():
-    # a huge tau certifies at the default split; search never triggers
-    cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), search=True)
-    assert cert.certified and cert.params["searched"] is False
-
-    # an honest failure stays a failure even with the grid search on
-    cert = fy_inequality(1, 2, F(1, 8), search=True)
-    assert not cert.certified and cert.params["searched"] is False
-
+def test_fy_custom_split():
     # a custom split is respected and reported
     cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c=F(9, 10))
     assert cert.certified

@@ -20,6 +20,7 @@ import pytest
 
 from betacert.cli import RunConfig, UsageError, main, parse_base
 from betacert.realnum import bonacci_root
+from betacert.symbolic import gaps_of_Sk
 
 
 def run(argv):
@@ -331,6 +332,17 @@ def test_thickness_text_mode():
     assert "exceeds the reference power q^6" in out
 
 
+def test_thickness_reports_the_family_gap_count():
+    # the closed form builds no gaps, but the count is the whole family's
+    family = gaps_of_Sk(bonacci_root(10).value, 9, 8)
+    code, doc = run_json(["thickness", "--k", "10", "--depth", "8",
+                          "--format", "json"])
+    assert code == 0
+    assert doc["gap_count"] == len(family.gaps) > 0
+    code, out, _ = run(["thickness", "--k", "10", "--depth", "8"])
+    assert f"over {len(family.gaps)} gaps" in out
+
+
 # ----------------------------------------------------------------------
 # count
 # ----------------------------------------------------------------------
@@ -414,6 +426,24 @@ def test_csv_format_is_a_usage_error_where_no_csv_exists(argv, tmp_path):
     assert out == ""
     assert "text or json" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--depth", "5"],
+    ["witness", "--k", "9", "--depth=5"],
+    ["certify", "--m", "2", "--k", "40", "--interval", "--depth", "5"],
+    ["certify", "--m", "1", "--k", "31", "--interval", "--depth", "5"],
+])
+def test_depth_is_a_usage_error_where_nothing_reads_it(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an undeclared flag
+            code = exc.code
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "--depth applies to gaps, thickness, count" in err.getvalue()
 
 
 # ----------------------------------------------------------------------

@@ -445,6 +445,22 @@ def test_cover_thickness_clears_the_coarse_bound(spine9):
     assert tau.tau.ge(spine9.q ** -5) is True
 
 
+def test_cover_is_built_without_measuring_it(spine9, monkeypatch):
+    # aq_gapset only builds the cover; theorem_b_certify measures it once
+    thickness_mod = importlib.import_module("betacert.thickness")
+    constructions = importlib.import_module("betacert.constructions")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return thickness(*args, **kwargs)
+
+    monkeypatch.setattr(thickness_mod, "thickness", counting)
+    monkeypatch.setattr(constructions, "thickness", counting, raising=False)
+    assert aq_gapset(spine9, 26).gaps
+    assert calls == []
+
+
 def test_cover_cylinders_by_doubling_equal_the_bit_decoded_ones(spine9, monkeypatch):
     # each cylinder's left end adds the powers of its set bits, lowest
     # first, to the base value: the same left fold by doubling as by

@@ -119,6 +119,8 @@ def test_gapset_validation():
         to_gapset((F(0), F(1)), [(F(1, 4), F(1, 2)), (F(1, 3), F(3, 4))])  # overlap
     with pytest.raises(MalformedGapSet):
         to_gapset((F(0), F(1)), [(F(0), F(1, 2))])  # hits hull boundary
+    with pytest.raises(MalformedGapSet):
+        to_gapset((F(0), F(1)), [(F(1, 4), F(1, 2)), (F(1, 4), F(1, 2))])  # duplicate
     gs = to_gapset((F(0), F(1)), [(F(1, 2), F(3, 4)), (F(1, 8), F(1, 4))])
     assert [g.left.lo for g in gs.gaps] == [F(1, 8), F(1, 2)]  # sorted
 
@@ -359,7 +361,7 @@ def test_sk_thickness_matches_the_three_pipeline_family(k):
     assert closed.width < F(1, 10 ** 60)
     assert generic.width < F(1, 10 ** 60)
     depth = _b_cover_depth(k)
-    cover = aq_gapset(fixed_expansion_of_one(q, k, depth), depth, check=False)
+    cover = aq_gapset(fixed_expansion_of_one(q, k, depth), depth)
     cover_tau = thickness(cover).tau
     assert (closed * cover_tau).float_bounds() == (generic * cover_tau).float_bounds()
 
@@ -587,7 +589,7 @@ def test_ordered_walks_match_the_placement_list_reference(k, bits):
     with realnum.precision(bits):
         q = bonacci_root(k).value
         depth = _b_cover_depth(k)
-        cover = aq_gapset(fixed_expansion_of_one(q, k, depth), depth, check=False)
+        cover = aq_gapset(fixed_expansion_of_one(q, k, depth), depth)
         family = gaps_of_Sk(q, k - 1, 8)
         for gs in (cover, family):
             assert thickness(gs).tau.raw == ref_thickness(gs).raw
