@@ -11,10 +11,12 @@ Also provided:
 
     bonacci_root(k)     the unique root in (1, 2) of
                             x^k = x^(k-1) + ... + x + 1,
-                        isolated by bisection with *exact* integer sign
+                        isolated in the aligned dyadic cell of width
+                        2^-(bits+2) that holds it: an integer Newton
+                        estimate, confirmed by two *exact* integer sign
                         tests of the cancellation-free equivalent
                             x^(k+1) - 2 x^k + 1 = 0
-                        (dyadic midpoints, no rounding anywhere);
+                        at the cell's ends (no rounding anywhere);
 
     pi_q(seq, q)        evaluation of a digit sequence (d_j) as
                             sum_j d_j q^(-j),  d_j in {-1, 0, 1},
@@ -62,8 +64,9 @@ from functools import lru_cache
 from math import nextafter
 from typing import Optional
 
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_cmp, mpf_mul, mpf_sign,
-                          mpf_sub, round_ceiling, round_floor, to_float, to_int)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_sign, mpf_sub, round_ceiling, round_floor, to_float,
+                          to_int)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
@@ -501,8 +504,10 @@ def _wider(x, y) -> bool:
 class BonacciRoot:
     """The unique root in (1, 2) of x^k = x^(k-1) + ... + x + 1.
 
-    `value` is a certified enclosure; `bracket` the exact dyadic bisection
-    bracket it came from, kept for exact downstream sign arguments.
+    `value` is a certified enclosure; `bracket` the exact dyadic bracket it
+    came from, the aligned cell of width 2^-(bits+2) that holds the root,
+    confirmed by two exact sign tests; kept for exact downstream sign
+    arguments.
     """
     k: int
     value: Enclosure
@@ -520,23 +525,66 @@ def characteristic_sign(k: int, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
+def _newton_cell(k: int, e: int) -> int:
+    """Estimate n with the root in the cell [n, n+1] / 2^e: Newton's method on
+    x^(k+1) - 2x^k + 1 in integers, x held as X / 2^p with 32 guard bits.
+
+    Started at 2 - 2^-k, where the polynomial is positive, increasing and
+    convex, every iterate stays at or above the root: each step is rounded
+    down, so it moves no farther than the exact Newton step.  The iteration
+    stops when the step rounds to 0.
+    """
+    p = e + 32
+    one = 1 << p
+    x = 2 * one - (one >> k)
+    top = 1 << (p * (k + 1))  # the constant 1, scaled like x^(k+1)
+    while True:
+        xk1 = x ** (k - 1)
+        xk = xk1 * x
+        f = xk * x - (xk << (p + 1)) + top
+        df = (k + 1) * xk - ((2 * k * xk1) << p)
+        step = f // df
+        if step <= 0:
+            return x >> (p - e)
+        x -= step
+
+
+def _confirm_cell(k: int, e: int, n: int) -> tuple[int, int]:
+    """Numerators (lo, hi) of the aligned cell [lo, lo+1] / 2^e that holds
+    the root, found from the estimate n by exact sign tests.
+
+    On [3/2, 2] the polynomial x^(k+1) - 2x^k + 1 changes sign exactly
+    once, at the root we want: it is negative at 3/2 (value 1 - x^k(2-x)
+    with x^k(2-x) > 1 there for every k >= 2) and equals +1 at x = 2.  By
+    the rational root theorem its only rational root is 1, so no grid
+    point is a root and the sign is never 0.  The cell n is confirmed by
+    two tests; a wrong estimate falls back to bisection between grid
+    points of known sign (a probe outside (3/2, 2) is skipped), so it
+    costs time, never correctness.
+    """
+    def probe(m: int) -> None:
+        nonlocal lo, hi
+        if characteristic_sign(k, Fraction(m, 1 << e)) < 0:
+            lo = m
+        else:
+            hi = m
+
+    assert characteristic_sign(k, Fraction(3, 2)) < 0
+    lo, hi = 3 << (e - 1), 1 << (e + 1)  # 3/2 and 2, of known sign
+    for m in (n, n + 1):
+        if lo < m < hi:
+            probe(m)
+    while hi - lo > 1:
+        probe((lo + hi) // 2)
+    return lo, hi
+
+
 @lru_cache(maxsize=None)
 def _root_bracket(k: int, precision_bits: int) -> tuple[Fraction, Fraction]:
-    # On [3/2, 2] the polynomial x^(k+1) - 2x^k + 1 changes sign exactly
-    # once, at the root we want: it is negative at 3/2 (value 1 - x^k(2-x)
-    # with x^k(2-x) > 1 there for every k >= 2) and equals +1 at x = 2.
-    # By the rational root theorem its only rational root is 1, so no
-    # midpoint is a root and the sign is never 0.
-    lo, hi = Fraction(3, 2), Fraction(2)
-    assert characteristic_sign(k, lo) < 0
-    target = Fraction(1, 2 ** (precision_bits + 2))
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if characteristic_sign(k, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+    # the aligned dyadic cell of width 2^-(bits+2) that holds the root
+    e = precision_bits + 2
+    lo, hi = _confirm_cell(k, e, _newton_cell(k, e))
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 def bonacci_root(k: int, precision_bits: Optional[int] = None) -> BonacciRoot:
@@ -579,11 +627,20 @@ def _seq_parts(seq) -> tuple[tuple, tuple]:
 
 
 def _horner(digits: tuple, q: Enclosure) -> Enclosure:
-    # sum_{i=1..n} d_i q^(-i), evaluated back to front, one division per digit
-    acc = Enclosure(0)
+    """sum_{i=1..n} d_i q^(-i), evaluated back to front as acc = (acc + d) / q
+    on raw endpoints, rounded exactly as those Enclosure operations."""
+    qa, qb = q._raw
+    positive = mpf_sign(qa) > 0
+    a = b = fzero
     for d in reversed(digits):
-        acc = (acc + d) / q
-    return acc
+        if d:  # acc has at most _prec bits: adding 0 would return it unchanged
+            n = from_int(d)
+            a, b = mpf_add(a, n, _prec, round_floor), mpf_add(b, n, _prec, round_ceiling)
+        if positive and not a[0]:  # acc >= 0 and q > 0: mpi_div's branch, inlined
+            a, b = mpf_div(a, qb, _prec, round_floor), mpf_div(b, qa, _prec, round_ceiling)
+        else:
+            a, b = _finite(mpi_div((a, b), q._raw, _prec), _DIVISION)
+    return Enclosure._wrap((a, b))
 
 
 def pi_q(seq, q) -> Enclosure:

@@ -2,6 +2,7 @@
 against exact rational arithmetic wherever an exact route exists."""
 
 import os
+import random
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 from mpmath.libmp import finf, fnan, fninf
 
+from betacert import realnum
 from betacert.certify import theorem_b_certify
+from betacert.constructions import contraction_block
 from betacert.realnum import (
     Enclosure,
     PrecisionError,
@@ -30,6 +33,9 @@ from betacert.realnum import (
     pi_q,
     precision,
     projection_gap,
+    _confirm_cell,
+    _horner,
+    _root_bracket,
 )
 
 
@@ -451,6 +457,53 @@ def test_root_bracket_sign_change():
         assert Fraction(3, 2) < lo and hi < 2
 
 
+def reference_bracket(k, bits):
+    """Bisection of [3/2, 2] on exact midpoints down to width 2^-(bits+2)."""
+    lo, hi = Fraction(3, 2), Fraction(2)
+    while hi - lo > Fraction(1, 2 ** (bits + 2)):
+        mid = (lo + hi) / 2
+        if characteristic_sign(k, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("bits", [64, 96, 256, 384, 512])
+def test_root_bracket_matches_reference_bisection(bits, monkeypatch):
+    signs = []
+    monkeypatch.setattr(realnum, "characteristic_sign",
+                        lambda k, x: signs.append(x) or characteristic_sign(k, x))
+    cell = Fraction(1, 2 ** (bits + 2))
+    for k in range(2, 46):
+        signs.clear()
+        lo, hi = _root_bracket.__wrapped__(k, bits)
+        assert (lo, hi) == reference_bracket(k, bits), k
+        assert (lo / cell).denominator == 1
+        # the Newton estimate is the cell itself: its two ends are the only
+        # sign tests besides the one at 3/2
+        assert signs == [Fraction(3, 2), lo, hi]
+        assert hi - lo == cell
+        assert Fraction(3, 2) <= lo
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_root_cell_from_bad_estimates(bits, monkeypatch):
+    # a wrong Newton estimate costs sign tests, never the bracket
+    e = bits + 2
+    for k in (2, 10, 45):
+        expected = reference_bracket(k, bits)
+        lo = expected[0] * 2 ** e
+        n = lo.numerator
+        for start in (n - 1, n + 1, n + 2, n - 2 ** 10, n + 2 ** 10,
+                      3 * 2 ** (e - 1), 3 * 2 ** (e - 1) - 5, 0, -7,
+                      2 ** (e + 1) - 1, 2 ** (e + 1), 2 ** (e + 2)):
+            assert _confirm_cell(k, e, start) == (n, n + 1), (k, start)
+        monkeypatch.setattr(realnum, "_newton_cell", lambda k, e: n + 2 ** 10)
+        assert _root_bracket.__wrapped__(k, bits) == expected
+        monkeypatch.undo()
+
+
 def test_root_enclosure_sign_change_via_intervals():
     # the defining polynomial, evaluated *with enclosures* at the exact
     # dyadic endpoints, has certified opposite signs
@@ -563,6 +616,60 @@ def test_pi_result_within_ambient_interval():
 def test_pi_rejects_bad_digit():
     with pytest.raises(ValueError):
         pi_q((0, 2), Fraction(3, 2))
+
+
+def reference_horner(digits, q):
+    acc = Enclosure(0)
+    for d in reversed(digits):
+        acc = (acc + d) / q
+    return acc
+
+
+def horner_words():
+    rng = random.Random(13)
+    words = [(), (0,), (0,) * 40, (-1,), (-1,) * 30, (1,) * 30]
+    for _ in range(60):
+        word = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 70)))
+        words.append(word)
+        # leading -1s: the last steps divide a negative accumulator
+        words.append((-1,) * rng.randrange(1, 4) + word)
+    words += [tuple(contraction_block(k).digits) for k in (2, 9, 10, 13, 31, 40)]
+    return words
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_horner_kernel_matches_enclosure_reference(bits):
+    class Periodic:
+        def __init__(self, k):
+            self.preperiod = (1, 0, -1)
+            self.period = tuple(contraction_block(k).digits)
+
+    with precision(bits):
+        bases = [Enclosure(Fraction(3, 2)), Enclosure(Fraction(8, 5)), Enclosure(2),
+                 Enclosure(Fraction(-3, 2))]
+        for k in (10, 40):
+            root = bonacci_root(k).value
+            radius = Enclosure(2) ** (-(3 * k + 3))
+            bases += [root, root - radius, Enclosure.from_endpoints(
+                (root - radius).lo, (root + radius).hi)]
+        for q in bases:
+            for word in horner_words():
+                expected = reference_horner(word, q)
+                assert _horner(word, q).raw == expected.raw, (q, word)
+                assert pi_q(word, q).raw == expected.raw
+            for k in (2, 10, 40):
+                seq = Periodic(k)
+                closed = reference_horner(seq.preperiod, q) + q ** (-3) * reference_horner(
+                    seq.period, q) / (1 - q ** (-k))
+                assert pi_q(seq, q).raw == closed.raw
+        straddle = Enclosure.from_endpoints(Fraction(-1, 4), Fraction(3, 2))
+        for q in (straddle, Enclosure(0), Enclosure.from_endpoints(0, 2)):
+            for word in ((1,), (0,), (-1, 1, 0)):
+                with pytest.raises(PrecisionError, match="contains zero"):
+                    reference_horner(word, q)
+                with pytest.raises(PrecisionError, match="contains zero"):
+                    pi_q(word, q)
+            assert pi_q((), q).raw == reference_horner((), q).raw
 
 
 # ----------------------------------------------------------------------
