@@ -6,11 +6,16 @@ checks, and an honesty grade distinguishing closed-form inequality proofs
 from finite-depth set evidence.  Serialization is deterministic except for
 wall_time_ms, which is the schema's designated timing field and always
 rendered last.
+
+Also here: how reports write values -- _float_pair for an enclosure, and
+_json_text for a whole document, which the command line emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
+from math import inf
 from typing import Optional
 
 from .realnum import Enclosure, as_enclosure
@@ -26,6 +31,64 @@ STATUS_UNCERTAIN = "uncertain"
 def _float_pair(x) -> list[float]:
     """[lo, hi] of x as outward-rounded doubles: how reports write an enclosure."""
     return list(as_enclosure(x).float_bounds())
+
+
+def _json_float(o: float) -> str:
+    """A float as the standard library writes it, NaN and Infinity included."""
+    if o != o:
+        return "NaN"
+    if o == inf:
+        return "Infinity"
+    if o == -inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _json_text(o, nl: str = "\n") -> str:
+    """json.dumps(o, indent=2), byte for byte, for str-keyed dicts, lists,
+    tuples, str, int, float, bool and None; any other type raises
+    TypeError.  nl is the newline and indent that close o.
+
+    With an indent the standard library leaves its C encoder for a
+    pure-Python generator chain; this writer makes one call per container
+    and renders the plain ints and floats inside a list in place.  Each
+    container is a single join, brackets included: concatenating around
+    a large joined string would copy it, and the freed copies leave holes
+    that raise the process's peak memory."""
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [int.__repr__(v) if type(v) is int else
+                 _json_float(v) if type(v) is float else
+                 _json_text(v, inner) for v in o]
+        items[0] = "[" + inner + items[0]
+        items[-1] += nl + "]"
+        return ("," + inner).join(items)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(_escape(k) + ": " + _json_text(v, inner))
+        items[0] = "{" + inner + items[0]
+        items[-1] += nl + "}"
+        return ("," + inner).join(items)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 @dataclass

@@ -32,7 +32,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from .certificate import (
     STATUS_FAILED,
     STATUS_UNCERTAIN,
     _float_pair,
+    _json_text,
 )
 from .certify import (
     k_threshold,
@@ -65,7 +65,7 @@ from .realnum import (
     bonacci_root,
     precision,
 )
-from .symbolic import ResourceError, _admissible_count, gaps_of_Sk
+from .symbolic import ResourceError, gaps_of_Sk
 from .thickness import sk_thickness
 
 __all__ = ["RunConfig", "main", "parse_base"]
@@ -132,7 +132,7 @@ def parse_base(text: str):
 
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
     """Write the document to --out if given; print it in json mode."""
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _json_text(doc) + "\n"
     if cfg.output_path:
         Path(cfg.output_path).write_text(text)
     if cfg.output_format == "json":
@@ -324,8 +324,6 @@ def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> in
         value = sk_thickness(q, k - 1, depth)
         power = as_enclosure(q) ** (k - 4)
         exceeds = value.tau.gt(power)
-    # the closed form builds no gaps, so the family's size is counted here
-    gap_count = _admissible_count(k - 1, depth)
 
     doc = {
         "family_order": k - 1,
@@ -333,7 +331,7 @@ def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> in
         "depth": depth,
         "tau": _float_pair(value.tau),
         "infinite": value.infinite,
-        "gap_count": gap_count,
+        "gap_count": value.gap_count,
         "reference_power": k - 4,
         "reference_power_value": _float_pair(power),
         "exceeds_reference_power": exceeds,
@@ -345,7 +343,7 @@ def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> in
         sys.stdout.write(
             f"family order {k - 1} at base {_fmt_bounds(doc['base'])}, "
             f"gap depth {depth}\n"
-            f"thickness: {_fmt_bounds(doc['tau'])} over {gap_count} gaps\n"
+            f"thickness: {_fmt_bounds(doc['tau'])} over {value.gap_count} gaps\n"
             f"{verdict} the reference power q^{k - 4}"
             f" = {_fmt_bounds(doc['reference_power_value'])}\n")
     _emit_json(doc, cfg)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .certificate import Certificate, GRADE_EVIDENCE, _float_pair, check_flag
-from .realnum import (Enclosure, PrecisionError, _affine, _within, _wider, as_enclosure,
-                      membership, pi_q)
+from .realnum import (Enclosure, PrecisionError, _ints, _mpf_pair, _step, _within, _wider,
+                      as_enclosure, membership, pi_q)
 from .symbolic import ResourceError
 
 __all__ = [
@@ -83,7 +83,8 @@ class DigitMaps:
     def apply(self, eps: int, x) -> Enclosure:
         if eps not in (-1, 0, 1):
             raise ValueError(f"digit must be -1, 0, or 1, got {eps}")
-        return Enclosure._wrap(_affine(self.q.raw, as_enclosure(x).raw, eps))
+        return Enclosure._wrap(_mpf_pair(_step(_ints(self.q.raw), _ints(as_enclosure(x).raw),
+                                               eps)))
 
     def domain(self, eps: int) -> tuple[Enclosure, Enclosure]:
         """Domain of the binary digit map: the values it keeps inside the
@@ -128,8 +129,9 @@ def count_prefixes(q, x, depth: int = 200,
 
     A node spawns a child for each digit whose domain does not certifiably
     exclude it; only children reached through all-certified memberships
-    count toward ``certified_min``.  Nodes are raw endpoint pairs, stepped
-    and classified by realnum's kernel.  An undecided node wider than the
+    count toward ``certified_min``.  Nodes are realnum's integer endpoint
+    quadruples, stepped and classified by its kernel; a node becomes an
+    Enclosure only as a branch event.  An undecided node wider than the
     switch region raises PrecisionError: the enclosures have widened past
     deciding anything, and the walk would only grind into the node budget.
     """
@@ -141,11 +143,11 @@ def count_prefixes(q, x, depth: int = 200,
     if root_in is False:
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
 
-    q = maps.q.raw
-    zero, s_hi = (e.raw for e in maps.domain(0))
-    s_lo, top = (e.raw for e in maps.domain(1))
-    switch = (s_lo[0], s_hi[1])  # the switch region's widest reading
-    frontier: list[tuple[tuple, bool]] = [(x.raw, root_in is True)]
+    q = _ints(maps.q.raw)
+    zero, s_hi = (_ints(e.raw) for e in maps.domain(0))
+    s_lo, top = (_ints(e.raw) for e in maps.domain(1))
+    switch = s_lo[:2] + s_hi[2:]  # the switch region's widest reading
+    frontier: list[tuple[tuple, bool]] = [(_ints(x.raw), root_in is True)]
     cmin: list[int] = []
     cmax: list[int] = []
     events: list[tuple[int, Enclosure]] = []
@@ -167,11 +169,11 @@ def count_prefixes(q, x, depth: int = 200,
                         "walk is wider than the switch region; raise the working "
                         "precision (--precision)")
             elif m0 and m1:
-                events.append((d - 1, Enclosure._wrap(y)))
+                events.append((d - 1, Enclosure._wrap(_mpf_pair(y))))
             if m0 is not False:
-                nxt.append((_affine(q, y, 0), certified and m0 is True))
+                nxt.append((_step(q, y, 0), certified and m0 is True))
             if m1 is not False:
-                nxt.append((_affine(q, y, 1), certified and m1 is True))
+                nxt.append((_step(q, y, 1), certified and m1 is True))
         frontier = nxt
         cmin.append(sum(1 for _, c in frontier if c))
         cmax.append(len(frontier))

@@ -31,9 +31,11 @@ Also provided:
 An Enclosure holds its two endpoints as raw mpmath (libmp) tuples.  Every
 operation -- arithmetic, powers, logarithms, parsing and printing -- calls
 mpmath's interval kernels (libmpi) on them directly, passing the working
-precision; comparisons and report floats read them directly.  No mpmath
-context is read or written, so a host program's mpmath settings and this
-module's precision never affect each other.
+precision; comparisons and report floats read them directly.  The branch
+walk's kernel (membership, _step) holds the endpoints as signed integer
+mantissas and exponents instead, and rounds exactly as those kernels do.
+No mpmath context is read or written, so a host program's mpmath settings
+and this module's precision never affect each other.
 
 Both endpoints are always finite.  Only division, powers, logarithms and
 decimal parsing can make an infinite or nan endpoint from finite operands,
@@ -65,8 +67,7 @@ from math import nextafter
 from typing import Optional
 
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_div,
-                          mpf_mul, mpf_sign, mpf_sub, round_ceiling, round_floor, to_float,
-                          to_int)
+                          mpf_sign, round_ceiling, round_floor, to_float, to_int)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
@@ -460,40 +461,101 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     endpoints, x surely lies inside.  False means x surely lies outside.
     None otherwise (fail-closed for callers that count).
     """
-    return _within(as_enclosure(x)._raw, lo._raw, hi._raw)
+    return _within(_ints(as_enclosure(x)._raw), _ints(lo._raw), _ints(hi._raw))
+
+
+# -- the branch-walk kernel ----------------------------------------------
+#
+# A node is an enclosure held as four Python ints (lo man, lo exp, hi man,
+# hi exp), each end the value man * 2**exp with a signed mantissa.  The
+# walk steps, classifies and measures nodes with integer shifts, products
+# and compares; only nodes that leave it become libmp tuples.
+
+def _ints(raw) -> tuple:
+    """The node of a raw libmp pair (finite endpoints)."""
+    (s, m, e, _), (t, n, f, _) = raw
+    return -int(m) if s else int(m), e, -int(n) if t else int(n), f
+
+
+def _mpf_pair(node) -> tuple:
+    """The raw libmp pair of a node: the same values, normalised."""
+    am, ae, bm, be = node
+    return from_man_exp(am, ae), from_man_exp(bm, be)
+
+
+def _cmp(m: int, e: int, n: int, f: int) -> int:
+    """An int with the sign of m 2**e - n 2**f: the difference, exact, at
+    the smaller of the two exponents."""
+    return (m << (e - f)) - n if e >= f else m - (n << (f - e))
 
 
 def _within(x, lo, hi) -> Optional[bool]:
-    """membership on raw pairs, the kernel it shares with the branch walk.
-    A lower end that is exactly 0 (mantissa 0; endpoints are finite) is a
-    sign test: libmp's zero has sign bit 0."""
-    a, b = x
-    lo_a, lo_b = lo
-    hi_a, hi_b = hi
-    if (mpf_cmp(a, lo_b) >= 0 if lo_b[1] else not a[0]) and mpf_cmp(b, hi_a) <= 0:
+    """membership on nodes, the kernel it shares with the branch walk.
+
+    Each compare of an end m 2**e with a bound n 2**f is written out as
+    _cmp's alignment, which this hot loop cannot afford to call."""
+    am, ae, bm, be = x
+    lam, lae, lbm, lbe = lo
+    ham, hae, hbm, hbe = hi
+    if ((am << (ae - lbe)) >= lbm if ae >= lbe else am >= (lbm << (lbe - ae))) and \
+            ((bm << (be - hae)) <= ham if be >= hae else bm <= (ham << (hae - be))):
         return True
-    if (mpf_cmp(b, lo_a) < 0 if lo_a[1] else b[0]) or mpf_cmp(a, hi_b) > 0:
+    if ((bm << (be - lae)) < lam if be >= lae else bm < (lam << (lae - be))) or \
+            ((am << (ae - hbe)) > hbm if ae >= hbe else am > (hbm << (hbe - ae))):
         return False
     return None
 
 
-def _affine(q, x, eps: int) -> tuple:
-    """Raw q x - eps for a digit eps, rounded exactly as Enclosure's
-    q * x - eps; q's lower end must be positive."""
-    a, b = x
-    if a[1] and not a[0]:  # x > 0 as well: mpi_mul's positive branch, inlined
-        x = mpf_mul(q[0], a, _prec, round_floor), mpf_mul(q[1], b, _prec, round_ceiling)
+def _step(q, x, eps: int) -> tuple:
+    """The node q x - eps for a digit eps, rounded exactly as Enclosure's
+    q * x - eps: the product rounded outward to _prec bits (floor at the
+    lower end, ceiling at the upper; >> on a signed int is the floor), then
+    eps subtracted exactly and the difference rounded outward again.  q's
+    lower end must be positive, so each end of x takes the end of q that
+    mpi_mul pairs with it."""
+    qam, qae, qbm, qbe = q
+    am, ae, bm, be = x
+    if am >= 0:
+        am *= qam
+        ae += qae
     else:
-        x = mpi_mul(q, x, _prec)
-    if eps:  # the product has at most _prec bits: subtracting 0 would return it
-        n = from_int(eps)
-        x = mpf_sub(x[0], n, _prec, round_floor), mpf_sub(x[1], n, _prec, round_ceiling)
-    return x
+        am *= qbm
+        ae += qbe
+    if bm >= 0:
+        bm *= qbm
+        be += qbe
+    else:
+        bm *= qam
+        be += qae
+    prec = _prec
+    while True:  # round; a nonzero digit is then subtracted and rounded once more
+        n = am.bit_length() - prec
+        if n > 0:
+            am >>= n
+            ae += n
+        n = bm.bit_length() - prec
+        if n > 0:
+            bm = -(-bm >> n)
+            be += n
+        if not eps:
+            return am, ae, bm, be
+        if ae < 0:
+            am -= eps << -ae
+        else:
+            am, ae = (am << ae) - eps, 0
+        if be < 0:
+            bm -= eps << -be
+        else:
+            bm, be = (bm << be) - eps, 0
+        eps = 0
 
 
 def _wider(x, y) -> bool:
-    """Is the raw pair x wider than the raw pair y?  Exact: no rounding."""
-    return mpf_cmp(mpf_sub(x[1], x[0]), mpf_sub(y[1], y[0])) > 0
+    """Is the node x wider than the node y?  Exact: no rounding."""
+    xam, xae, xbm, xbe = x
+    yam, yae, ybm, ybe = y
+    return _cmp(_cmp(xbm, xbe, xam, xae), min(xae, xbe),
+                _cmp(ybm, ybe, yam, yae), min(yae, ybe)) > 0
 
 
 # ======================================================================

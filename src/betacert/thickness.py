@@ -326,17 +326,21 @@ def sk_thickness(q, k: int, max_delta_len: int) -> ThicknessValue:
             "(adjacent index words share an endpoint sequence), so no "
             "positive-bridge gap structure exists"
         )
+    from .symbolic import _admissible_count  # symbolic imports this module
+
     q = _family_base(q, k, max_delta_len)
     one = Enclosure(1)
-    p0 = (q ** (k - 1) - one) / ((q - one) * (q ** k - one))
-    p1 = q ** (k - 1) / (q ** k - one)
+    q_k1, q_k = q ** (k - 1), q ** k
+    p0 = (q_k1 - one) / ((q - one) * (q_k - one))
+    p1 = q_k1 / (q_k - one)
     cw = p1 - p0
     if max_delta_len == 0:
         tau = p0 / cw
     else:
         i = min(max_delta_len - 1, k - 2)
         tau = (p0 - q ** (i - k + 1) * p1) / cw
-    return ThicknessValue(tau=tau, infinite=False, depth=max_delta_len)
+    return ThicknessValue(tau=tau, infinite=False, depth=max_delta_len,
+                          gap_count=_admissible_count(k, max_delta_len))
 
 
 def affine_image(gapset: GapSet, scale, offset) -> GapSet:

@@ -17,7 +17,10 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from betacert.certificate import _json_text
 from betacert.cli import RunConfig, UsageError, main, parse_base
 from betacert.realnum import bonacci_root
 from betacert.symbolic import gaps_of_Sk
@@ -444,6 +447,54 @@ def test_depth_is_a_usage_error_where_nothing_reads_it(argv):
     assert code == 2
     assert out.getvalue() == ""
     assert "--depth applies to gaps, thickness, count" in err.getvalue()
+
+
+# ----------------------------------------------------------------------
+# the JSON writer
+# ----------------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2, 2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e308, 5e-324, float("nan"), float("-inf")]),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+    st.text(st.characters(min_codepoint=0x7f)))
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30)
+
+
+@given(json_docs)
+@example({"a\u00e9\n\t\x00\u2028\U0001f600": [True, 1, False, 0, None, -0.0, 1e308,
+                                               5e-324, float("nan"), float("inf")],
+          "": {}, "e": [], "t": (1, (2.5, "\x1f"), ()), "d": {"x": [{}, []]}})
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_stdlib_indent_2(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{1: "int key"}, {None: 1}, [F(1, 2)], {"s": {1}},
+                                 (b"bytes",), [object()]])
+def test_json_writer_rejects_what_it_cannot_write(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "10", "--interval"],
+    ["certify", "--m", "2", "--k", "32", "--interval"],
+    ["count", "--q", "golden", "--x", "1", "--depth", "30"],
+    ["gaps", "--k", "10", "--depth", "6"],
+    ["thickness", "--k", "10", "--depth", "8"],
+    ["witness", "--k", "9"],
+    ["tables"],
+])
+def test_json_output_is_stdlib_indent_2(argv):
+    text = run(argv + ["--format", "json"])[1]
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 # ----------------------------------------------------------------------

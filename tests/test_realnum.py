@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import finf, fnan, fninf
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
+                          mpf_cmp, mpf_neg, mpf_sub, round_ceiling, round_floor)
+from mpmath.libmp.libmpi import mpi_mul
 
 from betacert import realnum
 from betacert.certify import theorem_b_certify
@@ -35,7 +37,12 @@ from betacert.realnum import (
     projection_gap,
     _confirm_cell,
     _horner,
+    _ints,
+    _mpf_pair,
     _root_bracket,
+    _step,
+    _wider,
+    _within,
 )
 
 
@@ -670,6 +677,87 @@ def test_horner_kernel_matches_enclosure_reference(bits):
                 with pytest.raises(PrecisionError, match="contains zero"):
                     pi_q(word, q)
             assert pi_q((), q).raw == reference_horner((), q).raw
+
+
+# ----------------------------------------------------------------------
+# the branch-walk kernel vs mpmath's rounded operations
+# ----------------------------------------------------------------------
+
+@st.composite
+def raw_values(draw, bits):
+    """A finite libmp value with at most `bits` mantissa bits, zero among
+    them, over exponents that put it far below, near and far above 1."""
+    man = draw(st.one_of(st.just(0), st.integers(1 - 2 ** bits, 2 ** bits - 1),
+                         st.integers(-8, 8)))
+    return from_man_exp(man, draw(st.integers(-bits - 80, 8)))
+
+
+@st.composite
+def raw_nodes(draw, bits, lower=None):
+    """A raw pair lo <= hi whose lower end is zero, negative with hi <= 0,
+    negative with hi > 0 (straddling zero), or anything (lower None)."""
+    nonzero = raw_values(bits).filter(lambda v: v[1])
+    if lower == "zero":
+        a, b = fzero, mpf_abs(draw(raw_values(bits)))
+    elif lower == "negative":
+        a, b = mpf_neg(mpf_abs(draw(nonzero))), mpf_neg(mpf_abs(draw(raw_values(bits))))
+    elif lower == "straddling":
+        a, b = mpf_neg(mpf_abs(draw(nonzero))), mpf_abs(draw(nonzero))
+    else:
+        a, b = draw(raw_values(bits)), draw(raw_values(bits))
+    return (a, b) if mpf_cmp(a, b) <= 0 else (b, a)
+
+
+def reference_step(q, x, eps, bits):
+    lo, hi = mpi_mul(q, x, bits)
+    if eps:
+        n = from_int(eps)
+        lo, hi = mpf_sub(lo, n, bits, round_floor), mpf_sub(hi, n, bits, round_ceiling)
+    return lo, hi
+
+
+def reference_within(x, lo, hi):
+    if mpf_cmp(x[0], lo[1]) >= 0 and mpf_cmp(x[1], hi[0]) <= 0:
+        return True
+    if mpf_cmp(x[1], lo[0]) < 0 or mpf_cmp(x[0], hi[1]) > 0:
+        return False
+    return None
+
+
+@st.composite
+def kernel_cases(draw):
+    """bits, a raw q with a positive lower end, a node x whose lower end is
+    zero, negative, straddling or anything, and a random node."""
+    bits = draw(st.sampled_from([53, 64, 256, 512]))
+    q_lo = mpf_abs(draw(raw_values(bits).filter(lambda v: v[1])))
+    q = q_lo, mpf_add(q_lo, mpf_abs(draw(raw_values(bits))))
+    lower = draw(st.sampled_from([None, "zero", "negative", "straddling"]))
+    return bits, q, draw(raw_nodes(bits, lower)), draw(raw_nodes(bits))
+
+
+@given(kernel_cases(), st.sampled_from([-1, 0, 1]))
+@settings(max_examples=500, deadline=None)
+def test_walk_kernel_matches_mpmath(case, eps):
+    bits, q, x, y = case
+    saved = realnum._prec
+    realnum._prec = bits  # 53 bits is below set_precision's floor
+    try:
+        child = _mpf_pair(_step(_ints(q), _ints(x), eps))
+    finally:
+        realnum._prec = saved
+    assert child == reference_step(q, x, eps, bits)
+    assert _mpf_pair(_ints(x)) == x
+    # membership with the three nodes in every role: probe, lower and upper bound
+    nodes = (x, y, child)
+    for lo in nodes:
+        for hi in nodes:
+            for probe in nodes:
+                assert _within(*map(_ints, (probe, lo, hi))) == \
+                    reference_within(probe, lo, hi)
+    width = lambda v: mpf_sub(v[1], v[0])  # exact
+    for a in nodes:
+        for b in nodes:
+            assert _wider(_ints(a), _ints(b)) == (mpf_cmp(width(a), width(b)) > 0)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,9 @@ from betacert.symbolic import (
     SymbolicSeq,
     Word,
     _admissible_count,
+    _is_gap_index,
     _sk_gaps_near,
+    _state_counts,
     avoids,
     enumerate_sk_words,
     gaps_of_Sk,
@@ -273,6 +275,15 @@ def test_gap_count_growth_is_budgeted():
     n8 = _admissible_count(3, 8)
     with pytest.raises(ResourceError):
         gaps_of_Sk(BASE_ABOVE[3], 3, 8, budget=n8 - 1)
+
+
+def test_admissible_count_matches_the_automaton():
+    # the prefix-sum closed form against the count over the automaton's states
+    for k in range(2, 15):
+        total = 0
+        for n, counts in enumerate(_state_counts(k, 45)):
+            total += sum(c for state, c in counts.items() if _is_gap_index(k, state))
+            assert _admissible_count(k, n) == total, (k, n)
 
 
 # ------------------------------------------- gaps near probes vs the family

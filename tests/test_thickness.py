@@ -366,6 +366,16 @@ def test_sk_thickness_matches_the_three_pipeline_family(k):
     assert (closed * cover_tau).float_bounds() == (generic * cover_tau).float_bounds()
 
 
+def test_sk_thickness_counts_the_family_gaps():
+    root = bonacci_root(10).value
+    assert sk_thickness(root, 9, 12).gap_count == len(gaps_of_Sk(root, 9, 12).gaps) == 8127
+    for k, q in ((3, F(15, 8)), (5, F(79, 40))):
+        for depth in (0, 1, k, k + 2):
+            family = gaps_of_Sk(q, k, depth)
+            assert sk_thickness(q, k, depth).gap_count == len(family.gaps) == \
+                thickness(family).gap_count
+
+
 def test_sk_thickness_plateau_and_monotonicity():
     k, q = 5, F(79, 40)
     values = [sk_thickness(q, k, d).tau for d in range(0, 12)]
