@@ -44,6 +44,23 @@ def _json_float(o: float) -> str:
     return float.__repr__(o)
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, also past the interpreter's limit on int-to-str
+    conversion (that limit is host state, so it is not raised): the digits
+    come in chunks of a thousand, by divmod from the low end."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    chunks = []
+    rest = abs(n)
+    while rest:
+        rest, low = divmod(rest, 10 ** 1000)
+        chunks.append(low)
+    return ("-" if n < 0 else "") + int.__repr__(chunks.pop()) + "".join(
+        int.__repr__(c).zfill(1000) for c in reversed(chunks))
+
+
 def _json_text(o, nl: str = "\n") -> str:
     """json.dumps(o, indent=2), byte for byte, for str-keyed dicts, lists,
     tuples, str, int, float, bool and None; any other type raises
@@ -64,16 +81,19 @@ def _json_text(o, nl: str = "\n") -> str:
     if o is False:
         return "false"
     if isinstance(o, int):
-        return int.__repr__(o)
+        return _int_text(o)
     if isinstance(o, float):
         return _json_float(o)
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = [int.__repr__(v) if type(v) is int else
-                 _json_float(v) if type(v) is float else
-                 _json_text(v, inner) for v in o]
+        try:
+            items = [int.__repr__(v) if type(v) is int else
+                     _json_float(v) if type(v) is float else
+                     _json_text(v, inner) for v in o]
+        except ValueError:  # an int past the int-to-str limit
+            items = [_json_text(v, inner) for v in o]
         items[0] = "[" + inner + items[0]
         items[-1] += nl + "]"
         return ("," + inner).join(items)

@@ -20,9 +20,10 @@ This module strings the lower layers into the two headline claims:
   switch-region preimage of the located intersection point (the preimage
   is where the three expansions live: one branch falls into the
   run-limited family, the other reaches the intersection point's two).
-  Each family is built, validated and measured once: the run-limited
-  family's thickness is the closed form ``sk_thickness``, and the gap
-  lemma runs in the cover's own coordinates, so the cover is never moved.
+  Neither family is materialized: both thicknesses are closed forms
+  (``sk_thickness``, ``cover_thickness``), each family is read only next
+  to the few probes the gap lemma needs, and the gap lemma runs in the
+  cover's own coordinates, so the cover is never moved.
 
 ``reproduce_tables`` recomputes every row of the two reference tables
 (roots, radii, dimension bounds, order thresholds) and flags each column
@@ -58,8 +59,10 @@ from .certificate import (
 )
 from .constructions import (
     GMap,
-    fixed_expansion_of_one,
+    _cover_gaps_near,
     aq_gapset,
+    cover_thickness,
+    fixed_expansion_of_one,
     pq_certificate,
     pq_hull_data,
     witness_points,
@@ -75,6 +78,8 @@ from .realnum import (
 )
 from .symbolic import SymbolicSeq, _sk_gaps_near
 from .thickness import (
+    GapSet,
+    ThicknessValue,
     _gap_lemma_checks,
     affine_image,
     interleaved,
@@ -340,6 +345,21 @@ def _b_cover_depth(k: int) -> int:
     return min(k + 26, 2 * k + 8)
 
 
+def _cover_near(spine, depth: int, probes) -> tuple[GapSet, ThicknessValue]:
+    """The cover's gaps on the probes' search paths, and its tau: the walk
+    and the closed form where they apply, else the whole cover (aq_gapset)
+    measured stepwise."""
+    tau = cover_thickness(spine, depth)
+    if tau is not None:
+        # tau counts 2^s - 1 gaps over s separated levels
+        cover = _cover_gaps_near(spine, depth, probes,
+                                 separated=tau.gap_count.bit_length())
+        if cover is not None:
+            return cover, tau
+    cover = aq_gapset(spine, depth)
+    return cover, thickness(cover)
+
+
 def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
                       depth: Optional[int] = None) -> Certificate:
     """Certify the order-k pinned interval for exactly three expansions.
@@ -351,13 +371,19 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
 
     Closed-form checks (interleaving at the root, drift bounds, family
     thickness floors) are evaluated over the whole band in interval
-    mode.  With a concrete ``q`` the materialized set descriptions (the
-    signed-digit cover, the gap-lemma run) are built at that base.  The
-    gap-lemma run reads the run-limited family only at its hull and next
-    to three probes (the images of the cover's hull ends and the located
-    point), so of that family only the gaps on the probes' search paths
-    through its index tree are built, validated and pulled back into the
-    cover's coordinates; its thickness is the closed form sk_thickness.
+    mode.  With a concrete ``q`` the set descriptions of the gap-lemma
+    run are read at that base.  Neither is materialized.  The signed-digit
+    cover's thickness is the closed form cover_thickness, and the cover
+    is read along the search paths of three probes through its cylinder
+    tree (the run-limited family's hull ends, pulled back, and the located
+    point's preimage); where the closed form does not apply, or a node on
+    those paths disagrees with it, the whole cover is built by aq_gapset
+    and measured stepwise instead.  The run-limited family is read only
+    at its hull and next to three probes (the images of the cover's hull
+    ends and the located point), so of that family only the gaps on the
+    probes' search paths through its index tree are built, validated and
+    pulled back into the cover's coordinates; its thickness is the
+    closed form sk_thickness.
     The branch count of the located three-expansion point always runs at
     the band center -- the one base where that point is exactly
     representable; elsewhere the claim rides the drift and gap-lemma
@@ -460,16 +486,6 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "s_family_thickness_exceeds_power", sk.tau, q_span ** (k - 4)))
     cover_depth = _b_cover_depth(k)
     spine = fixed_expansion_of_one(q_eval, k, cover_depth)
-    cover = aq_gapset(spine, cover_depth)
-    a_tau = thickness(cover)
-    a_note = ("cover evidence at the evaluation base; the floor holds for "
-              "bases above the order-9 root")
-    checks.append(check_gt(
-        "a_family_thickness_exceeds_inverse_power", a_tau.tau,
-        q_eval ** (-5), note=a_note))
-    checks.append(check_ge(
-        "thickness_product_at_least_one", sk.tau * a_tau.tau,
-        as_enclosure(1)))
 
     # gap-lemma run in the cover's own coordinates: A is the cover moved
     # by x -> g(x) - 1, and interleaving, membership and thickness are
@@ -480,21 +496,37 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     gap_depth = _GAP_DEPTH if depth is None else depth
     gmap = GMap(q_eval, k)
     shift = gmap.offset - 1
+    to_a = (q_eval ** k, -(shift * q_eval ** k))
     anchor = ws.points[1]
     y_val = pi_q(anchor.image_seq, q_eval)
-    # interleaving reads S at its hull and at the gap next to A's hull,
-    # membership at the gap next to y - 1; those gaps lie on the probes'
-    # search paths, so only the paths are built
+    a_point = pi_q(anchor.seq, q_eval)
+    # interleaving reads each description at its hull and at the gaps
+    # next to the other's hull ends, membership at the gaps next to the
+    # located point; those gaps lie on the probes' search paths, so only
+    # the paths are built.  S's hull [0, 1/(q-1)] pulls back into the
+    # cover's coordinates without building S.
+    s_hull_in_a = tuple(to_a[0] * h + to_a[1]
+                        for h in (Enclosure(0), 1 / (q_eval - 1)))
+    cover, a_tau = _cover_near(spine, cover_depth, s_hull_in_a + (a_point,))
+    a_note = ("cover evidence at the evaluation base; the floor holds for "
+              "bases above the order-9 root")
+    checks.append(check_gt(
+        "a_family_thickness_exceeds_inverse_power", a_tau.tau,
+        q_eval ** (-5), note=a_note))
+    checks.append(check_ge(
+        "thickness_product_at_least_one", sk.tau * a_tau.tau,
+        as_enclosure(1)))
+
     gs_s = _sk_gaps_near(q_eval, k - 1, gap_depth,
                          (gmap.scale * cover.hull_lo + shift,
                           gmap.scale * cover.hull_hi + shift, y_val - 1))
-    gs_s_in_a = affine_image(gs_s, q_eval ** k, -(shift * q_eval ** k))
+    gs_s_in_a = affine_image(gs_s, *to_a)
     _merge(checks,
            _gap_lemma_checks(interleaved(gs_s_in_a, cover),
                              sk_thickness(q_eval, k - 1, gap_depth), a_tau),
            "newhouse_")
     in_s = gs_s.point_in(y_val - 1)
-    in_a = cover.point_in(pi_q(anchor.seq, q_eval))
+    in_a = cover.point_in(a_point)
     # three-valued and: one certified miss decides, else undecided unless
     # both are certified
     located_flag = False if False in (in_s, in_a) else in_s and in_a

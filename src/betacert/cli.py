@@ -46,6 +46,7 @@ from .certificate import (
     STATUS_FAILED,
     STATUS_UNCERTAIN,
     _float_pair,
+    _int_text,
     _json_text,
 )
 from .certify import (
@@ -339,11 +340,11 @@ def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> in
     if cfg.output_format == "text":
         verdict = {True: "exceeds", False: "does not exceed",
                    None: "cannot be separated from"}[exceeds]
-        # one write, so a count too long to print fails before any output
         sys.stdout.write(
             f"family order {k - 1} at base {_fmt_bounds(doc['base'])}, "
             f"gap depth {depth}\n"
-            f"thickness: {_fmt_bounds(doc['tau'])} over {value.gap_count} gaps\n"
+            f"thickness: {_fmt_bounds(doc['tau'])} over "
+            f"{_int_text(value.gap_count)} gaps\n"
             f"{verdict} the reference power q^{k - 4}"
             f" = {_fmt_bounds(doc['reference_power_value'])}\n")
     _emit_json(doc, cfg)

@@ -53,7 +53,13 @@ from .realnum import (
     pi_q,
 )
 from .symbolic import ResourceError, SubshiftSk, SymbolicSeq, Word, gaps_of_Sk
-from .thickness import GapSet, affine_image, gapset_from_intervals
+from .thickness import (
+    Gap,
+    GapSet,
+    ThicknessValue,
+    affine_image,
+    gapset_from_intervals,
+)
 
 __all__ = [
     "AqDescription",
@@ -263,10 +269,11 @@ def pq_hull_data(q, k: int, m: int) -> PQAnchors:
     # overall factor q^{-km} turns it into the common hull diameter
     cut_left_tail = SymbolicSeq.eventually(
         Word.zeros(k - 3), Word.zeros(1) + Word.ones(k - 2))
-    D = q ** (-k * m) * pi_q(cut_left_tail, q)
-    left_P = tuple(fp + q ** (-k * i) * eps.value for i in range(m + 1))
+    shrink = [q ** (-k * i) for i in range(m + 1)]  # g^i's scale factors
+    D = shrink[m] * pi_q(cut_left_tail, q)
+    left_P = tuple(fp + s * eps.value for s in shrink)
     right_P = tuple(lp + D for lp in left_P)
-    right_Q = fp + q ** (-k * m) / (q ** k - 1)
+    right_Q = fp + shrink[m] / (q ** k - 1)
     left_Q = right_Q - D
     B_left = enc_max(left_Q, *left_P)
     B_right = enc_min(right_Q, *right_P)
@@ -543,33 +550,42 @@ def fixed_expansion_of_one(q, k: int, depth: int) -> AqDescription:
                          certificate=cert)
 
 
-def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
-    """Outer cylinder cover of the signed-digit family's projection.
-
-    Enumerates all 2^(free zeros <= depth) admissible prefixes, projects
-    each cylinder to [value, value + q^{-depth}/(q-1)], and merges them
-    into a gap description, which this function does not measure.
-    """
+def _cover_tree(desc: AqDescription, depth: int):
+    """The cover's cylinder tree: the base value (every free zero 0), the
+    powers q^(-j_i) of the free zeros j_i <= depth, where level i of the
+    binary tree chooses the digit at j_i, and the tail band
+    q^(-depth)/(q-1) that each cylinder adds to its value."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > desc.depth:
         raise ValueError(
             f"depth {depth} exceeds the spine's computed depth {desc.depth}")
     q = desc.q
-    free = [j for j in desc.J_free if j <= depth]
-    count = 1 << len(free)
-    if count > budget:
-        raise ResourceError(
-            f"cover needs {count} cylinders at depth {depth}, over the "
-            f"budget of {budget}")
     # 1 on the spine's 1s and rank-1 zeros; 0 on its -1s, its rank-3 zeros
     # and (for the base value) the free zeros
     fixed1 = set(desc.J_fixed1)
     base_value = pi_q(Word(tuple(
         int(cj == 1 or (cj == 0 and j in fixed1))
         for j, cj in enumerate(desc.c.digits[:depth], start=1))), q)
-    powers = [q ** (-j) for j in free]
-    tail_band = q ** (-depth) / (q - 1)
+    powers = [q ** (-j) for j in desc.J_free if j <= depth]
+    return base_value, powers, q ** (-depth) / (q - 1)
+
+
+def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
+    """Outer cylinder cover of the signed-digit family's projection.
+
+    Enumerates all 2^(free zeros <= depth) admissible prefixes, projects
+    each cylinder to [value, value + q^{-depth}/(q-1)], and merges them
+    into a gap description, which this function does not measure.  The
+    three-expansions pipeline reads the cover through cover_thickness and
+    _cover_gaps_near instead, and builds it here only as their fallback.
+    """
+    base_value, powers, tail_band = _cover_tree(desc, depth)
+    count = 1 << len(powers)
+    if count > budget:
+        raise ResourceError(
+            f"cover needs {count} cylinders at depth {depth}, over the "
+            f"budget of {budget}")
     # by doubling: values[bits] adds powers[i] for each set bit i of bits,
     # lowest first
     values = [base_value]
@@ -579,6 +595,107 @@ def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
     hull_lo = enc_min(*values)
     hull_hi = enc_max(*(p[1] for p in pieces))
     return gapset_from_intervals(hull_lo, hull_hi, pieces, depth=depth)
+
+
+def cover_thickness(desc: AqDescription, depth: int) -> Optional[ThicknessValue]:
+    """The stepwise thickness of aq_gapset(desc, depth) in closed form, or
+    None where the closed form does not apply.
+
+    Every cylinder value is the base value plus a subset of the powers
+    p_i = q^(-j_i), so the nodes of one level of the binary tree are
+    translates of each other: the cover is a homogeneous Moran set (Feng,
+    Wen and Wu, Sci. China Ser. A 40, 1997).  A level-i node spans
+    L_i = p_i + ... + p_(n-1) + tail band; its two children span L_(i+1)
+    each and start p_i apart, so they leave one gap of width
+    w_i = p_i - L_(i+1) if that is positive and merge otherwise.
+
+    Suppose levels 0..s-1 are separated, levels s..n-1 overlap (so a
+    level-s node spans a solid interval) and w_0 > ... > w_(s-1).  Then
+    the stepwise pass processes the gaps level by level, the gaps or hull
+    ends nearest a level-i gap on each side bound its node, both its
+    bridges span L_(i+1), and over the 2^s - 1 gaps
+
+        tau = min_(i<s) L_(i+1) / w_i.
+
+    Each of those premises must be certified, else None: the caller then
+    measures the built cover stepwise.
+    """
+    _, powers, tail_band = _cover_tree(desc, depth)
+    spans = [tail_band]  # L_n, then L_(n-1), ..., L_0
+    for p in reversed(powers):
+        spans.append(p + spans[-1])
+    spans.reverse()
+    apart = [spans[i + 1].lt(p) for i, p in enumerate(powers)]
+    s = next((i for i, v in enumerate(apart) if v is not True), len(apart))
+    if any(v is not False for v in apart[s:]):
+        return None
+    widths = [powers[i] - spans[i + 1] for i in range(s)]
+    if any(b.lt(a) is not True for a, b in zip(widths, widths[1:])):
+        return None
+    if s == 0:
+        return ThicknessValue(tau=None, infinite=True, depth=depth, gap_count=0)
+    tau = enc_min(*(spans[i + 1] / w for i, w in enumerate(widths)))
+    return ThicknessValue(tau=tau, infinite=False, depth=depth,
+                          gap_count=(1 << s) - 1)
+
+
+def _cover_gaps_near(desc: AqDescription, depth: int, probes,
+                     separated: Optional[int] = None) -> Optional[GapSet]:
+    """The gaps of aq_gapset(desc, depth) on the search paths of the probe
+    enclosures, in a GapSet with the cover's hull; with ``probes=None``,
+    the whole cover.
+
+    A node's value v is the base value plus the powers it chose, added
+    lowest level first, which is the order of aq_gapset's doubling, so
+    every endpoint here is the same enclosure as there.  A level-i node
+    has a gap when its left subtree's top (v plus every deeper power, plus
+    the tail band) is certifiably below its right child's value v + p_i;
+    the hull runs from the base value to the top of the root.  A probe
+    goes left at a gap when it is certifiably below the gap, right when
+    certifiably above it, and both ways otherwise, as in
+    symbolic._sk_gaps_near, so the gaps next to each probe on either side
+    are visited.
+
+    ``separated`` is the number of leading levels that cover_thickness
+    certified separated (the rest overlap).  When given, a visited node
+    whose verdict disagrees with its level returns None.
+    """
+    base_value, powers, tail_band = _cover_tree(desc, depth)
+    n = len(powers)
+
+    def top(v, i):
+        # the largest cylinder end below a level-i node of value v
+        for p in powers[i:]:
+            v = v + p
+        return v + tail_band
+
+    gaps: list[Gap] = []
+    misfit = False
+
+    def descend(v, i, here):
+        # here: the probes whose search paths reach this node, None for all
+        nonlocal misfit
+        if i == n:
+            return
+        right = v + powers[i]
+        gap = Gap(left=top(v, i + 1), right=right)
+        sides = (here, here)
+        split = gap.left.lt(right) is True
+        if separated is not None and split != (i < separated):
+            misfit = True
+        if split:
+            gaps.append(gap)
+            if here is not None:
+                sides = (tuple(x for x in here if gap.right.lt(x) is not True),
+                         tuple(x for x in here if x.lt(gap.left) is not True))
+        for child, live in ((v, sides[0]), (right, sides[1])):
+            if live is None or live:
+                descend(child, i + 1, live)
+
+    descend(base_value, 0, None if probes is None else tuple(probes))
+    if misfit:
+        return None
+    return GapSet(base_value, top(base_value, 0), tuple(gaps), depth=depth)
 
 
 # ======================================================================

@@ -171,8 +171,11 @@ def count_prefixes(q, x, depth: int = 200,
             elif m0 and m1:
                 events.append((d - 1, Enclosure._wrap(_mpf_pair(y))))
             if m0 is not False:
-                nxt.append((_step(q, y, 0), certified and m0 is True))
-            if m1 is not False:
+                qy = _step(q, y, 0)
+                nxt.append((qy, certified and m0 is True))
+                if m1 is not False:  # both digits: q y is rounded once
+                    nxt.append((_step(q, qy, 1, True), certified and m1 is True))
+            elif m1 is not False:
                 nxt.append((_step(q, y, 1), certified and m1 is True))
         frontier = nxt
         cmin.append(sum(1 for _, c in frontier if c))

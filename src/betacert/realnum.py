@@ -506,27 +506,30 @@ def _within(x, lo, hi) -> Optional[bool]:
     return None
 
 
-def _step(q, x, eps: int) -> tuple:
+def _step(q, x, eps: int, scaled: bool = False) -> tuple:
     """The node q x - eps for a digit eps, rounded exactly as Enclosure's
     q * x - eps: the product rounded outward to _prec bits (floor at the
     lower end, ceiling at the upper; >> on a signed int is the floor), then
     eps subtracted exactly and the difference rounded outward again.  q's
     lower end must be positive, so each end of x takes the end of q that
-    mpi_mul pairs with it."""
-    qam, qae, qbm, qbe = q
+    mpi_mul pairs with it.  With ``scaled``, x is already the rounded
+    product _step(q, y, 0) of a node y, which rounding leaves as it is, so
+    only eps is subtracted: the same node as _step(q, y, eps)."""
     am, ae, bm, be = x
-    if am >= 0:
-        am *= qam
-        ae += qae
-    else:
-        am *= qbm
-        ae += qbe
-    if bm >= 0:
-        bm *= qbm
-        be += qbe
-    else:
-        bm *= qam
-        be += qae
+    if not scaled:
+        qam, qae, qbm, qbe = q
+        if am >= 0:
+            am *= qam
+            ae += qae
+        else:
+            am *= qbm
+            ae += qbe
+        if bm >= 0:
+            bm *= qbm
+            be += qbe
+        else:
+            bm *= qam
+            be += qae
     prec = _prec
     while True:  # round; a nonzero digit is then subtracted and rounded once more
         n = am.bit_length() - prec

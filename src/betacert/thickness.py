@@ -11,10 +11,14 @@ in decreasing diameter (ties left to right), and a gap's bridges end at
 the nearest gap on each side processed before it, or at the hull.  One
 nearest-earlier-gap pass each way over the validated position order finds
 those ends for every gap; each gap scores its shorter bridge over its
-width, and tau is the minimum of the scores.  For the base-avoidance
-families produced by symbolic.gaps_of_Sk the same minimum has a closed
-form, implemented in sk_thickness and cross-validated against the generic
-routine in the tests.
+width, and tau is the minimum of the scores.  Both families of the
+three-expansions pipeline have a closed form for the same minimum, so
+the pipeline measures neither stepwise: sk_thickness for the
+base-avoidance families produced by symbolic.gaps_of_Sk, and
+constructions.cover_thickness for the signed-digit cover built by
+constructions.aq_gapset.  The tests cross-validate both against the
+generic routine, which still measures the cover wherever its closed form
+does not apply.
 
 The gap lemma's checks are built in one place from an interleaving verdict
 and two ThicknessValues, however each tau was obtained: stepwise in

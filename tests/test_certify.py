@@ -22,6 +22,7 @@ report exactly that mismatch pattern, not paper over it.
 import importlib
 import json
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacert.certificate import (
+    Certificate,
     GRADE_EVIDENCE,
     GRADE_PROVED,
     STATUS_CERTIFIED,
@@ -53,7 +55,7 @@ from betacert.certify import (
     theorem_a_certify,
     theorem_b_certify,
 )
-from betacert.constructions import GMap, witness_points
+from betacert.constructions import GMap, aq_gapset, witness_points
 from betacert.realnum import (
     PrecisionError,
     as_enclosure,
@@ -433,12 +435,13 @@ def _spy(monkeypatch, module, name):
 
 
 def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
-    # the run-limited family takes its tau from the closed form and is
-    # never materialized: only the gaps on the search paths of the
-    # pipeline's probes are built.  The only stepwise thickness pass is of
-    # the cover, which stays in its own coordinates; the only affine image
-    # is of the built run-limited gaps
+    # both families take their tau from closed forms and neither is
+    # materialized: of each, only the gaps on the search paths of the
+    # pipeline's probes are built, the cover's in its own coordinates.  No
+    # stepwise thickness pass runs, and the only affine image is of the
+    # built run-limited gaps
     symbolic = importlib.import_module("betacert.symbolic")
+    constructions = importlib.import_module("betacert.constructions")
     thickness_module = importlib.import_module("betacert.thickness")
     built = []
     validate = GapSet.__post_init__
@@ -450,23 +453,30 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     monkeypatch.setattr(GapSet, "__post_init__", record)
     families = _spy(monkeypatch, symbolic, "gaps_of_Sk")
     near = _spy(monkeypatch, symbolic, "_sk_gaps_near")
-    covers = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
-                  "aq_gapset")
+    covers = _spy(monkeypatch, constructions, "aq_gapset")
+    cover_near = _spy(monkeypatch, constructions, "_cover_gaps_near")
+    closed = _spy(monkeypatch, constructions, "cover_thickness")
     measured = _spy(monkeypatch, thickness_module, "thickness")
     imaged = _spy(monkeypatch, thickness_module, "affine_image")
 
     assert theorem_b_certify(10).certified
     assert families == []
+    assert covers == []
+    assert measured == []
     [(_, s_near)] = near
     assert len(s_near.gaps) <= 3 * (_GAP_DEPTH + 1)
-    [(_, cover)] = covers
-    assert all(len(args[0].gaps) <= len(cover.gaps) for args, _ in measured)
-    assert [args[0] is cover for args, _ in measured] == [True]
+    [(_, a_tau)] = closed
+    assert a_tau is not None and a_tau.gap_count > 0
+    [((spine, depth, probes), cover)] = cover_near
+    levels = len([j for j in spine.J_free if j <= depth])
+    assert len(probes) == 3
+    assert 0 < len(cover.gaps) <= levels * len(probes) < a_tau.gap_count
     assert [args[0] is s_near for args, _ in imaged] == [True]
     # one GapSet per family, plus the one placement of the run-limited gaps
     assert len(built) == 3
     assert sum(g is s_near for g in built) == 1
-    # validation sees each cover gap once and each run-limited gap twice
+    # validation sees each built cover gap once and each run-limited gap
+    # twice
     assert (sum(len(g.gaps) for g in built)
             == len(cover.gaps) + 2 * len(s_near.gaps))
 
@@ -475,14 +485,16 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
 @pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
 def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
     # oracle: the interleaving and A-membership verdicts the pipeline
-    # reaches in the cover's coordinates equal those of the reference
-    # route, which images the whole cover into the run-limited family's
-    # coordinates (x -> g(x) - 1) and tests y - 1 there
+    # reaches in the cover's coordinates, on the cover gaps next to its
+    # probes, equal those of the reference route, which builds the whole
+    # cover, images it into the run-limited family's coordinates
+    # (x -> g(x) - 1) and tests y - 1 there
     thickness_module = importlib.import_module("betacert.thickness")
-    covers = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
-                  "aq_gapset")
+    cover_near = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
+                      "_cover_gaps_near")
     near = _spy(monkeypatch, importlib.import_module("betacert.symbolic"),
                 "_sk_gaps_near")
+    imaged = _spy(monkeypatch, thickness_module, "affine_image")
     verdicts = _spy(monkeypatch, thickness_module, "interleaved")
     members = []
     point_in = GapSet.point_in
@@ -499,25 +511,109 @@ def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
         rho = root ** (-2 * k - 6)
         offsets = [t for t in (-7, -4, -1, 1, 4, 7) if k > 9 or t > 0]
         for q in ["interval"] + [root + rho * F(t, 8) for t in offsets]:
-            for calls in (covers, near, verdicts, members):
+            for calls in (cover_near, near, imaged, verdicts, members):
                 calls.clear()
             try:
                 theorem_b_certify(k, q)
             except PrecisionError:
                 assert bits == 64  # the branch count, after the gap lemma
-            [(_, cover)] = covers
+            [((spine, depth, cover_probes), cover)] = cover_near
             [((_, _, _, probes), s_near)] = near
+            [((gs, _, _), s_in_a)] = imaged
             [(_, inter)] = verdicts
             [in_a] = [out for gs, out in members if gs is cover]
             q_eval = root if q == "interval" else q
             gmap = GMap(q_eval, k)
-            gs_a = affine_image(cover, gmap.scale, gmap.offset - 1)
+            gs_a = affine_image(aq_gapset(spine, depth), gmap.scale,
+                                gmap.offset - 1)
             y = pi_q(witness_points(k).points[1].image_seq, q_eval)
+            assert gs is s_near
             assert [p.raw for p in probes[:2]] == [gs_a.hull_lo.raw, gs_a.hull_hi.raw]
+            assert [p.raw for p in cover_probes[:2]] == [s_in_a.hull_lo.raw,
+                                                         s_in_a.hull_hi.raw]
             assert inter is interleaved(s_near, gs_a)
             assert in_a is point_in(gs_a, y - 1)
             seen.add(in_a)
     assert seen == {True, False}  # both verdicts occur: the oracle bites
+
+
+def _band_bases(k):
+    """The band center in interval mode, then points at 1/8, 4/8 and 7/8 of
+    the radius on each side (right side only at k = 9)."""
+    root = bonacci_root(k).value
+    rho = root ** (-2 * k - 6)
+    return ["interval"] + [root + rho * F(t, 8) for t in (-7, -4, -1, 1, 4, 7)
+                           if k > 9 or t > 0]
+
+
+def _masked_json(cert):
+    doc = cert.to_json_dict()
+    del doc["wall_time_ms"]
+    return json.dumps(doc, indent=2)
+
+
+def _no_closed_form(desc, depth):
+    return None
+
+
+@pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
+def test_three_pipeline_fallback_is_byte_identical(monkeypatch, k):
+    # where the cover's closed form does not apply, or a node on a probe's
+    # path disagrees with its level, the pipeline builds the whole cover
+    # and measures it stepwise; the certificate is the same byte for byte
+    certify_module = importlib.import_module("betacert.certify")
+    constructions = importlib.import_module("betacert.constructions")
+    bases = _band_bases(k)[::3]
+    expected = [_masked_json(theorem_b_certify(k, q)) for q in bases]
+    closed = certify_module.cover_thickness
+
+    def one_level_short(desc, depth):
+        # the true tau, but one separated level fewer: the walk meets a
+        # gap at a level declared overlapping
+        value = closed(desc, depth)
+        return replace(value, gap_count=value.gap_count >> 1)
+
+    covers = _spy(monkeypatch, constructions, "aq_gapset")
+    walks = _spy(monkeypatch, constructions, "_cover_gaps_near")
+    for route in (_no_closed_form, one_level_short):
+        monkeypatch.setattr(certify_module, "cover_thickness", route)
+        covers.clear()
+        walks.clear()
+        assert [_masked_json(theorem_b_certify(k, q)) for q in bases] == expected
+        assert len(covers) == len(bases)
+        expected_walks = [] if route is _no_closed_form else [None] * len(bases)
+        assert [out for _, out in walks] == expected_walks
+
+
+@pytest.mark.parametrize("bits", [64, 80])
+@pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
+def test_three_pipeline_verdicts_match_the_stepwise_route(monkeypatch, k, bits):
+    # no verdict changes at low precision either: every check status equals
+    # the stepwise route's, and the closed form's tau is the tighter one.
+    # At these precisions the branch count, which runs after every check
+    # that reads the cover, raises PrecisionError; it is left out
+    certify_module = importlib.import_module("betacert.certify")
+    closed = certify_module.cover_thickness
+    with pytest.raises(PrecisionError):
+        with precision(bits):
+            theorem_b_certify(k)
+    monkeypatch.setattr(certify_module, "certify_m_expansions",
+                        lambda q, x, m, depth: Certificate("expansion-count", {}))
+
+    def run(q, route):
+        monkeypatch.setattr(certify_module, "cover_thickness", route)
+        cert = theorem_b_certify(k, q)
+        tau = checks_by_name(cert)["a_family_thickness_exceeds_inverse_power"].lhs
+        return [(c.name, c.status) for c in cert.checks], tau
+
+    with precision(bits):
+        for q in _band_bases(k):
+            statuses, tau = run(q, closed)
+            stepwise_statuses, stepwise_tau = run(q, _no_closed_form)
+            assert statuses == stepwise_statuses
+            assert {"a_family_thickness_exceeds_inverse_power", "newhouse_interleaved",
+                    "intersection_point_in_both_descriptions"} <= dict(statuses).keys()
+            assert tau.width < stepwise_tau.width
 
 
 # ------------------------------------------------------- grade honesty

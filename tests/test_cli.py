@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from betacert.certificate import _json_text
 from betacert.cli import RunConfig, UsageError, main, parse_base
 from betacert.realnum import bonacci_root
-from betacert.symbolic import gaps_of_Sk
+from betacert.symbolic import _admissible_count, gaps_of_Sk
 
 
 def run(argv):
@@ -344,6 +344,36 @@ def test_thickness_reports_the_family_gap_count():
     assert doc["gap_count"] == len(family.gaps) > 0
     code, out, _ = run(["thickness", "--k", "10", "--depth", "8"])
     assert f"over {len(family.gaps)} gaps" in out
+
+
+def _digits_value(digits: str) -> int:
+    # int(digits) is refused past the interpreter's int-to-str limit, so
+    # read the digits a thousand at a time
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_thickness_prints_a_gap_count_past_the_int_to_str_limit():
+    # the exact count at depth 15000 has more than 4300 digits, which the
+    # interpreter will not convert in one piece; the request is valid and
+    # exits 0 with every digit, in JSON and in text
+    expected = _admissible_count(9, 15000)
+    code, out, err = run(["thickness", "--k", "10", "--depth", "15000",
+                          "--format", "json"])
+    assert (code, err) == (0, "")
+    [digits] = re.findall(r'"gap_count": (\d+),', out)
+    assert len(digits) > 4300
+    assert _digits_value(digits) == expected
+    code, out, _ = run(["thickness", "--k", "10", "--depth", "15000"])
+    assert code == 0
+    [digits] = re.findall(r"over (\d+) gaps", out)
+    assert _digits_value(digits) == expected
+    assert _json_text([-expected]) == "[\n  -" + digits + "\n]"
+    # chunks of zeros inside the number keep their width
+    assert _json_text({"n": 10 ** 5000}) == '{\n  "n": 1' + "0" * 5000 + "\n}"
 
 
 # ----------------------------------------------------------------------

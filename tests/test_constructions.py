@@ -11,10 +11,13 @@ Oracles:
   * digit-sequence route vs affine route for the contraction;
   * hand-checked rank classes for the spine's zero positions;
   * base-perturbation stability measured with the exact-arithmetic
-    Hausdorff routine from the thickness tests.
+    Hausdorff routine from the thickness tests;
+  * the whole signed-digit cover, built and measured stepwise, for its
+    closed-form thickness and its probe-path walk.
 """
 
 import importlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,9 +31,11 @@ from betacert.constructions import (
     AqDescription,
     GMap,
     W2_BLOCKS,
+    _cover_gaps_near,
     aq_gapset,
     build_pq_family,
     contraction_block,
+    cover_thickness,
     epsilon_q,
     fixed_expansion_of_one,
     g_apply,
@@ -39,9 +44,16 @@ from betacert.constructions import (
     pq_hull_data,
     witness_points,
 )
+from betacert.certify import _b_cover_depth
 from betacert.realnum import Enclosure, as_enclosure, bonacci_root, pi_q
 from betacert.symbolic import ResourceError, SubshiftSk, SymbolicSeq, Word
-from betacert.thickness import hausdorff_distance, thickness
+from betacert.thickness import (
+    GapSet,
+    ThicknessValue,
+    _contained_in_complement,
+    hausdorff_distance,
+    thickness,
+)
 
 F = Fraction
 
@@ -446,7 +458,7 @@ def test_cover_thickness_clears_the_coarse_bound(spine9):
 
 
 def test_cover_is_built_without_measuring_it(spine9, monkeypatch):
-    # aq_gapset only builds the cover; theorem_b_certify measures it once
+    # aq_gapset only builds the cover; its callers measure it
     thickness_mod = importlib.import_module("betacert.thickness")
     constructions = importlib.import_module("betacert.constructions")
     calls = []
@@ -501,6 +513,138 @@ def test_cover_budget_and_depth_guards(spine9):
         aq_gapset(spine9, 50)
     with pytest.raises(ValueError):
         aq_gapset(spine9, 0)
+
+
+# ------------------------------------------------------- the cover's closed forms
+#
+# Oracle: the whole cover, built by aq_gapset and measured by the stepwise
+# thickness, at the root and at six offsets across the band (right side
+# only at k = 9), from 64 to 512 bits.
+
+_BAND_OFFSETS = (-7, -4, -1, 1, 4, 7)  # eighths of the band radius
+
+
+@pytest.fixture(scope="module",
+                params=[(k, bits) for bits in (64, 96, 256, 512)
+                        for k in range(9, 14)],
+                ids=lambda p: f"k{p[0]}-{p[1]}bits")
+def band_covers(request):
+    """(bits, depth, [(spine, whole cover)] at each base) for one (k, bits);
+    module-scoped, so the three tests below share each build."""
+    k, bits = request.param
+    depth = _b_cover_depth(k)
+    with realnum.precision(bits):
+        root = bonacci_root(k).value
+        rho = root ** (-2 * k - 6)
+        bases = [root] + [root + rho * F(t, 8) for t in _BAND_OFFSETS
+                          if k > 9 or t > 0]
+        cases = []
+        for q in bases:
+            spine = fixed_expansion_of_one(q, k, depth)
+            cases.append((spine, aq_gapset(spine, depth)))
+    return bits, depth, cases
+
+
+def test_cover_thickness_refuses_covers_outside_its_premises(spine9):
+    # the closed form needs separated levels, then overlapping ones, and
+    # strictly decreasing gap widths; moving the free zeros breaks each
+    depth = 26
+
+    def free(*positions):
+        return replace(spine9, J_free=positions)
+
+    # the first level overlaps, the later ones are separated
+    assert cover_thickness(free(*range(10, 20), 21, 23, 25), depth) is None
+    # every level is separated, but consecutive free zeros widen the gaps
+    assert cover_thickness(free(*range(10, 16), 20, 24), depth) is None
+    # every level overlaps: a solid interval, as the stepwise route finds
+    solid = free(*range(17, depth + 1))
+    assert thickness(aq_gapset(solid, depth)).infinite
+    assert cover_thickness(solid, depth) == ThicknessValue(
+        tau=None, infinite=True, depth=depth, gap_count=0)
+
+
+def _raw_gaps(gs):
+    return ([(g.left.raw, g.right.raw) for g in gs.gaps],
+            gs.hull_lo.raw, gs.hull_hi.raw)
+
+
+def test_cover_thickness_closed_form_matches_stepwise(band_covers):
+    bits, depth, cases = band_covers
+    with realnum.precision(bits):
+        for spine, cover in cases:
+            closed = cover_thickness(spine, depth)
+            stepwise = thickness(cover)
+            assert closed is not None
+            assert closed.gap_count == stepwise.gap_count == len(cover.gaps)
+            assert (closed.depth, closed.infinite) == (depth, False)
+            assert closed.tau.intersects(stepwise.tau)
+            if bits >= 96:
+                assert closed.tau.float_bounds() == stepwise.tau.float_bounds()
+            else:
+                assert closed.tau.width < stepwise.tau.width
+
+
+def test_cover_walker_visiting_every_node_is_the_cover(band_covers):
+    bits, depth, cases = band_covers
+    with realnum.precision(bits):
+        for spine, cover in cases:
+            # every node is visited and agrees with its level's class
+            levels = cover_thickness(spine, depth).gap_count.bit_length()
+            whole = _cover_gaps_near(spine, depth, None, separated=levels)
+            assert _raw_gaps(whole) == _raw_gaps(cover)
+            assert whole.depth == depth
+            # a node that disagrees with its level's class is caught: the
+            # root's gap, at a level declared overlapping
+            assert _cover_gaps_near(spine, depth, (), separated=0) is None
+
+
+def _cover_queries(cover, rng):
+    """Groups of points and intervals near a cover, each group read by one
+    walk: the hull ends and beyond; per sampled gap, its ends as they are
+    and points and intervals inside and across it; random points and
+    short intervals in the hull."""
+    lo, hi = cover.hull_lo, cover.hull_hi
+    span = hi - lo
+    groups = [([lo, hi, lo - span / 64, hi + span / 64],
+               [(lo - span, lo - span / 2), (lo - span / 2, hi + span / 2)])]
+    for g in rng.sample(cover.gaps, min(6, len(cover.gaps))):
+        w = g.right - g.left
+        groups.append(([g.left, g.right, g.left + w / 2, g.left - w / 4,
+                        g.right + w / 4],
+                       [(g.left + w / 4, g.right - w / 4),
+                        (g.left - w / 4, g.right - w / 4),
+                        (g.left, g.right),
+                        (g.left + w / 4, g.right + w)]))
+    for _ in range(6):
+        a, b = sorted(F(rng.randrange(1, 10 ** 6), 10 ** 6) for _ in range(2))
+        groups.append(([lo + span * a],
+                       [(lo + span * a, lo + span * b + span / 10 ** 7)]))
+    return groups
+
+
+def test_cover_walker_answers_at_its_probes_equal_the_whole_cover(band_covers):
+    bits, depth, cases = band_covers
+    rng = random.Random(bits)
+    seen_in, seen_out = set(), set()
+    with realnum.precision(bits):
+        for spine, cover in cases:
+            for points, intervals in _cover_queries(cover, rng):
+                probes = points + [end for pair in intervals for end in pair]
+                near = _cover_gaps_near(spine, depth, probes)
+                for x in points:
+                    verdict = cover.point_in(x)
+                    assert near.point_in(x) is verdict
+                    seen_in.add(verdict)
+                for a, b in intervals:
+                    inner = GapSet(a, b, ())
+                    verdict = _contained_in_complement(inner, cover)
+                    assert _contained_in_complement(inner, near) is verdict
+                    assert (_contained_in_complement(near, inner)
+                            is _contained_in_complement(cover, inner))
+                    seen_out.add(verdict)
+    # every verdict occurs: the oracle bites
+    assert seen_in == seen_out == {True, False, None}
 
 
 # ------------------------------------------------------- witnesses

@@ -743,9 +743,14 @@ def test_walk_kernel_matches_mpmath(case, eps):
     realnum._prec = bits  # 53 bits is below set_precision's floor
     try:
         child = _mpf_pair(_step(_ints(q), _ints(x), eps))
+        # the second digit of a node that keeps both steps from the first
+        # child's product, the same node
+        qx = _step(_ints(q), _ints(x), 0)
+        reused = _mpf_pair(_step(_ints(q), qx, eps, True))
     finally:
         realnum._prec = saved
     assert child == reference_step(q, x, eps, bits)
+    assert reused == child
     assert _mpf_pair(_ints(x)) == x
     # membership with the three nodes in every role: probe, lower and upper bound
     nodes = (x, y, child)
