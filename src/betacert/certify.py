@@ -16,14 +16,16 @@ This module strings the lower layers into the two headline claims:
   expansions.  The chain is: the four explicit interleaving witnesses at
   the root, closed-form drift bounds moving both families from the root
   to the given base, thickness of both families, the gap-lemma
-  conclusion on materialized descriptions, and a branch count of the
+  conclusion on finite-depth descriptions, and a branch count of the
   switch-region preimage of the located intersection point (the preimage
   is where the three expansions live: one branch falls into the
   run-limited family, the other reaches the intersection point's two).
   Neither family is materialized: both thicknesses are closed forms
   (``sk_thickness``, ``cover_thickness``), each family is read only next
   to the few probes the gap lemma needs, and the gap lemma runs in the
-  cover's own coordinates, so the cover is never moved.
+  cover's own coordinates, so the cover is never moved.  A cover whose
+  closed form or probe paths cannot be certified raises PrecisionError;
+  there is no stepwise fallback.
 
 ``reproduce_tables`` recomputes every row of the two reference tables
 (roots, radii, dimension bounds, order thresholds) and flags each column
@@ -59,9 +61,7 @@ from .certificate import (
 )
 from .constructions import (
     GMap,
-    _cover_gaps_near,
-    aq_gapset,
-    cover_thickness,
+    _cover_near,
     fixed_expansion_of_one,
     pq_certificate,
     pq_hull_data,
@@ -78,14 +78,11 @@ from .realnum import (
 )
 from .symbolic import SymbolicSeq, _sk_gaps_near
 from .thickness import (
-    GapSet,
-    ThicknessValue,
     _gap_lemma_checks,
     affine_image,
     interleaved,
     sk_thickness,
     strongly_interleaved,
-    thickness,
 )
 
 __all__ = [
@@ -345,21 +342,6 @@ def _b_cover_depth(k: int) -> int:
     return min(k + 26, 2 * k + 8)
 
 
-def _cover_near(spine, depth: int, probes) -> tuple[GapSet, ThicknessValue]:
-    """The cover's gaps on the probes' search paths, and its tau: the walk
-    and the closed form where they apply, else the whole cover (aq_gapset)
-    measured stepwise."""
-    tau = cover_thickness(spine, depth)
-    if tau is not None:
-        # tau counts 2^s - 1 gaps over s separated levels
-        cover = _cover_gaps_near(spine, depth, probes,
-                                 separated=tau.gap_count.bit_length())
-        if cover is not None:
-            return cover, tau
-    cover = aq_gapset(spine, depth)
-    return cover, thickness(cover)
-
-
 def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
                       depth: Optional[int] = None) -> Certificate:
     """Certify the order-k pinned interval for exactly three expansions.
@@ -373,12 +355,12 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     thickness floors) are evaluated over the whole band in interval
     mode.  With a concrete ``q`` the set descriptions of the gap-lemma
     run are read at that base.  Neither is materialized.  The signed-digit
-    cover's thickness is the closed form cover_thickness, and the cover
-    is read along the search paths of three probes through its cylinder
-    tree (the run-limited family's hull ends, pulled back, and the located
-    point's preimage); where the closed form does not apply, or a node on
-    those paths disagrees with it, the whole cover is built by aq_gapset
-    and measured stepwise instead.  The run-limited family is read only
+    cover is read from one cylinder tree (constructions._cover_near): its
+    thickness in the closed form cover_thickness, and its gaps along the
+    search paths of three probes (the run-limited family's hull ends,
+    pulled back, and the located point's preimage).  Where a premise of
+    the closed form, or a node on those paths, cannot be certified, the
+    run raises PrecisionError.  The run-limited family is read only
     at its hull and next to three probes (the images of the cover's hull
     ends and the located point), so of that family only the gaps on the
     probes' search paths through its index tree are built, validated and

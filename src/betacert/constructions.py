@@ -38,7 +38,6 @@ from .certificate import (
     check_ge,
     check_gt,
     check_le,
-    check_lt,
     _float_pair,
 )
 from .expansions import _require_base
@@ -57,6 +56,7 @@ from .thickness import (
     Gap,
     GapSet,
     ThicknessValue,
+    _probe_sides,
     affine_image,
     gapset_from_intervals,
 )
@@ -98,13 +98,10 @@ class EpsilonQ:
     """value = 1 - pi_q((1^{k-1}0)^inf).
 
     Zero exactly at the order-k root; negative below it, positive above.
-    ``bounds`` carries the pinning-band bound checks when a band index m
-    was supplied.
     """
     q: Enclosure
     k: int
     value: Enclosure
-    bounds: Optional[Certificate] = None
 
     @property
     def sign(self) -> Optional[int]:
@@ -116,45 +113,13 @@ class EpsilonQ:
         return 0 if lo == hi else None
 
 
-def epsilon_q(q, k: int, m: Optional[int] = None) -> EpsilonQ:
-    """Signed distance of 1 from the value of the k-cycle (1^{k-1}0)^inf.
-
-    With ``m`` given, additionally evaluates the pinning-band estimate:
-    when |q - root_k| < root_k^(-(m+2)k-3) is certified, the checks
-
-        -root_k^(-(m+1)k+1)  <  value  <  root_k^(-(m+2)k+1)
-
-    are recorded in ``bounds``; if the pinning radius itself cannot be
-    certified, only that (failed or undecided) premise check is recorded.
-    """
+def epsilon_q(q, k: int) -> EpsilonQ:
+    """Signed distance of 1 from the value of the k-cycle (1^{k-1}0)^inf."""
     q = _require_base(q)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     value = 1 - pi_q(SymbolicSeq.periodic(contraction_block(k)), q)
-    bounds: Optional[Certificate] = None
-    if m is not None:
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
-        root = bonacci_root(k).value
-        premise = check_le(
-            "pinning_radius",
-            abs(q - root),
-            root ** (-(m + 2) * k - 3),
-            note="|q - root_k| < root_k^(-(m+2)k-3)",
-        )
-        checks = [premise]
-        if premise.status == STATUS_CERTIFIED:
-            checks.append(check_gt(
-                "above_lower_bound", value, -(root ** (-(m + 1) * k + 1))))
-            checks.append(check_lt(
-                "below_upper_bound", value, root ** (-(m + 2) * k + 1)))
-        bounds = Certificate(
-            claim="epsilon-band",
-            params={"k": k, "m": m},
-            checks=checks,
-            grade=GRADE_PROVED,
-        )
-    return EpsilonQ(q=q, k=k, value=value, bounds=bounds)
+    return EpsilonQ(q=q, k=k, value=value)
 
 
 # ======================================================================
@@ -577,8 +542,10 @@ def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
     Enumerates all 2^(free zeros <= depth) admissible prefixes, projects
     each cylinder to [value, value + q^{-depth}/(q-1)], and merges them
     into a gap description, which this function does not measure.  The
-    three-expansions pipeline reads the cover through cover_thickness and
-    _cover_gaps_near instead, and builds it here only as their fallback.
+    three-expansions pipeline never builds the whole cover: it reads the
+    same gaps along its probes' paths and the thickness in closed form
+    (_cover_near).  This function stays as the public way to build the
+    whole cover, and as the tests' oracle for that reader.
     """
     base_value, powers, tail_band = _cover_tree(desc, depth)
     count = 1 << len(powers)
@@ -597,9 +564,11 @@ def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
     return gapset_from_intervals(hull_lo, hull_hi, pieces, depth=depth)
 
 
-def cover_thickness(desc: AqDescription, depth: int) -> Optional[ThicknessValue]:
-    """The stepwise thickness of aq_gapset(desc, depth) in closed form, or
-    None where the closed form does not apply.
+def cover_thickness(powers, tail_band) -> Optional[tuple[int, Optional[Enclosure]]]:
+    """The stepwise thickness of aq_gapset's cover in closed form, from its
+    cylinder tree (_cover_tree): the number s of separated levels and tau,
+    which is None when s = 0 (the cover is one solid interval); or None
+    where the closed form does not apply.
 
     Every cylinder value is the base value plus a subset of the powers
     p_i = q^(-j_i), so the nodes of one level of the binary tree are
@@ -617,10 +586,8 @@ def cover_thickness(desc: AqDescription, depth: int) -> Optional[ThicknessValue]
 
         tau = min_(i<s) L_(i+1) / w_i.
 
-    Each of those premises must be certified, else None: the caller then
-    measures the built cover stepwise.
+    Each of those premises must be certified, else None.
     """
-    _, powers, tail_band = _cover_tree(desc, depth)
     spans = [tail_band]  # L_n, then L_(n-1), ..., L_0
     for p in reversed(powers):
         spans.append(p + spans[-1])
@@ -633,34 +600,38 @@ def cover_thickness(desc: AqDescription, depth: int) -> Optional[ThicknessValue]
     if any(b.lt(a) is not True for a, b in zip(widths, widths[1:])):
         return None
     if s == 0:
-        return ThicknessValue(tau=None, infinite=True, depth=depth, gap_count=0)
-    tau = enc_min(*(spans[i + 1] / w for i, w in enumerate(widths)))
-    return ThicknessValue(tau=tau, infinite=False, depth=depth,
-                          gap_count=(1 << s) - 1)
+        return 0, None
+    return s, enc_min(*(spans[i + 1] / w for i, w in enumerate(widths)))
 
 
-def _cover_gaps_near(desc: AqDescription, depth: int, probes,
-                     separated: Optional[int] = None) -> Optional[GapSet]:
-    """The gaps of aq_gapset(desc, depth) on the search paths of the probe
-    enclosures, in a GapSet with the cover's hull; with ``probes=None``,
-    the whole cover.
+def _cover_near(desc: AqDescription, depth: int,
+                probes) -> tuple[GapSet, ThicknessValue]:
+    """Read aq_gapset(desc, depth) from one cylinder tree: its gaps on the
+    search paths of the probe enclosures, in a GapSet with the cover's hull
+    (with ``probes=None``, the whole cover), and its thickness in closed
+    form (cover_thickness).
 
     A node's value v is the base value plus the powers it chose, added
     lowest level first, which is the order of aq_gapset's doubling, so
     every endpoint here is the same enclosure as there.  A level-i node
     has a gap when its left subtree's top (v plus every deeper power, plus
     the tail band) is certifiably below its right child's value v + p_i;
-    the hull runs from the base value to the top of the root.  A probe
-    goes left at a gap when it is certifiably below the gap, right when
-    certifiably above it, and both ways otherwise, as in
-    symbolic._sk_gaps_near, so the gaps next to each probe on either side
-    are visited.
+    the hull runs from the base value to the top of the root.  Probes are
+    routed at each gap by thickness._probe_sides.
 
-    ``separated`` is the number of leading levels that cover_thickness
-    certified separated (the rest overlap).  When given, a visited node
-    whose verdict disagrees with its level returns None.
+    The closed form's premises must be certified, and every visited node
+    must agree with its level (a gap at each of the s separated levels,
+    none below them), else PrecisionError: the tau would not measure the
+    gaps read.
     """
     base_value, powers, tail_band = _cover_tree(desc, depth)
+    closed = cover_thickness(powers, tail_band)
+    if closed is None:
+        raise PrecisionError(
+            f"cannot certify the closed-form thickness of the signed-digit "
+            f"cover at depth {depth}; raise the working precision "
+            f"(--precision)")
+    separated, tau = closed
     n = len(powers)
 
     def top(v, i):
@@ -670,32 +641,32 @@ def _cover_gaps_near(desc: AqDescription, depth: int, probes,
         return v + tail_band
 
     gaps: list[Gap] = []
-    misfit = False
 
     def descend(v, i, here):
         # here: the probes whose search paths reach this node, None for all
-        nonlocal misfit
         if i == n:
             return
         right = v + powers[i]
         gap = Gap(left=top(v, i + 1), right=right)
-        sides = (here, here)
         split = gap.left.lt(right) is True
-        if separated is not None and split != (i < separated):
-            misfit = True
+        if split != (i < separated):
+            raise PrecisionError(
+                f"a level-{i} node of the signed-digit cover at depth "
+                f"{depth} disagrees with the closed form's {separated} "
+                f"separated levels; raise the working precision "
+                f"(--precision)")
+        sides = (here, here)
         if split:
             gaps.append(gap)
-            if here is not None:
-                sides = (tuple(x for x in here if gap.right.lt(x) is not True),
-                         tuple(x for x in here if x.lt(gap.left) is not True))
+            sides = _probe_sides(gap, here)
         for child, live in ((v, sides[0]), (right, sides[1])):
             if live is None or live:
                 descend(child, i + 1, live)
 
     descend(base_value, 0, None if probes is None else tuple(probes))
-    if misfit:
-        return None
-    return GapSet(base_value, top(base_value, 0), tuple(gaps), depth=depth)
+    return (GapSet(base_value, top(base_value, 0), tuple(gaps), depth=depth),
+            ThicknessValue(tau=tau, infinite=tau is None, depth=depth,
+                           gap_count=(1 << separated) - 1))
 
 
 # ======================================================================

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .realnum import Enclosure, pi_q
-from .thickness import Gap, GapSet, _family_base
+from .thickness import Gap, GapSet, _family_base, _probe_sides
 
 __all__ = [
     "ResourceError",
@@ -360,10 +360,10 @@ def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
     delta lies between the delta0 subtree (at most delta(01^{k-1})^inf, its
     left end) and the delta1 subtree (at least delta(10^{k-1})^inf, its
     right end), and a word that is not a gap index has only its forced
-    child.  A probe goes left at a gap when it is certifiably below the
-    gap, right when certifiably above it, and both ways otherwise, so the
-    gaps next to each probe on either side are visited.  GapSet validation
-    certifies every visited gap, and the budget refusal is the family's.
+    child.  Probes are routed at each gap by thickness._probe_sides, so
+    the gaps next to each probe on either side are visited.  GapSet
+    validation certifies every visited gap, and the budget refusal is the
+    family's.
     """
     if k < 2:
         raise ValueError("order must be at least 2")
@@ -399,9 +399,7 @@ def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
             gap = Gap(left=val + scale * p0, right=val + scale * p1,
                       label="".join(str(d) for d in word))
             gaps.append(gap)
-            if here is not None:
-                sides = (tuple(x for x in here if gap.right.lt(x) is not True),
-                         tuple(x for x in here if x.lt(gap.left) is not True))
+            sides = _probe_sides(gap, here)
         if len(word) == max_delta_len:
             return
         for e, live in zip((0, 1), sides):

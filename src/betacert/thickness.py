@@ -17,8 +17,9 @@ the pipeline measures neither stepwise: sk_thickness for the
 base-avoidance families produced by symbolic.gaps_of_Sk, and
 constructions.cover_thickness for the signed-digit cover built by
 constructions.aq_gapset.  The tests cross-validate both against the
-generic routine, which still measures the cover wherever its closed form
-does not apply.
+generic routine.  The pipeline reads each family only along the search
+paths of a few probes through its tree of gaps, and both walks route
+their probes by _probe_sides.
 
 The gap lemma's checks are built in one place from an interleaving verdict
 and two ThicknessValues, however each tau was obtained: stepwise in
@@ -80,6 +81,19 @@ class Gap:
     @property
     def width(self) -> Enclosure:
         return self.right - self.left
+
+
+def _probe_sides(gap: Gap, probes):
+    """The probes that search on the left and on the right of ``gap``, in
+    a tree whose subtrees lie on either side of it.  A probe goes left
+    unless it is certifiably above the gap and right unless it is
+    certifiably below it, so a probe the gap cannot separate from either
+    side goes both ways and the gaps next to it on either side are
+    visited.  ``None`` stands for every point and goes both ways."""
+    if probes is None:
+        return None, None
+    return (tuple(x for x in probes if gap.right.lt(x) is not True),
+            tuple(x for x in probes if x.lt(gap.left) is not True))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ report exactly that mismatch pattern, not paper over it.
 import importlib
 import json
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacert import cli
 from betacert.certificate import (
     Certificate,
     GRADE_EVIDENCE,
@@ -64,7 +64,7 @@ from betacert.realnum import (
     precision,
 )
 from betacert.symbolic import ResourceError
-from betacert.thickness import GapSet, affine_image, interleaved
+from betacert.thickness import GapSet, affine_image, interleaved, thickness
 
 F = Fraction
 
@@ -437,9 +437,9 @@ def _spy(monkeypatch, module, name):
 def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     # both families take their tau from closed forms and neither is
     # materialized: of each, only the gaps on the search paths of the
-    # pipeline's probes are built, the cover's in its own coordinates.  No
-    # stepwise thickness pass runs, and the only affine image is of the
-    # built run-limited gaps
+    # pipeline's probes are built, the cover's in its own coordinates and
+    # from one cylinder tree.  No stepwise thickness pass runs, and the
+    # only affine image is of the built run-limited gaps
     symbolic = importlib.import_module("betacert.symbolic")
     constructions = importlib.import_module("betacert.constructions")
     thickness_module = importlib.import_module("betacert.thickness")
@@ -454,7 +454,8 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     families = _spy(monkeypatch, symbolic, "gaps_of_Sk")
     near = _spy(monkeypatch, symbolic, "_sk_gaps_near")
     covers = _spy(monkeypatch, constructions, "aq_gapset")
-    cover_near = _spy(monkeypatch, constructions, "_cover_gaps_near")
+    cover_near = _spy(monkeypatch, constructions, "_cover_near")
+    trees = _spy(monkeypatch, constructions, "_cover_tree")
     closed = _spy(monkeypatch, constructions, "cover_thickness")
     measured = _spy(monkeypatch, thickness_module, "thickness")
     imaged = _spy(monkeypatch, thickness_module, "affine_image")
@@ -465,9 +466,10 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     assert measured == []
     [(_, s_near)] = near
     assert len(s_near.gaps) <= 3 * (_GAP_DEPTH + 1)
-    [(_, a_tau)] = closed
-    assert a_tau is not None and a_tau.gap_count > 0
-    [((spine, depth, probes), cover)] = cover_near
+    [((spine, depth, probes), (cover, a_tau))] = cover_near
+    assert [args for args, _ in trees] == [(spine, depth)]
+    [(_, (separated, _))] = closed
+    assert a_tau.gap_count == (1 << separated) - 1 > 0
     levels = len([j for j in spine.J_free if j <= depth])
     assert len(probes) == 3
     assert 0 < len(cover.gaps) <= levels * len(probes) < a_tau.gap_count
@@ -491,7 +493,7 @@ def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
     # (x -> g(x) - 1) and tests y - 1 there
     thickness_module = importlib.import_module("betacert.thickness")
     cover_near = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
-                      "_cover_gaps_near")
+                      "_cover_near")
     near = _spy(monkeypatch, importlib.import_module("betacert.symbolic"),
                 "_sk_gaps_near")
     imaged = _spy(monkeypatch, thickness_module, "affine_image")
@@ -517,7 +519,7 @@ def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
                 theorem_b_certify(k, q)
             except PrecisionError:
                 assert bits == 64  # the branch count, after the gap lemma
-            [((spine, depth, cover_probes), cover)] = cover_near
+            [((spine, depth, cover_probes), (cover, _))] = cover_near
             [((_, _, _, probes), s_near)] = near
             [((gs, _, _), s_in_a)] = imaged
             [(_, inter)] = verdicts
@@ -546,43 +548,38 @@ def _band_bases(k):
                            if k > 9 or t > 0]
 
 
-def _masked_json(cert):
-    doc = cert.to_json_dict()
-    del doc["wall_time_ms"]
-    return json.dumps(doc, indent=2)
-
-
-def _no_closed_form(desc, depth):
-    return None
+def _stepwise_cover(desc, depth, probes):
+    # the reference route: the whole cover, built and measured stepwise
+    cover = aq_gapset(desc, depth)
+    return cover, thickness(cover)
 
 
 @pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
-def test_three_pipeline_fallback_is_byte_identical(monkeypatch, k):
+def test_three_pipeline_unreadable_cover_exits_3(monkeypatch, capsys, k):
     # where the cover's closed form does not apply, or a node on a probe's
-    # path disagrees with its level, the pipeline builds the whole cover
-    # and measures it stepwise; the certificate is the same byte for byte
-    certify_module = importlib.import_module("betacert.certify")
+    # path disagrees with its levels, the request fails closed: exit 3,
+    # nothing on stdout, and an error naming the cover and --precision.
+    # The whole cover is never built instead
     constructions = importlib.import_module("betacert.constructions")
-    bases = _band_bases(k)[::3]
-    expected = [_masked_json(theorem_b_certify(k, q)) for q in bases]
-    closed = certify_module.cover_thickness
+    closed = constructions.cover_thickness
 
-    def one_level_short(desc, depth):
+    def no_closed_form(powers, tail_band):
+        return None
+
+    def one_level_short(powers, tail_band):
         # the true tau, but one separated level fewer: the walk meets a
         # gap at a level declared overlapping
-        value = closed(desc, depth)
-        return replace(value, gap_count=value.gap_count >> 1)
+        levels, tau = closed(powers, tail_band)
+        return levels - 1, tau
 
     covers = _spy(monkeypatch, constructions, "aq_gapset")
-    walks = _spy(monkeypatch, constructions, "_cover_gaps_near")
-    for route in (_no_closed_form, one_level_short):
-        monkeypatch.setattr(certify_module, "cover_thickness", route)
-        covers.clear()
-        walks.clear()
-        assert [_masked_json(theorem_b_certify(k, q)) for q in bases] == expected
-        assert len(covers) == len(bases)
-        expected_walks = [] if route is _no_closed_form else [None] * len(bases)
-        assert [out for _, out in walks] == expected_walks
+    for route in (no_closed_form, one_level_short):
+        monkeypatch.setattr(constructions, "cover_thickness", route)
+        assert cli.main(["certify", "--k", str(k), "--interval"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cover" in err and "--precision" in err
+    assert covers == []
 
 
 @pytest.mark.parametrize("bits", [64, 80])
@@ -593,7 +590,7 @@ def test_three_pipeline_verdicts_match_the_stepwise_route(monkeypatch, k, bits):
     # At these precisions the branch count, which runs after every check
     # that reads the cover, raises PrecisionError; it is left out
     certify_module = importlib.import_module("betacert.certify")
-    closed = certify_module.cover_thickness
+    reader = certify_module._cover_near
     with pytest.raises(PrecisionError):
         with precision(bits):
             theorem_b_certify(k)
@@ -601,15 +598,15 @@ def test_three_pipeline_verdicts_match_the_stepwise_route(monkeypatch, k, bits):
                         lambda q, x, m, depth: Certificate("expansion-count", {}))
 
     def run(q, route):
-        monkeypatch.setattr(certify_module, "cover_thickness", route)
+        monkeypatch.setattr(certify_module, "_cover_near", route)
         cert = theorem_b_certify(k, q)
         tau = checks_by_name(cert)["a_family_thickness_exceeds_inverse_power"].lhs
         return [(c.name, c.status) for c in cert.checks], tau
 
     with precision(bits):
         for q in _band_bases(k):
-            statuses, tau = run(q, closed)
-            stepwise_statuses, stepwise_tau = run(q, _no_closed_form)
+            statuses, tau = run(q, reader)
+            stepwise_statuses, stepwise_tau = run(q, _stepwise_cover)
             assert statuses == stepwise_statuses
             assert {"a_family_thickness_exceeds_inverse_power", "newhouse_interleaved",
                     "intersection_point_in_both_descriptions"} <= dict(statuses).keys()

@@ -31,7 +31,8 @@ from betacert.constructions import (
     AqDescription,
     GMap,
     W2_BLOCKS,
-    _cover_gaps_near,
+    _cover_near,
+    _cover_tree,
     aq_gapset,
     build_pq_family,
     contraction_block,
@@ -45,7 +46,13 @@ from betacert.constructions import (
     witness_points,
 )
 from betacert.certify import _b_cover_depth
-from betacert.realnum import Enclosure, as_enclosure, bonacci_root, pi_q
+from betacert.realnum import (
+    Enclosure,
+    PrecisionError,
+    as_enclosure,
+    bonacci_root,
+    pi_q,
+)
 from betacert.symbolic import ResourceError, SubshiftSk, SymbolicSeq, Word
 from betacert.thickness import (
     GapSet,
@@ -114,38 +121,11 @@ def test_epsilon_sign_trichotomy(monkeypatch):
     assert conversions == []
 
 
-def test_epsilon_band_certifies_inside_pinning_radius():
-    # |q - root_10| = 1e-10 < root_10^-33 ~ 1.18e-10
-    q = bonacci_root(10).value + as_enclosure(F(1, 10 ** 10))
-    eps = epsilon_q(q, 10, m=1)
-    assert eps.bounds is not None
-    assert eps.bounds.certified
-    names = [c.name for c in eps.bounds.checks]
-    assert names == ["pinning_radius", "above_lower_bound", "below_upper_bound"]
-
-
-def test_epsilon_band_premise_gates_the_bound_checks():
-    # 1e-9 overshoots the m=1 pinning radius at k=10; the band certificate
-    # then carries only the failed premise check...
-    root = bonacci_root(10).value
-    q = root + as_enclosure(F(1, 10 ** 9))
-    eps = epsilon_q(q, 10, m=1)
-    assert [c.name for c in eps.bounds.checks] == ["pinning_radius"]
-    assert eps.bounds.checks[0].status == STATUS_FAILED
-    assert not eps.bounds.certified
-    # ...even though at this particular q the conclusion inequalities do
-    # hold, as direct evaluation shows.
-    assert eps.value.lt(root ** -29) is True
-    assert eps.value.gt(-(root ** -21)) is True
-
-
 def test_epsilon_rejects_bad_arguments():
     with pytest.raises(ValueError):
         epsilon_q(F(5, 2), 4)
     with pytest.raises(ValueError):
         epsilon_q(F(15, 8), 1)
-    with pytest.raises(ValueError):
-        epsilon_q(F(15, 8), 3, m=-1)
 
 
 # ------------------------------------------------------- the contraction
@@ -545,23 +525,35 @@ def band_covers(request):
     return bits, depth, cases
 
 
+def _closed_form(spine, depth):
+    return cover_thickness(*_cover_tree(spine, depth)[1:])
+
+
 def test_cover_thickness_refuses_covers_outside_its_premises(spine9):
     # the closed form needs separated levels, then overlapping ones, and
-    # strictly decreasing gap widths; moving the free zeros breaks each
+    # strictly decreasing gap widths; moving the free zeros breaks each,
+    # and the reader then refuses the cover
     depth = 26
 
     def free(*positions):
         return replace(spine9, J_free=positions)
 
-    # the first level overlaps, the later ones are separated
-    assert cover_thickness(free(*range(10, 20), 21, 23, 25), depth) is None
-    # every level is separated, but consecutive free zeros widen the gaps
-    assert cover_thickness(free(*range(10, 16), 20, 24), depth) is None
+    # first: the first level overlaps, the later ones are separated;
+    # second: every level is separated, but consecutive free zeros widen
+    # the gaps
+    for spine in (free(*range(10, 20), 21, 23, 25),
+                  free(*range(10, 16), 20, 24)):
+        assert _closed_form(spine, depth) is None
+        with pytest.raises(PrecisionError, match="cover.*--precision"):
+            _cover_near(spine, depth, None)
     # every level overlaps: a solid interval, as the stepwise route finds
     solid = free(*range(17, depth + 1))
     assert thickness(aq_gapset(solid, depth)).infinite
-    assert cover_thickness(solid, depth) == ThicknessValue(
-        tau=None, infinite=True, depth=depth, gap_count=0)
+    assert _closed_form(solid, depth) == (0, None)
+    whole, tau = _cover_near(solid, depth, None)
+    assert whole.gaps == ()
+    assert tau == ThicknessValue(tau=None, infinite=True, depth=depth,
+                                 gap_count=0)
 
 
 def _raw_gaps(gs):
@@ -573,9 +565,8 @@ def test_cover_thickness_closed_form_matches_stepwise(band_covers):
     bits, depth, cases = band_covers
     with realnum.precision(bits):
         for spine, cover in cases:
-            closed = cover_thickness(spine, depth)
+            _, closed = _cover_near(spine, depth, ())
             stepwise = thickness(cover)
-            assert closed is not None
             assert closed.gap_count == stepwise.gap_count == len(cover.gaps)
             assert (closed.depth, closed.infinite) == (depth, False)
             assert closed.tau.intersects(stepwise.tau)
@@ -585,18 +576,41 @@ def test_cover_thickness_closed_form_matches_stepwise(band_covers):
                 assert closed.tau.width < stepwise.tau.width
 
 
-def test_cover_walker_visiting_every_node_is_the_cover(band_covers):
+def test_cover_walker_visiting_every_node_is_the_cover(band_covers, monkeypatch):
     bits, depth, cases = band_covers
+    constructions = importlib.import_module("betacert.constructions")
     with realnum.precision(bits):
         for spine, cover in cases:
             # every node is visited and agrees with its level's class
-            levels = cover_thickness(spine, depth).gap_count.bit_length()
-            whole = _cover_gaps_near(spine, depth, None, separated=levels)
+            whole, _ = _cover_near(spine, depth, None)
             assert _raw_gaps(whole) == _raw_gaps(cover)
             assert whole.depth == depth
-            # a node that disagrees with its level's class is caught: the
-            # root's gap, at a level declared overlapping
-            assert _cover_gaps_near(spine, depth, (), separated=0) is None
+        # a node that disagrees with its level's class is caught: the
+        # root's gap, at a level declared overlapping
+        monkeypatch.setattr(constructions, "cover_thickness",
+                            lambda powers, tail_band: (0, None))
+        for spine, _ in cases:
+            with pytest.raises(PrecisionError, match="level-0 node"):
+                _cover_near(spine, depth, ())
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+def test_cover_closed_form_applies_across_orders(bits):
+    # past the orders the pipelines' bands are tested at: at the root and
+    # at 15/16 of the radius on either side, the closed form's premises
+    # hold and a walk through every node finds a gap at each of its
+    # separated levels and none below them
+    with realnum.precision(bits):
+        for k in (14, 17, 20):
+            depth = _b_cover_depth(k)
+            root = bonacci_root(k).value
+            rho = root ** (-2 * k - 6)
+            for q in (root, root - rho * F(15, 16), root + rho * F(15, 16)):
+                spine = fixed_expansion_of_one(q, k, depth)
+                assert _closed_form(spine, depth) is not None
+                whole, tau = _cover_near(spine, depth, None)
+                assert len(whole.gaps) == tau.gap_count > 0
+                assert tau.tau.gt(q ** -5) is True
 
 
 def _cover_queries(cover, rng):
@@ -631,7 +645,7 @@ def test_cover_walker_answers_at_its_probes_equal_the_whole_cover(band_covers):
         for spine, cover in cases:
             for points, intervals in _cover_queries(cover, rng):
                 probes = points + [end for pair in intervals for end in pair]
-                near = _cover_gaps_near(spine, depth, probes)
+                near, _ = _cover_near(spine, depth, probes)
                 for x in points:
                     verdict = cover.point_in(x)
                     assert near.point_in(x) is verdict
