@@ -61,6 +61,28 @@ def _int_text(n: int) -> str:
         int.__repr__(c).zfill(1000) for c in reversed(chunks))
 
 
+#: the depth of an event row stays below this, far inside any limit the
+#: interpreter may set on int-to-str conversion (at least 640 digits)
+_ROW_DEPTH = 2 ** 63
+
+
+def _event_rows(o) -> bool:
+    """Is every item of o a branch event row [depth, [lo, hi]]: a list of an
+    int (not a bool) and a list of two finite floats?"""
+    for row in o:
+        if type(row) is not list or len(row) != 2:
+            return False
+        d, pair = row
+        if type(d) is not int or not -_ROW_DEPTH < d < _ROW_DEPTH or \
+                type(pair) is not list or len(pair) != 2:
+            return False
+        lo, hi = pair
+        if type(lo) is not float or type(hi) is not float or \
+                not -inf < lo < inf or not -inf < hi < inf:
+            return False
+    return True
+
+
 def _json_text(o, nl: str = "\n") -> str:
     """json.dumps(o, indent=2), byte for byte, for str-keyed dicts, lists,
     tuples, str, int, float, bool and None; any other type raises
@@ -68,7 +90,8 @@ def _json_text(o, nl: str = "\n") -> str:
 
     With an indent the standard library leaves its C encoder for a
     pure-Python generator chain; this writer makes one call per container
-    and renders the plain ints and floats inside a list in place.  Each
+    and renders the plain ints and floats inside a list in place, and the
+    rows of a list of branch events through one %-template.  Each
     container is a single join, brackets included: concatenating around
     a large joined string would copy it, and the freed copies leave holes
     that raise the process's peak memory."""
@@ -88,12 +111,17 @@ def _json_text(o, nl: str = "\n") -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        try:
-            items = [int.__repr__(v) if type(v) is int else
-                     _json_float(v) if type(v) is float else
-                     _json_text(v, inner) for v in o]
-        except ValueError:  # an int past the int-to-str limit
-            items = [_json_text(v, inner) for v in o]
+        if _event_rows(o):
+            r, p = inner + "  ", inner + "    "
+            row = f"[{r}%d,{r}[{p}%r,{p}%r{r}]{inner}]"
+            items = [row % (d, lo, hi) for d, (lo, hi) in o]
+        else:
+            try:
+                items = [int.__repr__(v) if type(v) is int else
+                         _json_float(v) if type(v) is float else
+                         _json_text(v, inner) for v in o]
+            except ValueError:  # an int past the int-to-str limit
+                items = [_json_text(v, inner) for v in o]
         items[0] = "[" + inner + items[0]
         items[-1] += nl + "]"
         return ("," + inner).join(items)

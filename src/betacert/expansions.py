@@ -147,21 +147,28 @@ def count_prefixes(q, x, depth: int = 200,
     zero, s_hi = (_ints(e.raw) for e in maps.domain(0))
     s_lo, top = (_ints(e.raw) for e in maps.domain(1))
     switch = s_lo[:2] + s_hi[2:]  # the switch region's widest reading
-    frontier: list[tuple[tuple, bool]] = [(_ints(x.raw), root_in is True)]
+    in0, in1 = _within(zero, s_hi), _within(s_lo, top)
+    # the frontier: its nodes, and whether each is reached through
+    # certified memberships only
+    nodes: list[tuple] = [_ints(x.raw)]
+    flags: list[bool] = [root_in is True]
     cmin: list[int] = []
     cmax: list[int] = []
     events: list[tuple[int, Enclosure]] = []
     processed = 0
     for d in range(1, depth + 1):
-        nxt: list[tuple[tuple, bool]] = []
-        for y, certified in frontier:
-            processed += 1
-            if processed > node_budget:
-                raise ResourceError(
-                    f"branch walk exceeded the node budget of {node_budget} "
-                    f"at depth {d} (frontier size {len(frontier)})")
-            m0 = _within(y, zero, s_hi)
-            m1 = _within(y, s_lo, top)
+        size = len(nodes)
+        # where the budget runs out inside this level, the nodes it still
+        # covers are walked first, so a widening among them stops the walk
+        spent = processed + size > node_budget
+        if spent:
+            nodes = nodes[:max(0, node_budget - processed)]
+        nxt: list[tuple] = []
+        nxt_flags: list[bool] = []
+        push, mark = nxt.append, nxt_flags.append
+        for y, certified in zip(nodes, flags):
+            m0 = in0(y)
+            m1 = in1(y)
             if m0 is None or m1 is None:
                 if _wider(y, switch):
                     raise PrecisionError(
@@ -172,14 +179,22 @@ def count_prefixes(q, x, depth: int = 200,
                 events.append((d - 1, Enclosure._wrap(_mpf_pair(y))))
             if m0 is not False:
                 qy = _step(q, y, 0)
-                nxt.append((qy, certified and m0 is True))
+                push(qy)
+                mark(certified and m0 is True)
                 if m1 is not False:  # both digits: q y is rounded once
-                    nxt.append((_step(q, qy, 1, True), certified and m1 is True))
+                    push(_step(q, qy, 1, True))
+                    mark(certified and m1 is True)
             elif m1 is not False:
-                nxt.append((_step(q, y, 1), certified and m1 is True))
-        frontier = nxt
-        cmin.append(sum(1 for _, c in frontier if c))
-        cmax.append(len(frontier))
+                push(_step(q, y, 1))
+                mark(certified and m1 is True)
+        if spent:
+            raise ResourceError(
+                f"branch walk exceeded the node budget of {node_budget} "
+                f"at depth {d} (frontier size {size})")
+        processed += size
+        nodes, flags = nxt, nxt_flags
+        cmin.append(flags.count(True))
+        cmax.append(len(nodes))
 
     window = max(1, depth // 4)
     tail = cmin[-window:] + cmax[-window:]

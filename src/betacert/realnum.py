@@ -63,11 +63,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import nextafter
+from math import ldexp, nextafter
 from typing import Optional
 
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_div,
-                          mpf_sign, round_ceiling, round_floor, to_float, to_int)
+                          mpf_sign, round_ceiling, round_floor, to_int)
 from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
                                  mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
 
@@ -201,14 +201,6 @@ def _endpoint(x, side: int) -> tuple:
     return Enclosure(x)._raw[side]
 
 
-def _double_safe(raw) -> bool:
-    """Is raw zero, or in the normal double range with room to round up?
-    There libmp's floor and ceiling to a double give the right neighbour;
-    subnormals and values near 2**1024 take the rational route instead."""
-    _, man, exp, bc = raw
-    return not man or -1021 <= exp + bc <= 1023
-
-
 class Enclosure:
     """A closed interval [lo, hi] certified to contain one exact real.
 
@@ -263,9 +255,22 @@ class Enclosure:
 
     def float_bounds(self) -> tuple[float, float]:
         """Endpoints as doubles, rounded *outward* (for reports only)."""
-        a, b = self._raw
-        if _double_safe(a) and _double_safe(b):
-            return to_float(a, rnd=round_floor), to_float(b, rnd=round_ceiling)
+        (s, m, e, c), (t, n, f, d) = self._raw
+        # zero, or in the normal double range with room to round up: there
+        # the signed mantissa cut to 53 bits (floor at the lower end, ceiling
+        # at the upper) times its power of two is a double, exactly
+        if (not m or -1021 <= e + c <= 1023) and (not n or -1021 <= f + d <= 1023):
+            if s:
+                m = -m
+            if c > 53:
+                m >>= c - 53
+                e += c - 53
+            if t:
+                n = -n
+            if d > 53:
+                n = -(-n >> d - 53)
+                f += d - 53
+            return ldexp(m, e), ldexp(n, f)
         # subnormal or huge: the exact route, which raises OverflowError
         # beyond the double range
         lo, hi = self.lo, self.hi
@@ -461,7 +466,7 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     endpoints, x surely lies inside.  False means x surely lies outside.
     None otherwise (fail-closed for callers that count).
     """
-    return _within(_ints(as_enclosure(x)._raw), _ints(lo._raw), _ints(hi._raw))
+    return _within(_ints(lo._raw), _ints(hi._raw))(_ints(as_enclosure(x)._raw))
 
 
 # -- the branch-walk kernel ----------------------------------------------
@@ -477,10 +482,22 @@ def _ints(raw) -> tuple:
     return -int(m) if s else int(m), e, -int(n) if t else int(n), f
 
 
+def _mpf(m: int, e: int) -> tuple:
+    """The raw libmp value m 2**e, normalised as from_man_exp normalises it:
+    the sign apart, the trailing zero bits moved into the exponent."""
+    if not m:
+        return fzero
+    s = 0
+    if m < 0:
+        s, m = 1, -m
+    z = (m & -m).bit_length() - 1
+    return s, m >> z, e + z, m.bit_length() - z
+
+
 def _mpf_pair(node) -> tuple:
     """The raw libmp pair of a node: the same values, normalised."""
     am, ae, bm, be = node
-    return from_man_exp(am, ae), from_man_exp(bm, be)
+    return _mpf(am, ae), _mpf(bm, be)
 
 
 def _cmp(m: int, e: int, n: int, f: int) -> int:
@@ -489,21 +506,26 @@ def _cmp(m: int, e: int, n: int, f: int) -> int:
     return (m << (e - f)) - n if e >= f else m - (n << (f - e))
 
 
-def _within(x, lo, hi) -> Optional[bool]:
-    """membership on nodes, the kernel it shares with the branch walk.
+def _within(lo, hi):
+    """membership on nodes, the kernel it shares with the branch walk: the
+    test of a node x against the bounds lo and hi, whose ends are read once.
 
     Each compare of an end m 2**e with a bound n 2**f is written out as
     _cmp's alignment, which this hot loop cannot afford to call."""
-    am, ae, bm, be = x
     lam, lae, lbm, lbe = lo
     ham, hae, hbm, hbe = hi
-    if ((am << (ae - lbe)) >= lbm if ae >= lbe else am >= (lbm << (lbe - ae))) and \
-            ((bm << (be - hae)) <= ham if be >= hae else bm <= (ham << (hae - be))):
-        return True
-    if ((bm << (be - lae)) < lam if be >= lae else bm < (lam << (lae - be))) or \
-            ((am << (ae - hbe)) > hbm if ae >= hbe else am > (hbm << (hbe - ae))):
-        return False
-    return None
+
+    def within(x) -> Optional[bool]:
+        am, ae, bm, be = x
+        if ((am << (ae - lbe)) >= lbm if ae >= lbe else am >= (lbm << (lbe - ae))) and \
+                ((bm << (be - hae)) <= ham if be >= hae else bm <= (ham << (hae - be))):
+            return True
+        if ((bm << (be - lae)) < lam if be >= lae else bm < (lam << (lae - be))) or \
+                ((am << (ae - hbe)) > hbm if ae >= hbe else am > (hbm << (hbe - ae))):
+            return False
+        return None
+
+    return within
 
 
 def _step(q, x, eps: int, scaled: bool = False) -> tuple:

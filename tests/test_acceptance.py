@@ -26,13 +26,11 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import jsonschema
-import pytest
 
 from betacert.certify import (
     dim_lower_bound,
     fy_inequality,
     k_threshold,
-    theorem_b_certify,
 )
 from betacert.cli import main as cli_main
 from betacert.constructions import (

@@ -22,7 +22,6 @@ report exactly that mismatch pattern, not paper over it.
 import importlib
 import json
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import mpmath

@@ -489,8 +489,30 @@ json_scalars = st.one_of(
     st.sampled_from([-0.0, 1e308, 5e-324, float("nan"), float("-inf")]),
     st.text(), st.text(st.characters(max_codepoint=0x20)),
     st.text(st.characters(min_codepoint=0x7f)))
+# lists of branch-event rows [depth, [lo, hi]], which the writer renders
+# through one template, and near misses that must take the per-item path
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+row_depths = st.one_of(st.integers(), st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63)]))
+event_pairs = st.builds(lambda lo, hi: [lo, hi], finite_floats, finite_floats)
+event_rows = st.builds(lambda d, pair: [d, pair], row_depths, event_pairs)
+near_miss_rows = st.one_of(
+    st.builds(lambda b, pair: [b, pair], st.booleans(), event_pairs),
+    st.builds(lambda d, n, x: [d, [n, x]], row_depths, st.integers(), finite_floats),
+    st.builds(lambda d, x, n: [d, [x, n]], row_depths, finite_floats, st.integers()),
+    st.builds(lambda d, x, v: [d, [x, v]], row_depths, finite_floats,
+              st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+    st.builds(lambda d, v, x: [d, [v, x]], row_depths,
+              st.sampled_from([float("nan"), float("inf"), float("-inf")]), finite_floats),
+    st.builds(lambda d, pair, x: [d, pair + [x]], row_depths, event_pairs, finite_floats),
+    st.builds(lambda d, pair: (d, pair), row_depths, event_pairs),
+    st.builds(lambda d, pair: [d, tuple(pair)], row_depths, event_pairs),
+    st.builds(lambda d, pair: [d, pair, d], row_depths, event_pairs))
+event_lists = st.one_of(
+    st.lists(event_rows, min_size=1, max_size=5),
+    st.builds(lambda good, bad: good + [bad],
+              st.lists(event_rows, max_size=4), near_miss_rows))
 json_docs = st.recursive(
-    json_scalars,
+    st.one_of(json_scalars, event_lists),
     lambda inner: st.one_of(st.lists(inner, max_size=5),
                             st.lists(inner, max_size=5).map(tuple),
                             st.dictionaries(st.text(), inner, max_size=5)),
@@ -501,9 +523,24 @@ json_docs = st.recursive(
 @example({"a\u00e9\n\t\x00\u2028\U0001f600": [True, 1, False, 0, None, -0.0, 1e308,
                                                5e-324, float("nan"), float("inf")],
           "": {}, "e": [], "t": (1, (2.5, "\x1f"), ()), "d": {"x": [{}, []]}})
+@example({"branch_events": [[0, [0.5, 1.25]], [7, [-0.0, 1e-300]]], "n": [[1, [2.0, 3.0]]]})
+@example([[3, [0.5, 1.5]], [True, [0.5, 1.5]]])
+@example([[3, [0.5, 1.5]], [4, [1, 1.5]]])
+@example([[3, [0.5, 1.5]], [4, [0.5, float("nan")]]])
+@example([[3, [0.5, 1.5]], [4, [float("-inf"), 1.5]]])
+@example([[3, [0.5, 1.5]], [4, [0.5, 1.5, 2.5]]])
+@example([[3, [0.5, 1.5]], (4, [0.5, 1.5])])
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_stdlib_indent_2(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_event_row_depth_past_the_int_to_str_limit():
+    # json.dumps refuses such a depth; the writer prints its digits in full
+    big = 7 * 10 ** 5000
+    want = json.dumps([[0, [0.5, 1.5]], [7, [-0.0, 2.0]]], indent=2)
+    assert _json_text([[0, [0.5, 1.5]], [big, [-0.0, 2.0]]]) == \
+        want.replace("7", str(7 * 10 ** 500) + "0" * 4500)
 
 
 @pytest.mark.parametrize("doc", [{1: "int key"}, {None: 1}, [F(1, 2)], {"s": {1}},

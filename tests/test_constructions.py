@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from betacert import realnum
 from betacert.certificate import STATUS_CERTIFIED, STATUS_FAILED
 from betacert.constructions import (
-    AqDescription,
     GMap,
     W2_BLOCKS,
     _cover_near,

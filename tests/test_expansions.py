@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from betacert.expansions import (
     CountReport,
     DigitMaps,
-    NODE_BUDGET,
     certify_m_expansions,
     count_prefixes,
 )
@@ -208,8 +207,23 @@ def test_count_rejects_certified_outsiders():
 
 
 def test_count_node_budget_overflow():
-    with pytest.raises(ResourceError):
+    # the budget's 11th node is the first of depth 5's six
+    with pytest.raises(ResourceError, match=r"budget of 10 at depth 5 \(frontier size 6\)$"):
         count_prefixes(F(3, 2), 1, depth=20, node_budget=10)
+
+
+def test_widening_node_within_the_budget_stops_the_walk_first():
+    # golden base, x = 1, 64 bits: the levels before depth 88 hold
+    # 1 + 2 + ... + 87 = 3,828 nodes, and the first of depth 88's 88 nodes
+    # is wider than the switch region
+    with precision(64):
+        q = bonacci_root(2).value
+        with pytest.raises(ResourceError,
+                           match=r"budget of 3828 at depth 88 \(frontier size 88\)$"):
+            count_prefixes(q, 1, depth=400, node_budget=3828)
+        # the budget runs out later in that level, after the widening node
+        with pytest.raises(PrecisionError, match="node at depth 87 .* wider than the switch"):
+            count_prefixes(q, 1, depth=400, node_budget=3900)
 
 
 def reference_walk(q, x, depth: int):

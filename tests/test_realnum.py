@@ -392,14 +392,22 @@ def reference_float_bounds(e):
     return lo_f, hi_f
 
 
-# zero, and dyadics with 1 to 70 significant bits from the subnormal
-# range up past the largest double
+# zero, and dyadics of both signs with 1 to 70 or 54 to 600 significant
+# bits, from the subnormal range up past the largest double: the long
+# mantissas are rounded to 53 bits
+long_mantissas = st.integers(54, 600).flatmap(
+    lambda n: st.integers(2 ** (n - 1), 2 ** n - 1)).flatmap(lambda m: st.sampled_from([m, -m]))
 report_endpoints = st.one_of(
     st.just(Fraction(0)),
     st.builds(lambda m, e: Fraction(m) * Fraction(2) ** e,
               st.integers(-(2 ** 70), 2 ** 70),
               st.one_of(st.integers(-1150, -1000), st.integers(-80, 80),
                         st.integers(950, 1030))),
+    # the leading bit at 2**(top - 1)
+    st.builds(lambda m, top: Fraction(m) * Fraction(2) ** (top - abs(m).bit_length()),
+              long_mantissas,
+              st.one_of(st.integers(-1080, -1000), st.integers(-80, 80),
+                        st.integers(1000, 1030))),
 )
 
 
@@ -757,7 +765,7 @@ def test_walk_kernel_matches_mpmath(case, eps):
     for lo in nodes:
         for hi in nodes:
             for probe in nodes:
-                assert _within(*map(_ints, (probe, lo, hi))) == \
+                assert _within(_ints(lo), _ints(hi))(_ints(probe)) == \
                     reference_within(probe, lo, hi)
     width = lambda v: mpf_sub(v[1], v[0])  # exact
     for a in nodes:
