@@ -105,12 +105,12 @@ class EpsilonQ:
 
     @property
     def sign(self) -> Optional[int]:
-        if self.value.gt(0):
+        above, below = self.value.ge(0), self.value.le(0)
+        if below is False:
             return 1
-        if self.value.lt(0):
+        if above is False:
             return -1
-        lo, hi = self.value.raw
-        return 0 if lo == hi else None
+        return 0 if above and below else None
 
 
 def epsilon_q(q, k: int) -> EpsilonQ:

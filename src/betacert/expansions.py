@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .certificate import Certificate, GRADE_EVIDENCE, _float_pair, check_flag
-from .realnum import (Enclosure, PrecisionError, _ints, _mpf_pair, _step, _within, _wider,
-                      as_enclosure, membership, pi_q)
+from .realnum import (Enclosure, PrecisionError, _add, _step, _within, _wider, as_enclosure,
+                      membership, pi_q)
 from .symbolic import ResourceError
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
 #: expansions can be uncountable, so the walk only ever reports bounds and
 #: must refuse to pretend otherwise by grinding forever
 NODE_BUDGET = 10 ** 6
-
-
-def _zero() -> Enclosure:
-    return as_enclosure(0)
 
 
 def _require_base(q) -> Enclosure:
@@ -76,15 +72,14 @@ class DigitMaps:
         q = _require_base(self.q)
         object.__setattr__(self, "q", q)
         hi = 1 / (q - 1)
-        object.__setattr__(self, "attractor", (_zero(), hi))
+        object.__setattr__(self, "attractor", (Enclosure(0), hi))
         object.__setattr__(self, "switch", (1 / q, hi / q))
         object.__setattr__(self, "extended", (-hi, hi))
 
     def apply(self, eps: int, x) -> Enclosure:
         if eps not in (-1, 0, 1):
             raise ValueError(f"digit must be -1, 0, or 1, got {eps}")
-        return Enclosure._wrap(_mpf_pair(_step(_ints(self.q.raw), _ints(as_enclosure(x).raw),
-                                               eps)))
+        return self.q * as_enclosure(x) - eps
 
     def domain(self, eps: int) -> tuple[Enclosure, Enclosure]:
         """Domain of the binary digit map: the values it keeps inside the
@@ -143,14 +138,14 @@ def count_prefixes(q, x, depth: int = 200,
     if root_in is False:
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
 
-    q = _ints(maps.q.raw)
-    zero, s_hi = (_ints(e.raw) for e in maps.domain(0))
-    s_lo, top = (_ints(e.raw) for e in maps.domain(1))
+    q, minus_one = maps.q._ends, (-1, 0, -1, 0)
+    zero, s_hi = (e._ends for e in maps.domain(0))
+    s_lo, top = (e._ends for e in maps.domain(1))
     switch = s_lo[:2] + s_hi[2:]  # the switch region's widest reading
     in0, in1 = _within(zero, s_hi), _within(s_lo, top)
     # the frontier: its nodes, and whether each is reached through
     # certified memberships only
-    nodes: list[tuple] = [_ints(x.raw)]
+    nodes: list[tuple] = [x._ends]
     flags: list[bool] = [root_in is True]
     cmin: list[int] = []
     cmax: list[int] = []
@@ -176,16 +171,16 @@ def count_prefixes(q, x, depth: int = 200,
                         "walk is wider than the switch region; raise the working "
                         "precision (--precision)")
             elif m0 and m1:
-                events.append((d - 1, Enclosure._wrap(_mpf_pair(y))))
+                events.append((d - 1, Enclosure._wrap(y)))
             if m0 is not False:
-                qy = _step(q, y, 0)
+                qy = _step(q, y)
                 push(qy)
                 mark(certified and m0 is True)
                 if m1 is not False:  # both digits: q y is rounded once
-                    push(_step(q, qy, 1, True))
+                    push(_add(qy, minus_one))
                     mark(certified and m1 is True)
             elif m1 is not False:
-                push(_step(q, y, 1))
+                push(_add(_step(q, y), minus_one))
                 mark(certified and m1 is True)
         if spent:
             raise ResourceError(

@@ -7,46 +7,29 @@ contain the exact real number it stands for.  Comparisons are tri-valued:
 True / False only when the endpoints certify the answer, None when the
 enclosures overlap and the question is undecidable at the working precision.
 
-Also provided:
+Also provided: bonacci_root(k), the root in (1, 2) of x^k = x^(k-1) + ...
++ x + 1, isolated by exact integer sign tests of x^(k+1) - 2 x^k + 1 at
+the ends of a dyadic cell; pi_q(seq, q), the value sum_j d_j q^(-j) of a
+finite or eventually periodic digit sequence; and projection_gap,
+|pi_{q1}(seq) - pi_{q2}(seq)| checked against its a-priori bound.
 
-    bonacci_root(k)     the unique root in (1, 2) of
-                            x^k = x^(k-1) + ... + x + 1,
-                        isolated in the aligned dyadic cell of width
-                        2^-(bits+2) that holds it: an integer Newton
-                        estimate, confirmed by two *exact* integer sign
-                        tests of the cancellation-free equivalent
-                            x^(k+1) - 2 x^k + 1 = 0
-                        at the cell's ends (no rounding anywhere);
+An Enclosure holds four ints (lo man, lo exp, hi man, hi exp), each end
+the value man * 2**exp with a signed mantissa, trailing zero bits allowed.
+Arithmetic, negation, abs, the int and Fraction constructors, compares and
+min / max form the exact integer result and round it once, outward, to the
+working precision: the values mpmath's interval kernels give.  The branch
+walk (membership, _step) runs on the same ints.  mpmath is only the edge:
+decimal parsing, printing, logarithms and powers (whose rounding it owns)
+convert to its tuples and back.  No mpmath context is read or written, so
+a host program's mpmath settings and this module's precision never meet.
 
-    pi_q(seq, q)        evaluation of a digit sequence (d_j) as
-                            sum_j d_j q^(-j),  d_j in {-1, 0, 1},
-                        for finite words (implicitly padded with 0^inf)
-                        and eventually periodic sequences, via the closed
-                        form  value(u) + q^(-|u|) value(v) / (1 - q^(-|v|));
-
-    projection_gap      |pi_{q1}(seq) - pi_{q2}(seq)| together with a
-                        consistency check against the a-priori bound
-                            |q1 - q2| / ((q1 - 1)(q2 - 1)).
-
-An Enclosure holds its two endpoints as raw mpmath (libmp) tuples.  Every
-operation -- arithmetic, powers, logarithms, parsing and printing -- calls
-mpmath's interval kernels (libmpi) on them directly, passing the working
-precision; comparisons and report floats read them directly.  The branch
-walk's kernel (membership, _step) holds the endpoints as signed integer
-mantissas and exponents instead, and rounds exactly as those kernels do.
-No mpmath context is read or written, so a host program's mpmath settings
-and this module's precision never affect each other.
-
-Both endpoints are always finite.  Only division, powers, logarithms and
-decimal parsing can make an infinite or nan endpoint from finite operands,
-and each of them raises where it happens: PrecisionError for the three
-operations (a division by an enclosure that contains zero, say), and
-ValueError for a string such as "inf".  Compares, keys and exact reads
-therefore never re-check.  A logarithm or a non-integer power is refused
-before the kernel runs when its argument reaches below zero: ValueError
-if the argument is certifiably negative, PrecisionError if it straddles
-zero.  A logarithm of exactly 0, or to a base of exactly 0 or 1, raises
-ValueError.
+Both endpoints are always finite.  Division, powers, logarithms and
+decimal parsing raise where they would make an infinite or nan endpoint:
+PrecisionError for the three operations (a division by an enclosure that
+contains zero, say), ValueError for a string such as "inf".  A logarithm
+or a non-integer power of an argument that reaches below zero raises
+ValueError if it is certifiably negative, else PrecisionError.  A
+logarithm of exactly 0, or to a base of exactly 0 or 1, raises ValueError.
 
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
@@ -66,10 +49,8 @@ from functools import lru_cache
 from math import ldexp, nextafter
 from typing import Optional
 
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_cmp, mpf_div,
-                          mpf_sign, round_ceiling, round_floor, to_int)
-from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_div, mpi_from_str, mpi_log,
-                                 mpi_mul, mpi_neg, mpi_pow, mpi_sub, mpi_to_str)
+from mpmath.libmp import from_man_exp
+from mpmath.libmp.libmpi import mpi_from_str, mpi_log, mpi_pow, mpi_to_str
 
 
 DEFAULT_PRECISION = 256
@@ -127,123 +108,240 @@ def precision(bits: int):
 # ======================================================================
 # Enclosure
 # ======================================================================
+#
+# An end is a pair of ints (m, e) with the value m * 2**e.  Each kernel
+# forms its exact result and rounds it once, outward, to _prec bits.
 
-def _finite(raw, op: str, error: type = PrecisionError) -> tuple:
-    """raw, the endpoints op produced, if both are finite; else raise error
-    naming op.  A libmp tuple (sign, man, exp, bc) with bc < 0 is inf or nan."""
-    if raw[0][3] < 0 or raw[1][3] < 0:
-        raise error(f"non-finite endpoint from {op}")
-    return raw
-
-
-_DIVISION = "a division by an enclosure that contains zero"
+_ZERO = (0, 0, 0, 0)
+_LOG = "a logarithm of an enclosure that reaches zero, or to a base that contains 1"
 
 
-def _not_negative(raw, what: str) -> tuple:
-    """raw, the argument of a logarithm or the base of a non-integer power,
-    unless it reaches below zero: ValueError naming what when it is
-    certifiably negative, PrecisionError when it straddles zero or reaches
-    it from below."""
-    lo, hi = raw
-    if mpf_sign(lo) >= 0:
-        return raw
-    if mpf_sign(hi) < 0:
+def _floor(m: int, e: int) -> tuple:
+    """m 2**e rounded down to _prec bits (>> on a signed int is the floor)."""
+    n = m.bit_length() - _prec
+    return (m >> n, e + n) if n > 0 else (m, e)
+
+
+def _ceil(m: int, e: int) -> tuple:
+    """m 2**e rounded up to _prec bits."""
+    n = m.bit_length() - _prec
+    return (-(-m >> n), e + n) if n > 0 else (m, e)
+
+
+def _cmp(m: int, e: int, n: int, f: int) -> int:
+    """An int with the sign of m 2**e - n 2**f.  A term whose lowest bit lies
+    above the other's highest decides alone, so no shift outgrows both."""
+    if e >= f:
+        d = e - f
+        return (m or -n) if d > n.bit_length() else (m << d) - n
+    d = f - e
+    return (-n or m) if d > m.bit_length() else m - (n << d)
+
+
+def _sum(m: int, e: int, n: int, f: int) -> tuple:
+    """m 2**e + n 2**f, exact at the smaller exponent; but a term wholly below
+    the other's last bit and _prec + 1 bits below its first becomes one unit
+    of its sign just under both, which rounds to _prec bits as the exact sum
+    does, at a cost that does not grow with the distance."""
+    if e < f:
+        m, e, n, f = n, f, m, e
+    d = e - f
+    if d > _prec:
+        if not n:
+            return m, e
+        cut = e + min(0, m.bit_length() - _prec - 1)
+        if m and f + n.bit_length() <= cut:
+            d = e - cut + 1
+            return (m << d) + (1 if n > 0 else -1), e - d
+    return (m << d) + n, f
+
+
+def _add(x, y) -> tuple:
+    """x + y.  The branch walk subtracts every digit here, so _sum's common
+    case (exponents within _prec) and the rounding are written out."""
+    am, ae, bm, be = x
+    cm, ce, dm, de = y
+    prec = _prec
+    if -prec <= ae - ce <= prec:
+        am, ae = ((am << (ae - ce)) + cm, ce) if ae >= ce else (am + (cm << (ce - ae)), ae)
+    else:
+        am, ae = _sum(am, ae, cm, ce)
+    if -prec <= be - de <= prec:
+        bm, be = ((bm << (be - de)) + dm, de) if be >= de else (bm + (dm << (de - be)), be)
+    else:
+        bm, be = _sum(bm, be, dm, de)
+    n = am.bit_length() - prec
+    if n > 0:
+        am, ae = am >> n, ae + n
+    n = bm.bit_length() - prec
+    if n > 0:
+        bm, be = -(-bm >> n), be + n
+    return am, ae, bm, be
+
+
+def _sub(x, y) -> tuple:
+    cm, ce, dm, de = y
+    return _add(x, (-dm, de, -cm, ce))
+
+
+def _abs(x) -> tuple:
+    am, ae, bm, be = x
+    if am >= 0:
+        return _floor(am, ae) + _ceil(bm, be)
+    if bm <= 0:
+        return _sub(_ZERO, x)
+    return (0, 0) + (_ceil(bm, be) if _cmp(bm, be, -am, ae) > 0 else _ceil(-am, ae))
+
+
+def _mul(x, y) -> tuple:
+    """The product, its ends picked by the operands' signs as mpi_mul picks
+    them; only two intervals that both straddle zero compare products."""
+    am, ae, bm, be = x
+    cm, ce, dm, de = y
+    if am >= 0:
+        lo = (am * cm, ae + ce) if cm >= 0 else (bm * cm, be + ce)
+        hi = (bm * dm, be + de) if dm >= 0 else (am * dm, ae + de)
+    elif bm <= 0:
+        lo = (am * dm, ae + de) if dm >= 0 else (bm * dm, be + de)
+        hi = (bm * cm, be + ce) if cm >= 0 else (am * cm, ae + ce)
+    elif cm >= 0:
+        lo, hi = (am * dm, ae + de), (bm * dm, be + de)
+    elif dm <= 0:
+        lo, hi = (bm * cm, be + ce), (am * cm, ae + ce)
+    else:
+        lo, p = (am * dm, ae + de), (bm * cm, be + ce)
+        lo = p if _cmp(*p, *lo) < 0 else lo
+        hi, p = (am * cm, ae + ce), (bm * dm, be + de)
+        hi = p if _cmp(*p, *hi) > 0 else hi
+    return _floor(*lo) + _ceil(*hi)
+
+
+def _quotient(m: int, e: int, n: int, f: int, up: bool) -> tuple:
+    """m 2**e / n 2**f for n > 0, rounded down (or up): the integer quotient
+    keeps _prec + 1 bits or more, so rounding it rounds the exact one."""
+    k = max(0, _prec + 1 + n.bit_length() - m.bit_length())
+    if up:
+        return _ceil(-((-m << k) // n), e - f - k)
+    return _floor((m << k) // n, e - f - k)
+
+
+def _div(x, y, op: str = "a division by an enclosure that contains zero") -> tuple:
+    """The quotient; PrecisionError naming op when y contains zero."""
+    cm, ce, dm, de = y
+    if cm <= 0 <= dm:
+        raise PrecisionError(f"non-finite endpoint from {op}")
+    am, ae, bm, be = x
+    if dm < 0:  # x / y = -x / -y, both negated exactly
+        am, ae, bm, be, cm, ce, dm, de = -bm, be, -am, ae, -dm, de, -cm, ce
+    lo = _quotient(am, ae, dm, de, False) if am >= 0 else _quotient(am, ae, cm, ce, False)
+    return lo + (_quotient(bm, be, dm, de, True) if bm <= 0 else _quotient(bm, be, cm, ce, True))
+
+
+def _int(n: int) -> tuple:
+    """n, exact when it fits in _prec bits, else rounded down and up."""
+    return _floor(n, 0) + _ceil(n, 0)
+
+
+def _canon(m: int, e: int) -> tuple:
+    """The end m 2**e with its trailing zero bits moved into the exponent."""
+    z = (m & -m).bit_length() - 1
+    return (m >> z, e + z) if m else (0, 0)
+
+
+def _to_fraction(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _not_negative(x, what: str) -> tuple:
+    """x, a logarithm's argument or a non-integer power's base, unless it
+    reaches below zero: ValueError if certifiably, else PrecisionError."""
+    if x[0] >= 0:
+        return x
+    if x[2] < 0:
         raise ValueError(f"{what} is negative")
     raise PrecisionError(f"{what} reaches below zero")
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    # raw is a finite libmp mpf tuple (sign, man, exp, bc); zero has exp 0
-    sign, man, exp, _ = raw
-    m = int(man)
-    if sign:
-        m = -m
-    return Fraction(m) * Fraction(2) ** exp if exp >= 0 else Fraction(m, 2 ** (-exp))
+# -- the mpmath edge ------------------------------------------------------
+
+def _to_raw(x) -> tuple:
+    """The (lo, hi) libmp tuples of x, normalised."""
+    return from_man_exp(x[0], x[1]), from_man_exp(x[2], x[3])
 
 
-def exact_keys(raws) -> list[int]:
-    """Integers ordered exactly as the given raw libmp endpoints.
+def _from_raw(raw, op: str, error: type = PrecisionError) -> tuple:
+    """The ends of the libmp pair op produced, if both are finite (a tuple
+    (sign, man, exp, bc) with bc < 0 is inf or nan); else raise error."""
+    (s, m, e, c), (t, n, f, d) = raw
+    if c < 0 or d < 0:
+        raise error(f"non-finite endpoint from {op}")
+    return -int(m) if s else int(m), e, -int(n) if t else int(n), f
 
-    Each finite endpoint +-man * 2**exp becomes +-man << (exp - e0), with
-    e0 the least exponent in this list, so integer order and equality are
-    exactly rational order and equality.  Keys from different calls are
-    not comparable.  ``Enclosure.raw`` supplies the endpoints.
-    """
-    raws = list(raws)
-    e0 = min((exp for (_, _, exp, _) in raws), default=0)
-    return [(-man if sign else man) << (exp - e0) for (sign, man, exp, _) in raws]
+
+def exact_keys(xs) -> tuple[list[int], list[int]]:
+    """Integers ordered exactly as the endpoints of the enclosures xs, as (lower
+    ends' keys, upper ends' keys): each end m 2**e becomes m << (e - e0), e0
+    the least exponent among them.  Keys of separate calls do not compare."""
+    ends = [x._ends for x in xs]
+    e0 = min((min(ae, be) for _, ae, _, be in ends), default=0)
+    return ([m << (e - e0) for m, e, _, _ in ends],
+            [m << (e - e0) for _, _, m, e in ends])
 
 
 _FLOAT_ERROR = ("binary floats are not exact inputs; pass a Fraction or a "
                 "decimal string such as '0.1'")
 
 
-def _int_raw(n: int) -> tuple:
-    """Endpoints of n at the working precision: the exact point when n fits
-    in it, else n rounded down and up."""
-    if n.bit_length() <= _prec:
-        v = from_int(n)
-        return v, v
-    return from_int(n, _prec, round_floor), from_int(n, _prec, round_ceiling)
-
-
-def _fraction_raw(fr: Fraction) -> tuple:
-    """Endpoints of numerator / denominator, each converted like an int and
-    divided with outward rounding at the working precision."""
-    return mpi_div(_int_raw(fr.numerator), _int_raw(fr.denominator), _prec)
-
-
 def _endpoint(x, side: int) -> tuple:
-    """Raw endpoint for from_endpoints: a dyadic Fraction exactly, anything
-    else the lower (side 0) or upper (side 1) end of Enclosure(x)."""
+    """End for from_endpoints: a dyadic Fraction exactly, anything else the
+    lower (side 0) or upper (side 1) end of Enclosure(x)."""
     if isinstance(x, Fraction) and x.denominator & (x.denominator - 1) == 0:
-        return from_man_exp(x.numerator, 1 - x.denominator.bit_length())
-    return Enclosure(x)._raw[side]
+        return x.numerator, 1 - x.denominator.bit_length()
+    return Enclosure(x)._ends[2 * side:2 * side + 2]
 
 
 class Enclosure:
     """A closed interval [lo, hi] certified to contain one exact real.
 
-    The endpoints are raw libmp tuples, the only state an Enclosure holds.
-    Every operation calls mpmath's interval kernels on them at the working
-    precision (outward rounding).  Comparisons are explicit tri-valued
-    methods -- the class deliberately defines no ordering dunders, so an
-    Enclosure can never end up inside sorted() by accident.
+    Its only state is its endpoints' four ints; every operation rounds its
+    exact result outward.  Comparisons are explicit tri-valued methods --
+    the class deliberately defines no ordering dunders, so an Enclosure can
+    never end up inside sorted() by accident.
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("_ends",)
 
     def __init__(self, value):
-        raw = self._coerce(value)
-        if raw is None:
+        ends = self._coerce(value)
+        if ends is None:
             raise TypeError(f"cannot enclose a {type(value).__name__}; pass an int, "
                             "a Fraction, a decimal string or an Enclosure")
-        self._raw = raw
+        self._ends = ends
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "Enclosure":
         """[lo, hi]: a dyadic Fraction endpoint is kept exactly, any other is
         the lower (for lo) or upper (for hi) end of its own enclosure."""
-        a, b = _endpoint(lo, 0), _endpoint(hi, 1)
-        if mpf_cmp(a, b) > 0:
+        ends = _endpoint(lo, 0) + _endpoint(hi, 1)
+        if _cmp(*ends) > 0:
             raise ValueError("endpoints must be properly ordered")
-        return cls._wrap((a, b))
+        return cls._wrap(ends)
 
     # -- exact endpoint access -----------------------------------------
 
     @property
     def raw(self) -> tuple:
-        """The (lo, hi) endpoints as raw libmp tuples, for exact_keys."""
-        return self._raw
+        """The (lo, hi) endpoints as normalised libmp tuples, for mpmath."""
+        return _to_raw(self._ends)
 
     @property
     def lo(self) -> Fraction:
         """Exact lower endpoint as a rational (endpoints are binary floats)."""
-        return _raw_to_fraction(self._raw[0])
+        return _to_fraction(*self._ends[:2])
 
     @property
     def hi(self) -> Fraction:
-        return _raw_to_fraction(self._raw[1])
+        return _to_fraction(*self._ends[2:])
 
     @property
     def width(self) -> Fraction:
@@ -255,24 +353,17 @@ class Enclosure:
 
     def float_bounds(self) -> tuple[float, float]:
         """Endpoints as doubles, rounded *outward* (for reports only)."""
-        (s, m, e, c), (t, n, f, d) = self._raw
-        # zero, or in the normal double range with room to round up: there
-        # the signed mantissa cut to 53 bits (floor at the lower end, ceiling
-        # at the upper) times its power of two is a double, exactly
+        m, e, n, f = self._ends
+        c, d = m.bit_length(), n.bit_length()
+        # zero or normal with room to round up: the mantissa cut to 53 bits
+        # (floor below, ceiling above) times its power of two is a double
         if (not m or -1021 <= e + c <= 1023) and (not n or -1021 <= f + d <= 1023):
-            if s:
-                m = -m
             if c > 53:
-                m >>= c - 53
-                e += c - 53
-            if t:
-                n = -n
+                m, e = m >> c - 53, e + c - 53
             if d > 53:
-                n = -(-n >> d - 53)
-                f += d - 53
+                n, f = -(-n >> d - 53), f + d - 53
             return ldexp(m, e), ldexp(n, f)
-        # subnormal or huge: the exact route, which raises OverflowError
-        # beyond the double range
+        # subnormal or huge: the exact route (OverflowError past the doubles)
         lo, hi = self.lo, self.hi
         lo_f, hi_f = float(lo), float(hi)
         if Fraction(lo_f) > lo:
@@ -285,94 +376,92 @@ class Enclosure:
 
     @staticmethod
     def _coerce(other):
-        """Raw endpoints of an operand, or None for an unsupported type."""
+        """The ends of an operand, or None for an unsupported type."""
         if isinstance(other, Enclosure):
-            return other._raw
+            return other._ends
         if isinstance(other, int):
-            return _int_raw(other)
+            return _int(other)
         if isinstance(other, Fraction):
-            return _fraction_raw(other)
+            return _div(_int(other.numerator), _int(other.denominator))
         if isinstance(other, str):
-            return _finite(mpi_from_str(other, _prec), f"the decimal string {other!r}",
-                           ValueError)
+            return _from_raw(mpi_from_str(other, _prec), f"the decimal string {other!r}",
+                             ValueError)
         if isinstance(other, float):
             raise TypeError(_FLOAT_ERROR)
         return None
 
     @staticmethod
-    def _wrap(raw) -> "Enclosure":
-        """Enclosure around raw endpoints already computed (no rounding)."""
+    def _wrap(ends) -> "Enclosure":
+        """Enclosure around ends already computed (no rounding)."""
         out = Enclosure.__new__(Enclosure)
-        out._raw = raw
+        out._ends = ends
         return out
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_add(self._raw, o, _prec))
+        return NotImplemented if o is None else self._wrap(_add(self._ends, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_sub(self._raw, o, _prec))
+        return NotImplemented if o is None else self._wrap(_sub(self._ends, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_sub(o, self._raw, _prec))
+        return NotImplemented if o is None else self._wrap(_sub(o, self._ends))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(mpi_mul(self._raw, o, _prec))
+        return NotImplemented if o is None else self._wrap(_mul(self._ends, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(_finite(
-            mpi_div(self._raw, o, _prec), _DIVISION))
+        return NotImplemented if o is None else self._wrap(_div(self._ends, o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(_finite(
-            mpi_div(o, self._raw, _prec), _DIVISION))
+        return NotImplemented if o is None else self._wrap(_div(o, self._ends))
 
     def __pow__(self, exponent):
         o = self._coerce(exponent)
         if o is None:
             return NotImplemented
-        base = self._raw
-        if o[0] != o[1] or from_int(to_int(o[0])) != o[0]:
-            base = _not_negative(base, "the base of a non-integer power")
-        return self._wrap(_finite(
-            mpi_pow(base, o, _prec), "a power of an enclosure that contains zero"))
+        m, e, n, f = o
+        if _cmp(m, e, n, f) or (m and e + (m & -m).bit_length() <= 0):  # not an integer
+            _not_negative(self._ends, "the base of a non-integer power")
+        return self._wrap(_from_raw(mpi_pow(_to_raw(self._ends), _to_raw(o), _prec),
+                                    "a power of an enclosure that contains zero"))
 
     def __neg__(self):
-        return self._wrap(mpi_neg(self._raw, _prec))
+        return self._wrap(_sub(_ZERO, self._ends))
 
     def __abs__(self):
-        return self._wrap(mpi_abs(self._raw, _prec))
+        return self._wrap(_abs(self._ends))
 
     # -- tri-valued comparisons ------------------------------------------
     #
     # .lt(b) asks: is the real in self certainly < the real in b?
     # True / False only with certainty, else None.  All four are decided
-    # exactly on the raw endpoints.
+    # exactly on the endpoints.
 
     def lt(self, other) -> Optional[bool]:
-        a, b = self._raw
-        c, d = as_enclosure(other)._raw
-        if mpf_cmp(b, c) < 0:
+        am, ae, bm, be = self._ends
+        cm, ce, dm, de = as_enclosure(other)._ends
+        if _cmp(bm, be, cm, ce) < 0:
             return True
-        if mpf_cmp(a, d) >= 0:
+        if _cmp(am, ae, dm, de) >= 0:
             return False
         return None
 
     def le(self, other) -> Optional[bool]:
-        a, b = self._raw
-        c, d = as_enclosure(other)._raw
-        if mpf_cmp(b, c) <= 0:
+        am, ae, bm, be = self._ends
+        cm, ce, dm, de = as_enclosure(other)._ends
+        if _cmp(bm, be, cm, ce) <= 0:
             return True
-        if mpf_cmp(a, d) > 0:
+        if _cmp(am, ae, dm, de) > 0:
             return False
         return None
 
@@ -392,26 +481,28 @@ class Enclosure:
         return self.lo <= x <= self.hi
 
     def intersects(self, other: "Enclosure") -> bool:
-        a, b = self._raw
-        c, d = other._raw
-        return mpf_cmp(a, d) <= 0 and mpf_cmp(c, b) <= 0
+        am, ae, bm, be = self._ends
+        cm, ce, dm, de = other._ends
+        return _cmp(am, ae, dm, de) <= 0 and _cmp(cm, ce, bm, be) <= 0
 
-    # -- structural equality (same endpoints), usable for dedup ----------
-    # libmp tuples are normalised, so equal values have equal tuples
+    # -- structural equality (same endpoint values), usable for dedup ----
 
     def __eq__(self, other):
         if not isinstance(other, Enclosure):
             return NotImplemented
-        return self._raw == other._raw
+        am, ae, bm, be = self._ends
+        cm, ce, dm, de = other._ends
+        return not _cmp(am, ae, cm, ce) and not _cmp(bm, be, dm, de)
 
     def __hash__(self):
-        return hash(self._raw)
+        am, ae, bm, be = self._ends
+        return hash(_canon(am, ae) + _canon(bm, be))
 
     def __repr__(self):
-        return f"Enclosure({mpi_to_str(self._raw, 20)})"
+        return f"Enclosure({self.str_digits()})"
 
     def str_digits(self, digits: int = 20) -> str:
-        return mpi_to_str(self._raw, digits)
+        return mpi_to_str(self.raw, digits)
 
 
 def as_enclosure(x) -> Enclosure:
@@ -420,17 +511,15 @@ def as_enclosure(x) -> Enclosure:
 
 
 def _envelope(xs, sign: int) -> Enclosure:
-    """Endpoint-wise min (sign -1) or max (sign +1) of the enclosures xs.
-
-    The chosen endpoints are exact, so nothing rounds."""
-    picked = []
-    for side in (0, 1):
-        best, *rest = [x._raw[side] for x in xs]
-        for r in rest:
-            if mpf_cmp(r, best) == sign:
-                best = r
-        picked.append(best)
-    return Enclosure._wrap(tuple(picked))
+    """Endpoint-wise min (sign -1) or max (sign +1) of xs: nothing rounds."""
+    picked = ()
+    for side in (0, 2):
+        (m, e), *rest = [x._ends[side:side + 2] for x in xs]
+        for n, f in rest:
+            if _cmp(n, f, m, e) * sign > 0:
+                m, e = n, f
+        picked += (m, e)
+    return Enclosure._wrap(picked)
 
 
 def enc_min(*xs: Enclosure) -> Enclosure:
@@ -442,20 +531,23 @@ def enc_max(*xs: Enclosure) -> Enclosure:
     return _envelope(xs, 1)
 
 
+def _log(x, what: str) -> tuple:
+    """The logarithm of x, a logarithm's argument or base (what), refused
+    below zero and at exactly zero (where mpi_log gives -inf)."""
+    x = _not_negative(as_enclosure(x)._ends, f"the {what} of a logarithm")
+    if not x[0] and not x[2]:
+        raise ValueError(f"the {what} of a logarithm is zero")
+    return _from_raw(mpi_log(_to_raw(x), _prec), _LOG)
+
+
 def enc_log(x, base=None) -> Enclosure:
-    x = _not_negative(as_enclosure(x)._raw, "the argument of a logarithm")
-    if x == (fzero, fzero):  # mpi_log would give -inf
-        raise ValueError("the argument of a logarithm is zero")
-    value = mpi_log(x, _prec)
+    value = _log(x, "argument")
     if base is not None:
-        base = _not_negative(as_enclosure(base)._raw, "the base of a logarithm")
-        if base == (fzero, fzero):  # mpi_log would give -inf and the quotient 0
-            raise ValueError("the base of a logarithm is zero")
-        if base == (fone, fone):  # mpi_log would give a zero divisor
+        base = _log(base, "base")
+        if not base[0] and not base[2]:  # only log 1 is exactly 0: a zero divisor
             raise ValueError("the base of a logarithm is one")
-        value = mpi_div(value, mpi_log(base, _prec), _prec)
-    return Enclosure._wrap(_finite(value, "a logarithm of an enclosure that reaches "
-                                          "zero, or to a base that contains 1"))
+        value = _div(value, base, _LOG)
+    return Enclosure._wrap(value)
 
 
 def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
@@ -466,45 +558,14 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
     endpoints, x surely lies inside.  False means x surely lies outside.
     None otherwise (fail-closed for callers that count).
     """
-    return _within(_ints(lo._raw), _ints(hi._raw))(_ints(as_enclosure(x)._raw))
+    return _within(lo._ends, hi._ends)(as_enclosure(x)._ends)
 
 
 # -- the branch-walk kernel ----------------------------------------------
 #
-# A node is an enclosure held as four Python ints (lo man, lo exp, hi man,
-# hi exp), each end the value man * 2**exp with a signed mantissa.  The
-# walk steps, classifies and measures nodes with integer shifts, products
-# and compares; only nodes that leave it become libmp tuples.
-
-def _ints(raw) -> tuple:
-    """The node of a raw libmp pair (finite endpoints)."""
-    (s, m, e, _), (t, n, f, _) = raw
-    return -int(m) if s else int(m), e, -int(n) if t else int(n), f
-
-
-def _mpf(m: int, e: int) -> tuple:
-    """The raw libmp value m 2**e, normalised as from_man_exp normalises it:
-    the sign apart, the trailing zero bits moved into the exponent."""
-    if not m:
-        return fzero
-    s = 0
-    if m < 0:
-        s, m = 1, -m
-    z = (m & -m).bit_length() - 1
-    return s, m >> z, e + z, m.bit_length() - z
-
-
-def _mpf_pair(node) -> tuple:
-    """The raw libmp pair of a node: the same values, normalised."""
-    am, ae, bm, be = node
-    return _mpf(am, ae), _mpf(bm, be)
-
-
-def _cmp(m: int, e: int, n: int, f: int) -> int:
-    """An int with the sign of m 2**e - n 2**f: the difference, exact, at
-    the smaller of the two exponents."""
-    return (m << (e - f)) - n if e >= f else m - (n << (f - e))
-
+# A node is an Enclosure's four ints.  The walk steps, classifies and
+# measures nodes with integer shifts, products and compares, and wraps a
+# node as an Enclosure only as a branch event.
 
 def _within(lo, hi):
     """membership on nodes, the kernel it shares with the branch walk: the
@@ -528,59 +589,34 @@ def _within(lo, hi):
     return within
 
 
-def _step(q, x, eps: int, scaled: bool = False) -> tuple:
-    """The node q x - eps for a digit eps, rounded exactly as Enclosure's
-    q * x - eps: the product rounded outward to _prec bits (floor at the
-    lower end, ceiling at the upper; >> on a signed int is the floor), then
-    eps subtracted exactly and the difference rounded outward again.  q's
-    lower end must be positive, so each end of x takes the end of q that
-    mpi_mul pairs with it.  With ``scaled``, x is already the rounded
-    product _step(q, y, 0) of a node y, which rounding leaves as it is, so
-    only eps is subtracted: the same node as _step(q, y, eps)."""
+def _step(q, x) -> tuple:
+    """The node q x, rounded as Enclosure's q * x: _mul for q's lower end
+    positive, written out with _floor and _ceil for the hot loop."""
+    qam, qae, qbm, qbe = q
     am, ae, bm, be = x
-    if not scaled:
-        qam, qae, qbm, qbe = q
-        if am >= 0:
-            am *= qam
-            ae += qae
-        else:
-            am *= qbm
-            ae += qbe
-        if bm >= 0:
-            bm *= qbm
-            be += qbe
-        else:
-            bm *= qam
-            be += qae
-    prec = _prec
-    while True:  # round; a nonzero digit is then subtracted and rounded once more
-        n = am.bit_length() - prec
-        if n > 0:
-            am >>= n
-            ae += n
-        n = bm.bit_length() - prec
-        if n > 0:
-            bm = -(-bm >> n)
-            be += n
-        if not eps:
-            return am, ae, bm, be
-        if ae < 0:
-            am -= eps << -ae
-        else:
-            am, ae = (am << ae) - eps, 0
-        if be < 0:
-            bm -= eps << -be
-        else:
-            bm, be = (bm << be) - eps, 0
-        eps = 0
+    if am >= 0:
+        am, ae = am * qam, ae + qae
+    else:
+        am, ae = am * qbm, ae + qbe
+    if bm >= 0:
+        bm, be = bm * qbm, be + qbe
+    else:
+        bm, be = bm * qam, be + qae
+    n = am.bit_length() - _prec
+    if n > 0:
+        am, ae = am >> n, ae + n
+    n = bm.bit_length() - _prec
+    if n > 0:
+        bm, be = -(-bm >> n), be + n
+    return am, ae, bm, be
 
 
 def _wider(x, y) -> bool:
     """Is the node x wider than the node y?  Exact: no rounding."""
-    xam, xae, xbm, xbe = x
-    yam, yae, ybm, ybe = y
-    return _cmp(_cmp(xbm, xbe, xam, xae), min(xae, xbe),
-                _cmp(ybm, ybe, yam, yae), min(yae, ybe)) > 0
+    w = []
+    for am, ae, bm, be in (x, y):
+        w += ((bm << (be - ae)) - am, ae) if be >= ae else (bm - (am << (ae - be)), be)
+    return _cmp(*w) > 0
 
 
 # ======================================================================
@@ -713,23 +749,6 @@ def _seq_parts(seq) -> tuple[tuple, tuple]:
     return tuple(seq), ()
 
 
-def _horner(digits: tuple, q: Enclosure) -> Enclosure:
-    """sum_{i=1..n} d_i q^(-i), evaluated back to front as acc = (acc + d) / q
-    on raw endpoints, rounded exactly as those Enclosure operations."""
-    qa, qb = q._raw
-    positive = mpf_sign(qa) > 0
-    a = b = fzero
-    for d in reversed(digits):
-        if d:  # acc has at most _prec bits: adding 0 would return it unchanged
-            n = from_int(d)
-            a, b = mpf_add(a, n, _prec, round_floor), mpf_add(b, n, _prec, round_ceiling)
-        if positive and not a[0]:  # acc >= 0 and q > 0: mpi_div's branch, inlined
-            a, b = mpf_div(a, qb, _prec, round_floor), mpf_div(b, qa, _prec, round_ceiling)
-        else:
-            a, b = _finite(mpi_div((a, b), q._raw, _prec), _DIVISION)
-    return Enclosure._wrap((a, b))
-
-
 def pi_q(seq, q) -> Enclosure:
     """Certified value of a digit sequence in base q:  sum_j d_j q^(-j).
 
@@ -746,9 +765,16 @@ def pi_q(seq, q) -> Enclosure:
     for d in pre + per:
         if d not in (-1, 0, 1):
             raise ValueError(f"digit {d!r} outside {{-1, 0, 1}}")
-    acc = _horner(pre, q)
+    values = []
+    for word in (pre, per):  # back to front, as acc = (acc + d) / q
+        acc = _ZERO
+        for d in reversed(word):
+            if d:  # acc has at most _prec bits, or is a power of two: + 0 keeps it
+                acc = _add(acc, (d, 0, d, 0))
+            acc = _div(acc, q._ends)
+        values.append(Enclosure._wrap(acc))
+    acc, pv = values
     if per:
-        pv = _horner(per, q)
         acc = acc + q ** (-len(pre)) * pv / (1 - q ** (-len(per)))
     return acc
 

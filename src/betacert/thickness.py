@@ -189,8 +189,8 @@ class GapSet:
 def _position_order(pairs) -> list[int]:
     """Indices of (left, right) enclosure pairs in exact position order:
     by lower end of left, then lower end of right."""
-    lefts = exact_keys([a.raw[0] for a, _ in pairs])
-    rights = exact_keys([b.raw[0] for _, b in pairs])
+    lefts = exact_keys(a for a, _ in pairs)[0]
+    rights = exact_keys(b for _, b in pairs)[0]
     return sorted(range(len(pairs)), key=lambda i: (lefts[i], rights[i]))
 
 
@@ -257,8 +257,7 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
 
     widths = [g.width for g in gaps]
     # exact integer keys, one scale for both width ends
-    width_ends = exact_keys([end for w in widths for end in w.raw])
-    w_lo, w_hi = width_ends[0::2], width_ends[1::2]
+    w_lo, w_hi = exact_keys(widths)
 
     # validation left the gaps in position order, so a stable sort breaks
     # width ties left to right

@@ -108,11 +108,11 @@ def test_epsilon_sign_trichotomy(monkeypatch):
     # an enclosure of the root itself cannot be signed
     at_root = epsilon_q(bonacci_root(10).value, 10)
     exact_zero = replace(above, value=Enclosure(0))
-    # the sign is read off the raw endpoints, with no rational view of them
+    # the sign is read off the integer endpoints, with no rational view of them
     conversions = []
-    convert = realnum._raw_to_fraction
-    monkeypatch.setattr(realnum, "_raw_to_fraction",
-                        lambda raw: conversions.append(raw) or convert(raw))
+    convert = realnum._to_fraction
+    monkeypatch.setattr(realnum, "_to_fraction",
+                        lambda m, e: conversions.append((m, e)) or convert(m, e))
     assert below.sign == -1
     assert above.sign == 1
     assert at_root.sign is None

@@ -333,7 +333,7 @@ def test_count_accepts_decimal_strings():
 
 
 def test_branch_walk_bypasses_interval_operator_dispatch(monkeypatch):
-    # the walk's q*x - eps steps call the interval kernels on raw
+    # the walk's q*x - eps steps run realnum's kernels on integer
     # endpoints; going through mpmath's operator dispatch (operand
     # conversion, method lookup, result wrapping) made it about a third
     # slower, so count those calls instead of timing

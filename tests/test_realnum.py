@@ -5,8 +5,11 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
 from math import nextafter
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from mpmath.libmp.libmpi import mpi_mul
 
 from betacert import realnum
 from betacert.certify import theorem_b_certify
-from betacert.constructions import contraction_block
+from betacert.constructions import contraction_block, epsilon_q
+from betacert.expansions import count_prefixes
 from betacert.realnum import (
     Enclosure,
     PrecisionError,
@@ -35,15 +39,16 @@ from betacert.realnum import (
     pi_q,
     precision,
     projection_gap,
+    _add,
     _confirm_cell,
-    _horner,
-    _ints,
-    _mpf_pair,
+    _from_raw,
     _root_bracket,
     _step,
+    _to_raw,
     _wider,
     _within,
 )
+from betacert.thickness import Gap, GapSet
 
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000)
@@ -172,11 +177,11 @@ def test_compare_kernels_match_fraction_oracle(x, y, z):
 @given(st.lists(enclosures(), max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_exact_keys_order_as_fractions(xs):
-    raws = [end for x in xs for end in x.raw]
+    lows, highs = exact_keys(xs)
+    keys = [key for pair in zip(lows, highs) for key in pair]
     exact = [end for x in xs for end in (x.lo, x.hi)]
-    keys = exact_keys(raws)
-    for i in range(len(raws)):
-        for j in range(len(raws)):
+    for i in range(len(keys)):
+        for j in range(len(keys)):
             assert (keys[i] < keys[j]) is (exact[i] < exact[j])
             assert (keys[i] == keys[j]) is (exact[i] == exact[j])
 
@@ -380,6 +385,61 @@ def test_arithmetic_kernels_match_interval_operators(x, y, bits, n, f, g, text, 
         assert repr(x) == f"Enclosure({iv.nstr(a, 20)})"
         printed = x.str_digits(digits)
         assert finite_raw(Enclosure(printed)) == iv.mpf(printed)._mpi_
+
+
+def reference_ends(x, y, pick):
+    """The endpoint-wise min (pick 0) or max (pick -1) of two enclosures,
+    chosen by mpmath's exact compare of the raw endpoints."""
+    return tuple(sorted(ends, key=cmp_to_key(mpf_cmp))[pick] for ends in zip(x.raw, y.raw))
+
+
+@pytest.mark.parametrize("gap", [10 ** 3, 10 ** 5, 10 ** 8])
+def test_far_apart_exponents_match_interval_operators(gap):
+    # a term far below the other's last bit rounds as one sticky bit of its
+    # sign, and a compare decides on signs and top bits before it shifts:
+    # neither may cost time in proportion to the exponent gap
+    with precision(256), interval_precision(256):
+        scale = Enclosure(2) ** -gap
+        small = [scale * 3, scale * Fraction(-1, 3), scale * Enclosure.from_endpoints(-1, 1)]
+        large = [Enclosure(1), bonacci_root(10).value, Enclosure(Fraction(-5, 7)),
+                 Enclosure(2) ** gap * Fraction(1, 3)]
+        pairs = [(x, y) for x in small + large for y in small + large]
+        start = time.perf_counter()
+        rows = [(x + y, x - y, x.lt(y), x.le(y), x.gt(y), x.ge(y), x.intersects(y),
+                 enc_min(x, y), enc_max(x, y)) for x, y in pairs]
+        elapsed = time.perf_counter() - start
+        for (x, y), (total, diff, lt, le, gt, ge, meets, low, high) in zip(pairs, rows):
+            a, b = iv.make_mpf(x.raw), iv.make_mpf(y.raw)
+            assert total.raw == (a + b)._mpi_
+            assert diff.raw == (a - b)._mpi_
+            assert (lt, le, gt, ge) == (a < b, a <= b, a > b, a >= b)
+            assert meets is (mpf_cmp(x.raw[0], y.raw[1]) <= 0 and mpf_cmp(y.raw[0], x.raw[1]) <= 0)
+            assert low.raw == reference_ends(x, y, 0)
+            assert high.raw == reference_ends(x, y, -1)
+    if gap == 10 ** 8:
+        assert elapsed < 0.05
+
+
+def test_equality_is_by_value_on_unnormalised_endpoints():
+    # the kernels leave trailing zero bits in the mantissas; == and hash
+    # still go by the endpoint values
+    events = [v for _, v in count_prefixes(Fraction(3, 2), Fraction(11, 20), 30).branch_events]
+    twins = [Enclosure.from_endpoints(v.lo, v.hi) for v in events]
+    assert any(v._ends != twin._ends for v, twin in zip(events, twins))
+    for v, twin in zip(events, twins):
+        assert v == twin and hash(v) == hash(twin)
+    # a cut placed on a gap's own (non-point) endpoint drops that gap
+    end = Enclosure.from_endpoints(Fraction(1, 4), Fraction(1, 2)) * 6
+    cut = Enclosure.from_endpoints(Fraction(3, 2), Fraction(3))
+    assert end._ends != cut._ends and end == cut and hash(end) == hash(cut)
+    gaps = GapSet(Enclosure(0), Enclosure(8), (Gap(Enclosure(Fraction(1, 2)), end),
+                                               Gap(Enclosure(5), Enclosure(6))))
+    assert [g.left for g in gaps.restrict(lo=cut).gaps] == [Enclosure(5)]
+    # an exact zero with a nonzero exponent is still signed 0
+    eps = epsilon_q(Fraction(15, 8), 3)
+    zero = Enclosure(Fraction(3, 8)) - Enclosure(Fraction(3, 8))
+    assert zero._ends != (0, 0, 0, 0) and zero == Enclosure(0)
+    assert replace(eps, value=zero).sign == 0
 
 
 def reference_float_bounds(e):
@@ -670,8 +730,7 @@ def test_horner_kernel_matches_enclosure_reference(bits):
         for q in bases:
             for word in horner_words():
                 expected = reference_horner(word, q)
-                assert _horner(word, q).raw == expected.raw, (q, word)
-                assert pi_q(word, q).raw == expected.raw
+                assert pi_q(word, q).raw == expected.raw, (q, word)
             for k in (2, 10, 40):
                 seq = Periodic(k)
                 closed = reference_horner(seq.preperiod, q) + q ** (-3) * reference_horner(
@@ -747,30 +806,28 @@ def kernel_cases(draw):
 @settings(max_examples=500, deadline=None)
 def test_walk_kernel_matches_mpmath(case, eps):
     bits, q, x, y = case
+    node = lambda raw: _from_raw(raw, "a test node")
     saved = realnum._prec
     realnum._prec = bits  # 53 bits is below set_precision's floor
     try:
-        child = _mpf_pair(_step(_ints(q), _ints(x), eps))
-        # the second digit of a node that keeps both steps from the first
-        # child's product, the same node
-        qx = _step(_ints(q), _ints(x), 0)
-        reused = _mpf_pair(_step(_ints(q), qx, eps, True))
+        # the walk's product kernel, then the digit subtracted by the shared
+        # add, as the walk does for either digit
+        child = _to_raw(_add(_step(node(q), node(x)), (-eps, 0, -eps, 0)))
     finally:
         realnum._prec = saved
     assert child == reference_step(q, x, eps, bits)
-    assert reused == child
-    assert _mpf_pair(_ints(x)) == x
+    assert _to_raw(node(x)) == x
     # membership with the three nodes in every role: probe, lower and upper bound
     nodes = (x, y, child)
     for lo in nodes:
         for hi in nodes:
             for probe in nodes:
-                assert _within(_ints(lo), _ints(hi))(_ints(probe)) == \
+                assert _within(node(lo), node(hi))(node(probe)) == \
                     reference_within(probe, lo, hi)
     width = lambda v: mpf_sub(v[1], v[0])  # exact
     for a in nodes:
         for b in nodes:
-            assert _wider(_ints(a), _ints(b)) == (mpf_cmp(width(a), width(b)) > 0)
+            assert _wider(node(a), node(b)) == (mpf_cmp(width(a), width(b)) > 0)
 
 
 # ----------------------------------------------------------------------

@@ -319,9 +319,9 @@ def test_kernels_convert_no_endpoint_to_fraction(monkeypatch):
     # times slower, so count the conversions instead of timing
     q = bonacci_root(5).value + E(F(1, 10 ** 6))
     conversions = []
-    convert = realnum._raw_to_fraction
-    monkeypatch.setattr(realnum, "_raw_to_fraction",
-                        lambda raw: conversions.append(raw) or convert(raw))
+    convert = realnum._to_fraction
+    monkeypatch.setattr(realnum, "_to_fraction",
+                        lambda m, e: conversions.append((m, e)) or convert(m, e))
     family = gaps_of_Sk(q, 5, 8)
     assert 300 <= len(family.gaps) <= 600
     shuffled = list(family.gaps)
@@ -485,9 +485,8 @@ def ref_thickness(gapset, tie_rng=None, strict=False):
     gaps = gapset.gaps
     n = len(gaps)
     widths = [g.width for g in gaps]
-    width_ends = exact_keys([end for w in widths for end in w.raw])
-    w_lo, w_hi = width_ends[0::2], width_ends[1::2]
-    positions = exact_keys([g.left.raw[0] for g in gaps] + [g.right.raw[0] for g in gaps])
+    w_lo, w_hi = exact_keys(widths)
+    positions = exact_keys([g.left for g in gaps] + [g.right for g in gaps])[0]
     left_at, right_at = positions[:n], positions[n:]
     order = sorted(range(n), key=lambda i: (-w_hi[i], left_at[i]))
     if strict:
@@ -533,7 +532,8 @@ def ref_contained_in_complement(inner, outer):
     if side_low is True or side_high is True:
         return True
     uncertain = side_low is None or side_high is None
-    *keys, probe = exact_keys([g.left.raw[0] for g in outer.gaps] + [lo.raw[1]])
+    lows, highs = exact_keys([g.left for g in outer.gaps] + [lo])
+    keys, probe = lows[:-1], highs[-1]
     start = bisect.bisect_right(keys, probe)
     for g in outer.gaps[max(0, start - 2): start + 2]:
         in_gap_l = g.left.lt(lo)
@@ -548,7 +548,7 @@ def ref_contained_in_complement(inner, outer):
 def ref_distance_to_set(x, bset):
     """Distance by an outward scan from an exact-key bisection position."""
     bridges = bset.bridges()
-    *keys, probe = exact_keys([u.raw[0] for (u, _) in bridges] + [x.raw[0]])
+    *keys, probe = exact_keys([u for (u, _) in bridges] + [x])[0]
     idx = bisect.bisect_right(keys, probe)
     lo_j = idx - 1
     while lo_j > 0 and bridges[lo_j][1].lt(x) is not True:
