@@ -39,6 +39,7 @@ evidence.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -62,6 +63,9 @@ from .certificate import (
 from .constructions import (
     GMap,
     _cover_near,
+    _interleaving_margin,
+    _pinned_radius,
+    _three_radius,
     fixed_expansion_of_one,
     pq_certificate,
     pq_hull_data,
@@ -131,6 +135,47 @@ def _merge(checks: list[Check], sub: list[Check], prefix: str) -> None:
     checks.extend(replace(c, name=prefix + c.name) for c in sub)
 
 
+def _timed(pipeline):
+    """Set the returned certificate's wall_time_ms to the call's duration."""
+    @functools.wraps(pipeline)
+    def run(*args, **kwargs) -> Certificate:
+        start = time.perf_counter()
+        cert = pipeline(*args, **kwargs)
+        cert.wall_time_ms = (time.perf_counter() - start) * 1000.0
+        return cert
+    return run
+
+
+def _interval_mode(q) -> bool:
+    """True for the whole band ("interval"), False for a concrete base."""
+    if isinstance(q, str) and q != "interval":
+        raise ValueError(
+            f"q must be an enclosure-like value or 'interval', got {q!r}")
+    return isinstance(q, str)
+
+
+def _not_met(claim: str, params: dict, checks: list[Check], **after) -> Certificate:
+    """The proved-grade refusal of a request whose premise fails: the
+    verdict follows ``params`` and precedes ``after``."""
+    return Certificate(
+        claim, {**params, "verdict": VERDICT_HYPOTHESIS_NOT_MET, **after},
+        checks, grade=GRADE_PROVED)
+
+
+def _pinning(claim: str, params: dict, checks: list[Check], pin: Check,
+             q: Enclosure, root: Enclosure, rho: Enclosure) -> Optional[Certificate]:
+    """Append a point's pin check to ``checks``; unless it certifies, return
+    the refusal, with the base, center and radius after ``params``."""
+    checks.append(pin)
+    if pin.status == STATUS_CERTIFIED:
+        return None
+    if pin.status == STATUS_UNCERTAIN:
+        pin.note += "; undecidable at current precision"
+    return _not_met(claim, {**params, "q": _float_pair(q),
+                            "center": _float_pair(root),
+                            "radius": _float_pair(rho)}, checks)
+
+
 # ======================================================================
 # the order threshold
 # ======================================================================
@@ -157,6 +202,7 @@ def k_threshold(m: int) -> int:
 # the thickness-vs-overlap inequality
 # ======================================================================
 
+@_timed
 def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
     """Certify (m+2) tau^(-c) <= beta^c (1 - beta^(1-c)) / 432^2.
 
@@ -164,7 +210,6 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
     (0, 1/4], c in (0, 1) -- are emitted as checks, and the main
     comparison is left undecided when they fail.
     """
-    start = time.perf_counter()
     tau = as_enclosure(tau)
     beta = as_enclosure(beta)
     c = as_enclosure(DEFAULT_SPLIT if c is None else c)
@@ -188,13 +233,9 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
                             note="not evaluated: a premise is not certified"))
 
     return Certificate(
-        claim="count-vs-overlap-inequality",
-        params={"m": m, "tau": _float_pair(tau), "beta": _float_pair(beta),
-                "c": _float_pair(c)},
-        checks=checks,
-        grade=GRADE_PROVED,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-    )
+        "count-vs-overlap-inequality",
+        {"m": m, "tau": _float_pair(tau), "beta": _float_pair(beta), "c": _float_pair(c)},
+        checks, grade=GRADE_PROVED)
 
 
 # ======================================================================
@@ -219,6 +260,7 @@ def dim_lower_bound(m: int, q, k: int) -> Enclosure:
 # main pipeline: intervals of bases admitting exactly m+2 expansions
 # ======================================================================
 
+@_timed
 def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> Certificate:
     """Certify the order-k pinned interval for target count m+2.
 
@@ -236,52 +278,28 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    start = time.perf_counter()
+    claim = "pinned-interval-m-plus-2"
     threshold = k_threshold(m)
+    head = {"m": m, "k": k, "k_threshold": threshold}
     if k < threshold:
-        return Certificate(
-            claim="pinned-interval-m-plus-2",
-            params={"m": m, "k": k, "k_threshold": threshold,
-                    "verdict": VERDICT_HYPOTHESIS_NOT_MET},
-            checks=[check_flag(
-                "order_meets_threshold", False,
-                note=f"k = {k} is below the supported threshold {threshold}")],
-            grade=GRADE_PROVED,
-            wall_time_ms=(time.perf_counter() - start) * 1000.0,
-        )
+        return _not_met(claim, head, [check_flag(
+            "order_meets_threshold", False,
+            note=f"k = {k} is below the supported threshold {threshold}")])
 
     root = bonacci_root(k).value
-    rho = root ** (-(m + 2) * k - 3)
-    interval_mode = isinstance(q, str)
-    if interval_mode:
-        if q != "interval":
-            raise ValueError(
-                f"q must be an enclosure-like value or 'interval', got {q!r}")
-        q_eval = Enclosure.from_endpoints(root.lo - rho.hi, root.hi + rho.hi)
-    else:
-        q_eval = as_enclosure(q)
+    rho = _pinned_radius(root, m, k)
+    interval_mode = _interval_mode(q)
+    q_eval = (Enclosure.from_endpoints(root.lo - rho.hi, root.hi + rho.hi)
+              if interval_mode else as_enclosure(q))
 
     checks: list[Check] = [check_flag(
         "order_meets_threshold", True,
         note=f"k = {k} >= threshold {threshold}")]
     if not interval_mode:
-        pin = check_lt(
-            "pinning_within_radius", abs(q_eval - root), rho,
-            note="|q - root_k| < root_k^(-(m+2)k-3)")
-        if pin.status != STATUS_CERTIFIED:
-            if pin.status == STATUS_UNCERTAIN:
-                pin.note += "; undecidable at current precision"
-            return Certificate(
-                claim="pinned-interval-m-plus-2",
-                params={"m": m, "k": k, "k_threshold": threshold,
-                        "q": _float_pair(q_eval), "center": _float_pair(root),
-                        "radius": _float_pair(rho),
-                        "verdict": VERDICT_HYPOTHESIS_NOT_MET},
-                checks=checks + [pin],
-                grade=GRADE_PROVED,
-                wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        checks.append(pin)
+        pin = check_lt("pinning_within_radius", abs(q_eval - root), rho,
+                       note="|q - root_k| < root_k^(-(m+2)k-3)")
+        if refusal := _pinning(claim, head, checks, pin, q_eval, root, rho):
+            return refusal
 
     anchors = pq_hull_data(q_eval, k, m)
     eps = anchors.epsilon.value
@@ -309,9 +327,7 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
         "dimension_bound_positive", dim, as_enclosure(0)))
 
     params = {
-        "m": m,
-        "k": k,
-        "k_threshold": threshold,
+        **head,
         "mode": "interval" if interval_mode else "point",
         "center": _float_pair(root),
         "radius": _float_pair(rho),
@@ -321,14 +337,8 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
     }
     if not interval_mode:
         params["q"] = _float_pair(q_eval)
-    return Certificate(
-        claim="pinned-interval-m-plus-2",
-        params=params,
-        checks=checks,
-        evidence_depth=3 * k,
-        grade=GRADE_EVIDENCE,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    return Certificate(claim, params, checks, evidence_depth=3 * k,
+                       grade=GRADE_EVIDENCE)
 
 
 # ======================================================================
@@ -342,6 +352,7 @@ def _b_cover_depth(k: int) -> int:
     return min(k + 26, 2 * k + 8)
 
 
+@_timed
 def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
                       depth: Optional[int] = None) -> Certificate:
     """Certify the order-k pinned interval for exactly three expansions.
@@ -378,15 +389,13 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     """
     if k < 9:
         raise ValueError(f"k must be >= 9, got {k}")
-    start = time.perf_counter()
+    claim = "pinned-interval-three"
     root = bonacci_root(k).value
-    rho = root ** (-2 * k - 6)
+    rho = _three_radius(root, k)
     one_sided = k == 9
-    interval_mode = isinstance(q, str)
+    interval_mode = _interval_mode(q)
+    checks: list[Check] = []
     if interval_mode:
-        if q != "interval":
-            raise ValueError(
-                f"q must be an enclosure-like value or 'interval', got {q!r}")
         q_eval = root
         lo = root.lo if one_sided else root.lo - rho.hi
         q_span = Enclosure.from_endpoints(lo, root.hi + rho.hi)
@@ -396,20 +405,11 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         q_span = q_eval
         dq_bound = abs(q_eval - root)
         if one_sided and q_eval.le(root) is True:
-            return Certificate(
-                claim="pinned-interval-three",
-                params={"k": k, "verdict": VERDICT_HYPOTHESIS_NOT_MET,
-                        "q": _float_pair(q_eval), "center": _float_pair(root)},
-                checks=[check_flag(
-                    "base_strictly_above_root", False,
-                    note="the order-9 band is one-sided: bases at or below "
-                         "the root are not claimed")],
-                grade=GRADE_PROVED,
-                wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            )
-
-    checks: list[Check] = []
-    if not interval_mode:
+            return _not_met(claim, {"k": k}, [check_flag(
+                "base_strictly_above_root", False,
+                note="the order-9 band is one-sided: bases at or below "
+                     "the root are not claimed")],
+                q=_float_pair(q_eval), center=_float_pair(root))
         if one_sided:
             checks.append(check_gt(
                 "base_strictly_above_root", q_eval, root,
@@ -422,19 +422,8 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
             pin = check_le(
                 "pinning_within_radius", dq_bound, rho,
                 note="|q - root_k| <= root_k^(-2k-6)")
-        if pin.status != STATUS_CERTIFIED:
-            if pin.status == STATUS_UNCERTAIN:
-                pin.note += "; undecidable at current precision"
-            return Certificate(
-                claim="pinned-interval-three",
-                params={"k": k, "q": _float_pair(q_eval),
-                        "center": _float_pair(root), "radius": _float_pair(rho),
-                        "verdict": VERDICT_HYPOTHESIS_NOT_MET},
-                checks=checks + [pin],
-                grade=GRADE_PROVED,
-                wall_time_ms=(time.perf_counter() - start) * 1000.0,
-            )
-        checks.append(pin)
+        if refusal := _pinning(claim, {"k": k}, checks, pin, q_eval, root, rho):
+            return refusal
 
     # four explicit common points at the root, interleaved with margin
     ws = witness_points(k)
@@ -442,7 +431,7 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "witness_construction_certified", ws.certificate.certified,
         note="four explicit points of both families at the root, with "
              "closed-form values and separations"))
-    margin = root ** (-2 * k - 4)
+    margin = _interleaving_margin(root, k)
     imgs = [p.image for p in ws.points]
     stagger = strongly_interleaved(imgs[0], imgs[2], imgs[1], imgs[3], margin)
     _merge(checks, stagger.checks, "interleaving_")
@@ -478,7 +467,8 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     gap_depth = _GAP_DEPTH if depth is None else depth
     gmap = GMap(q_eval, k)
     shift = gmap.offset - 1
-    to_a = (q_eval ** k, -(shift * q_eval ** k))
+    q_k = q_eval ** k
+    to_a = (q_k, -(shift * q_k))
     anchor = ws.points[1]
     y_val = pi_q(anchor.image_seq, q_eval)
     a_point = pi_q(anchor.seq, q_eval)
@@ -527,7 +517,7 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     x_seq = SymbolicSeq((0,) + anchor.image_seq.preperiod.digits,
                         anchor.image_seq.period)
     x_val = pi_q(x_seq, root)
-    count = certify_m_expansions(root, x_seq, 3, depth=_COUNT_DEPTH)
+    count = certify_m_expansions(root, x_val, 3, depth=_COUNT_DEPTH)
     for c in count.checks:
         checks.append(replace(
             c, name="count_" + c.name,
@@ -550,13 +540,9 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     if not interval_mode:
         params["q"] = _float_pair(q_eval)
     return Certificate(
-        claim="pinned-interval-three",
-        params=params,
-        checks=checks,
+        claim, params, checks,
         evidence_depth=max(gap_depth, cover_depth, _COUNT_DEPTH, 3 * k),
-        grade=GRADE_EVIDENCE,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-    )
+        grade=GRADE_EVIDENCE)
 
 
 # ======================================================================
@@ -700,7 +686,7 @@ def reproduce_tables() -> TablesReport:
     for m, k_ref, root_ref, radius_ref, dim_ref in TABLE_MAIN_REFERENCE:
         k = k_threshold(m)
         root = bonacci_root(k).value
-        radius = root ** (-(m + 2) * k - 3)
+        radius = _pinned_radius(root, m, k)
         dim = dim_lower_bound(m, root, k)
         entries = (
             ColumnReport("threshold", str(k), str(k_ref), k == k_ref),
@@ -720,7 +706,7 @@ def reproduce_tables() -> TablesReport:
 
     for k, root_ref, radius_ref in TABLE_THREE_REFERENCE:
         root = bonacci_root(k).value
-        radius = root ** (-2 * k - 6)
+        radius = _three_radius(root, k)
         entries = (
             ColumnReport("root", _render_like(root_ref, root.mid), root_ref,
                          _match(root, _reference_band(root_ref),

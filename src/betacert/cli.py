@@ -55,7 +55,7 @@ from .certify import (
     theorem_a_certify,
     theorem_b_certify,
 )
-from .constructions import witness_points
+from .constructions import _interleaving_margin, witness_points
 from .expansions import count_prefixes
 from .realnum import (
     DEFAULT_PRECISION,
@@ -410,7 +410,7 @@ def cmd_witness(k: Optional[int], cfg: RunConfig) -> int:
         raise UsageError("witness requires --k")
     with precision(cfg.precision_bits):
         ws = witness_points(k)
-        margin = bonacci_root(k).value ** (-2 * k - 4)
+        margin = _interleaving_margin(ws.q, k)
         seps = []
         pts = ws.points
         for a, b in zip(pts, pts[1:]):

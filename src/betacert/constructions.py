@@ -88,6 +88,21 @@ def contraction_block(k: int) -> Word:
     return Word.ones(k - 1) + Word.zeros(1)
 
 
+def _pinned_radius(root: Enclosure, m: int, k: int) -> Enclosure:
+    """root_k^(-(m+2)k-3), the radius of the band with m+2 expansions."""
+    return root ** (-(m + 2) * k - 3)
+
+
+def _three_radius(root: Enclosure, k: int) -> Enclosure:
+    """root_k^(-2k-6), the radius of the band with three expansions."""
+    return root ** (-2 * k - 6)
+
+
+def _interleaving_margin(root: Enclosure, k: int) -> Enclosure:
+    """root_k^(-2k-4), the margin of the witness images' interleaving."""
+    return root ** (-2 * k - 4)
+
+
 # ======================================================================
 # epsilon: how far the base sits from the order-k root, measured through
 # the value of the periodic block (1^{k-1} 0)^inf
@@ -185,6 +200,7 @@ def g_apply_symbolic(gmap: GMap, seq, iterations: int = 1) -> SymbolicSeq:
 class PQAnchors:
     """Closed-form hull data for the truncated families (no enumeration).
 
+    ``scales[i]`` = q^(-ki) is the scale factor of g^i for i = 0..m;
     ``left_P[i]`` / ``right_P[i]`` are the attained extremes of the i-th
     left family, ``left_Q`` / ``right_Q`` of the right family; ``D`` is the
     common hull diameter, ``B`` the intersection band of all the hulls and
@@ -194,6 +210,7 @@ class PQAnchors:
     k: int
     m: int
     fixed_point: Enclosure
+    scales: tuple[Enclosure, ...]
     epsilon: EpsilonQ
     left_P: tuple[Enclosure, ...]
     right_P: tuple[Enclosure, ...]
@@ -234,17 +251,17 @@ def pq_hull_data(q, k: int, m: int) -> PQAnchors:
     # overall factor q^{-km} turns it into the common hull diameter
     cut_left_tail = SymbolicSeq.eventually(
         Word.zeros(k - 3), Word.zeros(1) + Word.ones(k - 2))
-    shrink = [q ** (-k * i) for i in range(m + 1)]  # g^i's scale factors
-    D = shrink[m] * pi_q(cut_left_tail, q)
-    left_P = tuple(fp + s * eps.value for s in shrink)
+    scales = tuple(q ** (-k * i) for i in range(m + 1))
+    D = scales[m] * pi_q(cut_left_tail, q)
+    left_P = tuple(fp + s * eps.value for s in scales)
     right_P = tuple(lp + D for lp in left_P)
-    right_Q = fp + shrink[m] / (q ** k - 1)
+    right_Q = fp + scales[m] / (q ** k - 1)
     left_Q = right_Q - D
     B_left = enc_max(left_Q, *left_P)
     B_right = enc_min(right_Q, *right_P)
     B_width = B_right - B_left
     beta = enc_min(as_enclosure(Fraction(1, 4)), B_width / D)
-    return PQAnchors(q=q, k=k, m=m, fixed_point=fp, epsilon=eps,
+    return PQAnchors(q=q, k=k, m=m, fixed_point=fp, scales=scales, epsilon=eps,
                      left_P=left_P, right_P=right_P,
                      left_Q=left_Q, right_Q=right_Q, D=D,
                      B_left=B_left, B_right=B_right, B_width=B_width,
@@ -289,7 +306,7 @@ def pq_certificate(anchors: PQAnchors) -> Certificate:
             "p_left_ends_indistinguishable", True if coincide else False,
             note="base enclosure contains the order-k root; the left ends "
                  "coincide within enclosure width"))
-    complement_route = q ** (-k * m) * (
+    complement_route = a.scales[m] * (
         1 / (q - 1)
         - pi_q(SymbolicSeq.eventually(Word.ones(k - 3),
                                       Word.ones(1) + Word.zeros(k - 2)), q))
@@ -361,12 +378,12 @@ def build_pq_family(q, k: int, m: int, depth: Optional[int] = None) -> PQFamily:
     for i in range(m + 1):
         cut = _gap_with_label(base, "0" * ((m - i) * k + k - 3))
         kept = base.restrict(hi=cut.left)
-        scale = q ** (-k * i)
+        scale = anchors.scales[i]
         # g^i(x + 1) = fp + q^{-ki} (x + 1 - fp)
         P.append(affine_image(kept, scale, fp + scale * (1 - fp)))
     hcut = _gap_with_label(base, "1" * (k - 3))
     kept_q = base.restrict(lo=hcut.right)
-    scale_m = q ** (-k * m)
+    scale_m = anchors.scales[m]
     Q = affine_image(kept_q, scale_m, fp * (1 - scale_m))
 
     cert = pq_certificate(anchors)
@@ -448,7 +465,7 @@ def fixed_expansion_of_one(q, k: int, depth: int) -> AqDescription:
         raise ValueError(
             f"depth must cover the forced prefix of length {prefix_len}")
     root = bonacci_root(k).value
-    pin = check_le("pinning_radius", abs(q - root), root ** (-2 * k - 6),
+    pin = check_le("pinning_radius", abs(q - root), _three_radius(root, k),
                    note="|q - root_k| <= root_k^(-2k-6)")
     if pin.status != STATUS_CERTIFIED:
         raise ValueError(
@@ -752,7 +769,7 @@ def witness_points(k: int) -> WitnessSet:
         q ** (-2 * k + 1) / denom))
     checks.append(check_ge(
         "image_separation_vs_twice_epsilon", min_sep,
-        2 * q ** (-2 * k - 4),
+        2 * _interleaving_margin(q, k),
         note="feeds the four-point strong-interleaving bound"))
 
     cert = Certificate(

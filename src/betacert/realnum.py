@@ -710,20 +710,17 @@ def _root_bracket(k: int, precision_bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
-def bonacci_root(k: int, precision_bits: Optional[int] = None) -> BonacciRoot:
+def bonacci_root(k: int) -> BonacciRoot:
     """Certified enclosure of the k-Bonacci base (k = 2: the golden ratio).
 
-    The returned enclosure has width <= 2^(-precision_bits) (default: the
-    working precision) and provably contains the unique root in (1, 2):
-    the characteristic polynomial changes sign across the bracket, checked
-    in exact integer arithmetic.
+    The returned enclosure has width <= 2^(-p) at the working precision p
+    and provably contains the unique root in (1, 2): the characteristic
+    polynomial changes sign across the bracket, checked in exact integer
+    arithmetic.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    bits = _prec if precision_bits is None else precision_bits
-    if bits < 64:
-        raise ValueError(f"precision_bits must be >= 64, got {bits}")
-    lo, hi = _root_bracket(k, bits)
+    lo, hi = _root_bracket(k, _prec)
     # the bracket ends are dyadic, so from_endpoints keeps them exactly
     return BonacciRoot(k=k, value=Enclosure.from_endpoints(lo, hi), bracket=(lo, hi))
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .realnum import Enclosure, pi_q
-from .thickness import Gap, GapSet, _family_base, _probe_sides
+from .thickness import Gap, GapSet, _admissible_count, _family_base, _probe_sides
 
 __all__ = [
     "ResourceError",
@@ -295,36 +295,6 @@ def enumerate_sk_words(k: int, n: int, budget: int = ENUMERATION_BUDGET) -> list
 
     descend(_EMPTY)
     return out
-
-
-@lru_cache(maxsize=None)  # a sweep asks again for each base at one order
-def _admissible_count(k: int, max_len: int) -> int:
-    """Number of gap index words of length <= max_len (see _is_gap_index).
-
-    A nonempty word is a first digit (two choices), an initial run of any
-    length r >= 1, then non-initial runs of lengths 1..k-1 whose last is at
-    most k-2.  Let c(s) count the compositions of s into parts 1..k-1 and
-    g(s) those whose last part is at most k-2, with g(0) = 1 for the
-    initial run alone.  A word of length L counts 2 g(L - r) for each
-    r <= L, so the words of lengths 0..n number
-
-        1 + 2 sum_{s<n} (n - s) g(s),
-
-    and with C(t) = c(0) + ... + c(t) (zero for t < 0) both terms are
-    differences of prefix sums: c(s) = C(s-1) - C(s-k) and
-    g(s) = C(s-1) - C(s-k+1).  The tests check this against a count over
-    the run-limited automaton's states.
-    """
-    prefix = [1]  # C(0), C(1), ...
-
-    def C(t: int) -> int:
-        return prefix[t] if t >= 0 else 0
-
-    total = max_len  # the term s = 0
-    for s in range(1, max_len):
-        prefix.append(prefix[-1] + C(s - 1) - C(s - k))
-        total += (max_len - s) * (C(s - 1) - C(s - k + 1))
-    return 1 + 2 * total
 
 
 def gaps_of_Sk(q, k: int, max_delta_len: int,

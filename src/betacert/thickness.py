@@ -32,6 +32,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Optional
 
@@ -304,6 +305,36 @@ def _nearest_earlier(rank, scan, ends, hull_end) -> list[Enclosure]:
     return anchors
 
 
+@lru_cache(maxsize=None)  # a sweep asks again for each base at one order
+def _admissible_count(k: int, max_len: int) -> int:
+    """Number of gap index words of length <= max_len (see symbolic._is_gap_index).
+
+    A nonempty word is a first digit (two choices), an initial run of any
+    length r >= 1, then non-initial runs of lengths 1..k-1 whose last is at
+    most k-2.  Let c(s) count the compositions of s into parts 1..k-1 and
+    g(s) those whose last part is at most k-2, with g(0) = 1 for the
+    initial run alone.  A word of length L counts 2 g(L - r) for each
+    r <= L, so the words of lengths 0..n number
+
+        1 + 2 sum_{s<n} (n - s) g(s),
+
+    and with C(t) = c(0) + ... + c(t) (zero for t < 0) both terms are
+    differences of prefix sums: c(s) = C(s-1) - C(s-k) and
+    g(s) = C(s-1) - C(s-k+1).  The tests check this against a count over
+    the run-limited automaton's states.
+    """
+    prefix = [1]  # C(0), C(1), ...
+
+    def C(t: int) -> int:
+        return prefix[t] if t >= 0 else 0
+
+    total = max_len  # the term s = 0
+    for s in range(1, max_len):
+        prefix.append(prefix[-1] + C(s - 1) - C(s - k))
+        total += (max_len - s) * (C(s - 1) - C(s - k + 1))
+    return 1 + 2 * total
+
+
 def _family_base(q, k: int, max_delta_len: int) -> Enclosure:
     """q as an enclosure, once the checks every run-limited family makes
     pass: a nonnegative depth and a base certifiably above the order-k root."""
@@ -343,8 +374,6 @@ def sk_thickness(q, k: int, max_delta_len: int) -> ThicknessValue:
             "(adjacent index words share an endpoint sequence), so no "
             "positive-bridge gap structure exists"
         )
-    from .symbolic import _admissible_count  # symbolic imports this module
-
     q = _family_base(q, k, max_delta_len)
     one = Enclosure(1)
     q_k1, q_k = q ** (k - 1), q ** k

@@ -15,6 +15,7 @@ import json
 import re
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +191,23 @@ def test_certify_json_deterministic_modulo_wall_time():
     assert strip(first) == strip(second)
     doc = json.loads(first)
     assert list(doc)[-1] == "wall_time_ms"
+
+
+#: the refusal documents no benchmark golden holds: below the order
+#: threshold, off the band at m = 1 and at k = 10, and below the one-sided
+#: order-9 root; recorded with wall_time_ms masked to null
+REFUSALS = json.loads(
+    (Path(__file__).parent / "refusal_documents.json").read_text())
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=lambda c: " ".join(c["argv"][:-2]))
+def test_certify_refusal_documents_are_pinned(case):
+    code, doc = run_json(case["argv"])
+    assert code == 1
+    assert list(doc)[-1] == "wall_time_ms" and doc["wall_time_ms"] > 0
+    doc["wall_time_ms"] = None
+    # text comparison, so the key order is compared too
+    assert json.dumps(doc, indent=2) == json.dumps(case["document"], indent=2)
 
 
 # ----------------------------------------------------------------------

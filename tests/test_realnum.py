@@ -525,7 +525,8 @@ def test_golden_ratio():
 
 def test_root_bracket_sign_change():
     for k in (2, 5, 9, 31):
-        r = bonacci_root(k, 128)
+        with precision(128):
+            r = bonacci_root(k)
         lo, hi = r.bracket
         assert characteristic_sign(k, lo) < 0 < characteristic_sign(k, hi)
         assert hi - lo <= Fraction(1, 2 ** 128)
