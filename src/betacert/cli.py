@@ -131,6 +131,17 @@ def parse_base(text: str):
     return _decimal_fraction(t)
 
 
+def _check_decimal_base(text: str) -> None:
+    """Refuse a decimal --q outside (1, 2) on its Decimal, before parse_base
+    builds the exact Fraction (for "1e9999999", a ten-million-digit int)."""
+    try:
+        value = Decimal(text.strip())
+    except InvalidOperation:
+        return  # golden, qk:, p/r, or text that parse_base refuses
+    if value.is_finite() and not 1 < value < 2:
+        raise ValueError("q must be certifiably inside (1, 2)")
+
+
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
     """Write the document to --out if given; print it in json mode."""
     text = _json_text(doc) + "\n"
@@ -357,6 +368,7 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
     if q_text is None or x_text is None:
         raise UsageError("count requires --q and --x")
     depth = cfg.depth if cfg.depth is not None else 200
+    _check_decimal_base(q_text)
     with precision(cfg.precision_bits):
         q = parse_base(q_text)
         x = parse_base(x_text)

@@ -17,11 +17,13 @@ An Enclosure holds four ints (lo man, lo exp, hi man, hi exp), each end
 the value man * 2**exp with a signed mantissa, trailing zero bits allowed.
 Arithmetic, negation, abs, the int and Fraction constructors, compares and
 min / max form the exact integer result and round it once, outward, to the
-working precision: the values mpmath's interval kernels give.  The branch
-walk (membership, _step) runs on the same ints.  mpmath is only the edge:
-decimal parsing, printing, logarithms and powers (whose rounding it owns)
-convert to its tuples and back.  No mpmath context is read or written, so
-a host program's mpmath settings and this module's precision never meet.
+working precision: the values mpmath's interval kernels give.  Integer
+powers round step by step exactly as mpmath's mpi_pow_int does, on the
+same ints.  The branch walk (membership, _step) runs on them too.  mpmath
+is only the edge: decimal parsing, printing, logarithms and non-integer
+powers (whose rounding it owns) convert to its tuples and back.  No mpmath
+context is read or written, so a host program's mpmath settings and this
+module's precision never meet.
 
 Both endpoints are always finite.  Division, powers, logarithms and
 decimal parsing raise where they would make an infinite or nan endpoint:
@@ -113,7 +115,10 @@ def precision(bits: int):
 # forms its exact result and rounds it once, outward, to _prec bits.
 
 _ZERO = (0, 0, 0, 0)
+_ONE = (1, 0, 1, 0)
 _LOG = "a logarithm of an enclosure that reaches zero, or to a base that contains 1"
+_POW = "a power of an enclosure that contains zero"
+_DIV = "a division by an enclosure that contains zero"
 
 
 def _floor(m: int, e: int) -> tuple:
@@ -225,7 +230,7 @@ def _quotient(m: int, e: int, n: int, f: int, up: bool) -> tuple:
     return _floor((m << k) // n, e - f - k)
 
 
-def _div(x, y, op: str = "a division by an enclosure that contains zero") -> tuple:
+def _div(x, y, op: str = _DIV) -> tuple:
     """The quotient; PrecisionError naming op when y contains zero."""
     cm, ce, dm, de = y
     if cm <= 0 <= dm:
@@ -235,6 +240,68 @@ def _div(x, y, op: str = "a division by an enclosure that contains zero") -> tup
         am, ae, bm, be, cm, ce, dm, de = -bm, be, -am, ae, -dm, de, -cm, ce
     lo = _quotient(am, ae, dm, de, False) if am >= 0 else _quotient(am, ae, cm, ce, False)
     return lo + (_quotient(bm, be, dm, de, True) if bm <= 0 else _quotient(bm, be, cm, ce, True))
+
+
+def _round(m: int, e: int, prec: int, up: bool) -> tuple:
+    """m 2**e rounded down (or up) to prec bits."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    return (-(-m >> n) if up else m >> n), e + n
+
+
+def _pow_end(m: int, e: int, n: int, prec: int, up: bool) -> tuple:
+    """(m 2**e) ** n for n >= 2, rounded down (or up) to prec bits as
+    mpmath's mpf_pow_int rounds it: the odd mantissa's exact power while
+    bitlen(mantissa) n < 1000, else binary powering at prec + 4 bitlen(n) + 4
+    bits that rounds every partial product's magnitude the final way."""
+    if not m:
+        return 0, 0
+    z = (m & -m).bit_length() - 1
+    neg = m < 0 and n % 2 == 1
+    man, e = abs(m) >> z, e + z
+    if man == 1:
+        return (-1 if neg else 1), e * n
+    if man.bit_length() * n < 1000:
+        p = man ** n
+        return _round(-p if neg else p, e * n, prec, up)
+    work, away = prec + 4 * n.bit_length() + 4, up != neg  # away: magnitudes round up
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm, pe = pm * man, pe + e
+            c = pm.bit_length() - work
+            if c > 0:
+                pm, pe = (-(-pm >> c) if away else pm >> c), pe + c
+            n -= 1
+            if not n:
+                break
+        man, e = man * man, e + e
+        c = man.bit_length() - work
+        if c > 0:
+            man, e = (-(-man >> c) if away else man >> c), e + c
+        n >>= 1
+    return _round(-pm if neg else pm, pe, prec, up)
+
+
+def _pow_int(x, n: int) -> tuple:
+    """x ** n for an int n, rounded as mpmath's mpi_pow_int rounds it: 1 at
+    n = 0, x unrounded at n = 1, an even power's ends picked by x's signs,
+    and n < 0 as 1 / x ** -n with x ** -n rounded 20 bits finer (so a
+    PrecisionError when x contains zero)."""
+    prec, k = (_prec, n) if n >= 0 else (_prec + 20, -n)
+    if k < 2:
+        p = x if k else _ONE
+    else:
+        am, ae, bm, be = x
+        if k & 1 or am >= 0:  # odd powers keep the ends' signs, even ones of x >= 0 their order
+            p = _pow_end(am, ae, k, prec, False) + _pow_end(bm, be, k, prec, True)
+        elif bm <= 0:
+            p = _pow_end(bm, be, k, prec, False) + _pow_end(am, ae, k, prec, True)
+        else:
+            top = (am, ae) if _cmp(-am, ae, bm, be) >= 0 else (bm, be)
+            p = (0, 0) + _pow_end(*top, k, prec, True)
+    return p if n >= 0 else _div(_ONE, p, _POW)
 
 
 def _int(n: int) -> tuple:
@@ -426,14 +493,16 @@ class Enclosure:
         return NotImplemented if o is None else self._wrap(_div(o, self._ends))
 
     def __pow__(self, exponent):
+        """An integer exponent (an int, or an Enclosure or Fraction of integer
+        value) rounds in _pow_int; only a non-integer one goes to mpmath."""
         o = self._coerce(exponent)
         if o is None:
             return NotImplemented
         m, e, n, f = o
-        if _cmp(m, e, n, f) or (m and e + (m & -m).bit_length() <= 0):  # not an integer
-            _not_negative(self._ends, "the base of a non-integer power")
-        return self._wrap(_from_raw(mpi_pow(_to_raw(self._ends), _to_raw(o), _prec),
-                                    "a power of an enclosure that contains zero"))
+        if not _cmp(m, e, n, f) and (not m or e + (m & -m).bit_length() > 0):  # an integer
+            return self._wrap(_pow_int(self._ends, m << e if e >= 0 else m >> -e))
+        _not_negative(self._ends, "the base of a non-integer power")
+        return self._wrap(_from_raw(mpi_pow(_to_raw(self._ends), _to_raw(o), _prec), _POW))
 
     def __neg__(self):
         return self._wrap(_sub(_ZERO, self._ends))
@@ -746,6 +815,58 @@ def _seq_parts(seq) -> tuple[tuple, tuple]:
     return tuple(seq), ()
 
 
+def _horner(word, q) -> tuple:
+    """The ends of sum_j word[j-1] q^(-j), as the loop acc = (acc + d) / q
+    over word back to front: _add's digit sum and _div's two _quotient
+    roundings are written out, with q's sign and zero test taken once."""
+    if not word:
+        return _ZERO
+    cm, ce, dm, de = q
+    if cm <= 0 <= dm:
+        raise PrecisionError(f"non-finite endpoint from {_DIV}")
+    flip = dm < 0  # x / q = -x / -q, both negated exactly
+    if flip:
+        cm, ce, dm, de = -dm, de, -cm, ce
+    cb, db, prec = cm.bit_length(), dm.bit_length(), _prec
+    am = ae = bm = be = 0
+    for d in reversed(word):
+        if d:  # acc has at most _prec bits, or is a power of two: + 0 keeps it
+            if -prec <= ae <= prec:
+                am, ae = ((am << ae) + d, 0) if ae >= 0 else (am + (d << -ae), ae)
+            else:
+                am, ae = _sum(am, ae, d, 0)
+            if -prec <= be <= prec:
+                bm, be = ((bm << be) + d, 0) if be >= 0 else (bm + (d << -be), be)
+            else:
+                bm, be = _sum(bm, be, d, 0)
+            n = am.bit_length() - prec
+            if n > 0:
+                am, ae = am >> n, ae + n
+            n = bm.bit_length() - prec
+            if n > 0:
+                bm, be = -(-bm >> n), be + n
+        if flip:
+            am, ae, bm, be = -bm, be, -am, ae
+        # lower end: over q's upper end when it is not negative, else its lower
+        m, f, b = (dm, de, db) if am >= 0 else (cm, ce, cb)
+        k = prec + 1 + b - am.bit_length()
+        if k < 0:
+            k = 0
+        am, ae = (am << k) // m, ae - f - k
+        n = am.bit_length() - prec
+        if n > 0:
+            am, ae = am >> n, ae + n
+        m, f, b = (dm, de, db) if bm <= 0 else (cm, ce, cb)
+        k = prec + 1 + b - bm.bit_length()
+        if k < 0:
+            k = 0
+        bm, be = -((-bm << k) // m), be - f - k
+        n = bm.bit_length() - prec
+        if n > 0:
+            bm, be = -(-bm >> n), be + n
+    return am, ae, bm, be
+
+
 def pi_q(seq, q) -> Enclosure:
     """Certified value of a digit sequence in base q:  sum_j d_j q^(-j).
 
@@ -762,15 +883,7 @@ def pi_q(seq, q) -> Enclosure:
     for d in pre + per:
         if d not in (-1, 0, 1):
             raise ValueError(f"digit {d!r} outside {{-1, 0, 1}}")
-    values = []
-    for word in (pre, per):  # back to front, as acc = (acc + d) / q
-        acc = _ZERO
-        for d in reversed(word):
-            if d:  # acc has at most _prec bits, or is a power of two: + 0 keeps it
-                acc = _add(acc, (d, 0, d, 0))
-            acc = _div(acc, q._ends)
-        values.append(Enclosure._wrap(acc))
-    acc, pv = values
+    acc, pv = (Enclosure._wrap(_horner(word, q._ends)) for word in (pre, per))
     if per:
         acc = acc + q ** (-len(pre)) * pv / (1 - q ** (-len(per)))
     return acc

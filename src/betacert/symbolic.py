@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 1 << 24
+_DIGITS = frozenset((-1, 0, 1))
 
 
 class ResourceError(RuntimeError):
@@ -41,8 +42,8 @@ class Word:
     digits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        digits = tuple(int(d) for d in self.digits)
-        if any(d not in (-1, 0, 1) for d in digits):
+        digits = tuple(map(int, self.digits))
+        if not _DIGITS.issuperset(digits):
             raise ValueError("digits must lie in {-1, 0, 1}")
         object.__setattr__(self, "digits", digits)
 

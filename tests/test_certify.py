@@ -230,6 +230,16 @@ def test_dim_total_below_meaningful_orders():
         dim_lower_bound(0, 2, 31)
 
 
+def test_dim_scale_is_computed_at_each_precision():
+    # (m+2)^(20/19) is kept once per order and precision: a value kept at
+    # one precision must not serve another
+    for bits in (64, 256, 64, 512, 256):
+        with precision(bits):
+            q = bonacci_root(31).value
+            fresh = 1 - 1024 * as_enclosure(3) ** Fraction(20, 19) * q ** (4 - 31)
+            assert dim_lower_bound(1, q, 31).raw == fresh.raw
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=20, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_dim_monotone(m, k):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betacert import realnum
 from betacert.certificate import _json_text
 from betacert.cli import RunConfig, UsageError, main, parse_base
 from betacert.realnum import bonacci_root
@@ -273,6 +274,17 @@ def test_certify_widening_walk_fails_fast_on_precision():
     assert time.perf_counter() - start < 5
 
 
+def test_three_band_certificate_takes_no_mpmath_power(monkeypatch):
+    # every power the three-expansions pipeline takes has an integer exponent,
+    # which realnum rounds itself
+    def refuse(*args):
+        raise AssertionError("mpi_pow called")
+
+    monkeypatch.setattr(realnum, "mpi_pow", refuse)
+    code, out, err = run(["certify", "--k", "10", "--interval"])
+    assert (code, err) == (0, "")
+
+
 def test_precision_below_floor_is_usage_error():
     assert run(["tables", "--precision", "40"])[0] == 2
 
@@ -433,6 +445,17 @@ def test_count_unique_point_stabilizes():
 def test_count_requires_both_q_and_x():
     assert run(["count", "--q", "golden"])[0] == 2
     assert run(["count", "--x", "1"])[0] == 2
+
+
+@pytest.mark.parametrize("q", ["1e9999999", "-1e9999999", "1e-9999999", "2", "1"])
+def test_count_refuses_a_decimal_base_outside_the_range_fast(q):
+    # decided on the Decimal: the exact parse of 1e9999999 alone builds a
+    # ten-million-digit integer, about 12 s
+    start = time.perf_counter()
+    code, out, err = run(["count", f"--q={q}", "--x", "1"])
+    assert (code, out) == (2, "")
+    assert "q must be certifiably inside (1, 2)" in err
+    assert time.perf_counter() - start < 2
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ against exact rational arithmetic wherever an exact route exists."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv
 from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
                           mpf_cmp, mpf_neg, mpf_sub, round_ceiling, round_floor)
-from mpmath.libmp.libmpi import mpi_mul
+from mpmath.libmp.libmpi import mpi_mul, mpi_pow
 
 from betacert import realnum
 from betacert.certify import theorem_b_certify
@@ -41,7 +42,10 @@ from betacert.realnum import (
     projection_gap,
     _add,
     _confirm_cell,
+    _div,
     _from_raw,
+    _horner,
+    _pow_int,
     _root_bracket,
     _step,
     _to_raw,
@@ -385,6 +389,57 @@ def test_arithmetic_kernels_match_interval_operators(x, y, bits, n, f, g, text, 
         assert repr(x) == f"Enclosure({iv.nstr(a, 20)})"
         printed = x.str_digits(digits)
         assert finite_raw(Enclosure(printed)) == iv.mpf(printed)._mpi_
+
+
+@st.composite
+def power_ends(draw, bits):
+    """An end for an integer power's base: zero, a small or a power-of-two
+    mantissa, or one of up to twice the precision, with trailing zero bits
+    that the power must strip, over exponents far below and above 1."""
+    m = draw(st.one_of(st.just(0), st.integers(-8, 8), st.sampled_from([1, -1, 2, -4]),
+                       st.integers(1 - 2 ** (2 * bits), 2 ** (2 * bits) - 1)))
+    return m << draw(st.sampled_from([0, 0, 1, 7])), draw(st.integers(-bits - 60, 30))
+
+
+@given(st.data(), st.sampled_from([64, 96, 256, 512]),
+       st.one_of(st.sampled_from([0, 1, 2, -1, -2, 3, -3, 300, -300]), st.integers(-301, 301)))
+@settings(max_examples=600, deadline=None)
+def test_integer_power_kernel_matches_mpi_pow(data, bits, n):
+    # every sign case of the base (positive, negative, straddling or touching
+    # zero), the exact and the binary-powering branches (mantissa bits times
+    # n from below to far above 1000), and zero-containing bases under n < 0
+    a, b = data.draw(power_ends(bits)), data.draw(power_ends(bits))
+    if realnum._cmp(*a, *b) > 0:
+        a, b = b, a
+    x = Enclosure._wrap(a + data.draw(st.sampled_from([a, b, b])))
+    with precision(bits):
+        reference = mpi_pow(x.raw, (from_int(n), from_int(n)), bits)
+        if unbounded(reference):
+            assert n < 0 and x.lo <= 0 <= x.hi
+            for exponent in (n, Enclosure(n), Fraction(n)):
+                with pytest.raises(PrecisionError, match="power of an enclosure that contains zero"):
+                    x ** exponent
+        else:
+            assert _to_raw(_pow_int(x._ends, n)) == reference
+            for exponent in (n, Enclosure(n), Fraction(n)):
+                assert (x ** exponent).raw == reference
+
+
+@pytest.mark.parametrize("bits, ends, n", [
+    # 191 mantissa bits to the 6th: past 1000 bits, so binary powering's
+    # truncations, not the exact power, decide the upper end
+    (96, (846546905752457652466616730846565050679465425547841832841, 0) * 2, 6),
+    # the binary powering's guard bits, prec + 4 bitlen(n) + 4, decide it
+    (64, (-3590482101872946826678442761121, 0) * 2, 11),
+    # the 20 bits the power below a reciprocal carries decide the lower end
+    (384, (-int("398999431973182615381467798570412957675772127597145101628901704931229935497584501"
+                "363888617327899274958384388183386"), -258, -369, -420), -2),
+])
+def test_integer_power_kernel_keeps_mpmaths_working_precisions(bits, ends, n):
+    # found by search: a random base almost never lands this close to a
+    # rounding boundary, so these pin the precisions the kernel works at
+    with precision(bits):
+        assert _to_raw(_pow_int(ends, n)) == mpi_pow(_to_raw(ends), (from_int(n),) * 2, bits)
 
 
 def reference_ends(x, y, pick):
@@ -745,6 +800,31 @@ def test_horner_kernel_matches_enclosure_reference(bits):
                 with pytest.raises(PrecisionError, match="contains zero"):
                     pi_q(word, q)
             assert pi_q((), q).raw == reference_horner((), q).raw
+
+
+def reference_add_div_loop(word, q):
+    """pi_q's Horner loop on the kernels _horner writes out."""
+    acc = (0, 0, 0, 0)
+    for d in reversed(word):
+        if d:
+            acc = _add(acc, (d, 0, d, 0))
+        acc = _div(acc, q)
+    return acc
+
+
+@given(st.lists(st.sampled_from([-1, 0, 1]), max_size=80),
+       st.one_of(enclosures(), enclosures().map(lambda q: -q), straddling_zero()),
+       st.sampled_from([64, 96, 256, 512]))
+@settings(max_examples=400, deadline=None)
+def test_horner_kernel_matches_add_div_loop(word, q, bits):
+    with precision(bits):
+        try:
+            expected = reference_add_div_loop(word, q._ends)
+        except PrecisionError as exc:
+            with pytest.raises(PrecisionError, match=re.escape(str(exc))):
+                _horner(tuple(word), q._ends)
+        else:
+            assert _horner(tuple(word), q._ends) == expected
 
 
 # ----------------------------------------------------------------------
