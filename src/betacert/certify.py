@@ -242,13 +242,6 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
 # the dimension bound
 # ======================================================================
 
-@functools.lru_cache(maxsize=64)
-def _dim_scale(m: int, bits: int) -> Enclosure:
-    """(m+2)^(20/19), a logarithm and an exponential, at the working
-    precision bits (the key keeps one precision's value from another)."""
-    return as_enclosure(m + 2) ** Fraction(20, 19)
-
-
 def dim_lower_bound(m: int, q, k: int) -> Enclosure:
     """Enclosure of 1 - 1024 (m+2)^(20/19) q^(4-k).
 
@@ -259,7 +252,7 @@ def dim_lower_bound(m: int, q, k: int) -> Enclosure:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     q = as_enclosure(q)
-    return 1 - 1024 * _dim_scale(m, get_precision()) * q ** (4 - k)
+    return 1 - 1024 * as_enclosure(m + 2) ** Fraction(20, 19) * q ** (4 - k)
 
 
 # ======================================================================

@@ -142,6 +142,23 @@ def _check_decimal_base(text: str) -> None:
         raise ValueError("q must be certifiably inside (1, 2)")
 
 
+def _check_decimal_point(text: str, q) -> None:
+    """Refuse a decimal --x below 0, or a nonzero one (at least
+    10**adjusted()) with more digits before its point than an integer above
+    1/(q-1), on its Decimal before parse_base builds the exact Fraction.
+    Any other --x, or a q not certifiably inside (1, 2), is left to
+    count_prefixes."""
+    try:
+        value = Decimal(text.strip())
+    except InvalidOperation:
+        return
+    q = as_enclosure(q)
+    if not value.is_finite() or q.gt(1) is not True or q.lt(2) is not True:
+        return
+    if value < 0 or value and value.adjusted() >= len(str(int(1 / (q.lo - 1)) + 1)):
+        raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
+
+
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
     """Write the document to --out if given; print it in json mode."""
     text = _json_text(doc) + "\n"
@@ -371,6 +388,7 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
     _check_decimal_base(q_text)
     with precision(cfg.precision_bits):
         q = parse_base(q_text)
+        _check_decimal_point(x_text, q)
         x = parse_base(x_text)
         report = count_prefixes(q, x, depth=depth)
 

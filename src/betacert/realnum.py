@@ -345,6 +345,18 @@ def _from_raw(raw, op: str, error: type = PrecisionError) -> tuple:
     return -int(m) if s else int(m), e, -int(n) if t else int(n), f
 
 
+@lru_cache(maxsize=64)  # a request asks for the same radii and constants again
+def _power(x, y, prec: int) -> tuple:
+    """The ends of x ** y at the working precision prec, which keys the cache
+    (an exception is not kept, so it raises again on every call): an integer
+    y goes to _pow_int, any other to mpi_pow."""
+    m, e, n, f = y
+    if not _cmp(m, e, n, f) and (not m or e + (m & -m).bit_length() > 0):  # an integer
+        return _pow_int(x, m << e if e >= 0 else m >> -e)
+    _not_negative(x, "the base of a non-integer power")
+    return _from_raw(mpi_pow(_to_raw(x), _to_raw(y), prec), _POW)
+
+
 def exact_keys(xs) -> tuple[list[int], list[int]]:
     """Integers ordered exactly as the endpoints of the enclosures xs, as (lower
     ends' keys, upper ends' keys): each end m 2**e becomes m << (e - e0), e0
@@ -496,13 +508,7 @@ class Enclosure:
         """An integer exponent (an int, or an Enclosure or Fraction of integer
         value) rounds in _pow_int; only a non-integer one goes to mpmath."""
         o = self._coerce(exponent)
-        if o is None:
-            return NotImplemented
-        m, e, n, f = o
-        if not _cmp(m, e, n, f) and (not m or e + (m & -m).bit_length() > 0):  # an integer
-            return self._wrap(_pow_int(self._ends, m << e if e >= 0 else m >> -e))
-        _not_negative(self._ends, "the base of a non-integer power")
-        return self._wrap(_from_raw(mpi_pow(_to_raw(self._ends), _to_raw(o), _prec), _POW))
+        return NotImplemented if o is None else self._wrap(_power(self._ends, o, _prec))
 
     def __neg__(self):
         return self._wrap(_sub(_ZERO, self._ends))
@@ -867,6 +873,12 @@ def _horner(word, q) -> tuple:
     return am, ae, bm, be
 
 
+@lru_cache(maxsize=64)  # a request evaluates the same fixed points again
+def _word_value(word: tuple, q: tuple, prec: int) -> tuple:
+    """_horner(word, q) kept per working precision prec."""
+    return _horner(word, q)
+
+
 def pi_q(seq, q) -> Enclosure:
     """Certified value of a digit sequence in base q:  sum_j d_j q^(-j).
 
@@ -883,7 +895,7 @@ def pi_q(seq, q) -> Enclosure:
     for d in pre + per:
         if d not in (-1, 0, 1):
             raise ValueError(f"digit {d!r} outside {{-1, 0, 1}}")
-    acc, pv = (Enclosure._wrap(_horner(word, q._ends)) for word in (pre, per))
+    acc, pv = (Enclosure._wrap(_word_value(word, q._ends, _prec)) for word in (pre, per))
     if per:
         acc = acc + q ** (-len(pre)) * pv / (1 - q ** (-len(per)))
     return acc

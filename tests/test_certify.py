@@ -230,9 +230,9 @@ def test_dim_total_below_meaningful_orders():
         dim_lower_bound(0, 2, 31)
 
 
-def test_dim_scale_is_computed_at_each_precision():
-    # (m+2)^(20/19) is kept once per order and precision: a value kept at
-    # one precision must not serve another
+def test_dim_lower_bound_is_computed_at_each_precision():
+    # realnum keeps (m+2)^(20/19) per precision: a value kept at one
+    # precision must not serve another
     for bits in (64, 256, 64, 512, 256):
         with precision(bits):
             q = bonacci_root(31).value

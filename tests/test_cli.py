@@ -194,6 +194,45 @@ def test_certify_json_deterministic_modulo_wall_time():
     assert list(doc)[-1] == "wall_time_ms"
 
 
+#: certify requests of both pipelines, bands and points, a point off its
+#: band among them
+CROSS_PRECISION = [
+    ["--k", "9", "--interval"], ["--k", "11", "--interval"], ["--k", "13", "--interval"],
+    ["--k", "9", "--q", "qk:9+3.8145e-8"], ["--k", "10", "--q", "qk:10-1.3206e-8"],
+    ["--k", "11", "--q", "qk:11-1.8755e-9"], ["--k", "12", "--q", "qk:12+1.1684e-10"],
+    ["--k", "13", "--q", "qk:13-8.7482e-11"],
+    ["--m", "1", "--k", "31", "--interval"], ["--m", "2", "--k", "35", "--interval"],
+    ["--m", "3", "--k", "40", "--interval"], ["--m", "4", "--k", "33", "--interval"],
+    ["--m", "5", "--k", "36", "--interval"], ["--m", "5", "--k", "38", "--interval"],
+    ["--m", "1", "--k", "31", "--q", "qk:31+4.7332e-30"],
+    ["--m", "2", "--k", "36", "--q", "qk:36-4.2039e-45"],
+    ["--m", "3", "--k", "34", "--q", "qk:34+7.3083e-53"],
+    ["--m", "4", "--k", "40", "--q", "qk:40-1.7687e-74"],
+    ["--m", "5", "--k", "33", "--q", "qk:33+1.8111e-71"],
+    ["--m", "2", "--k", "33", "--q", "qk:33+1e-40"],
+]
+
+
+def test_certify_agrees_with_itself_across_precisions():
+    # outward rounding: a check certified at one precision never fails at
+    # another, and each parameter's enclosures meet; run in one process,
+    # 256 bits after 512 must give 256's document again, whatever realnum
+    # kept from the runs before
+    mask = lambda s: re.sub(r'"wall_time_ms": [0-9.e-]+', '"wall_time_ms": X', s)
+    for argv in CROSS_PRECISION:
+        outs = [run(["certify", *argv, "--precision", bits, "--format", "json"])[1]
+                for bits in ("256", "512", "256")]
+        assert mask(outs[0]) == mask(outs[2]), argv
+        docs = [json.loads(out) for out in outs[:2]]
+        status = [{c["name"]: c["status"] for c in doc["checks"]} for doc in docs]
+        for name in status[0].keys() & status[1].keys():
+            assert {status[0][name], status[1][name]} != {"certified", "failed"}, (argv, name)
+        for name, value in docs[0]["params"].items():
+            if isinstance(value, list):
+                (a, b), (c, d) = value, docs[1]["params"][name]
+                assert a <= d and c <= b, (argv, name)
+
+
 #: the refusal documents no benchmark golden holds: below the order
 #: threshold, off the band at m = 1 and at k = 10, and below the one-sided
 #: order-9 root; recorded with wall_time_ms masked to null
@@ -281,6 +320,7 @@ def test_three_band_certificate_takes_no_mpmath_power(monkeypatch):
         raise AssertionError("mpi_pow called")
 
     monkeypatch.setattr(realnum, "mpi_pow", refuse)
+    realnum._power.cache_clear()  # no power kept from an earlier test may serve
     code, out, err = run(["certify", "--k", "10", "--interval"])
     assert (code, err) == (0, "")
 
@@ -456,6 +496,23 @@ def test_count_refuses_a_decimal_base_outside_the_range_fast(q):
     assert (code, out) == (2, "")
     assert "q must be certifiably inside (1, 2)" in err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("x", ["1e9999999", "-1e9999999", "2.5"])
+def test_count_refuses_a_decimal_point_outside_the_attractor_fast(x):
+    # decided on the Decimal where its exponent alone places it above
+    # 1/(q-1) = 2 or its sign below 0; 2.5 takes the exact route
+    start = time.perf_counter()
+    code, out, err = run(["count", "--q", "1.5", f"--x={x}", "--depth", "5"])
+    assert (code, out) == (2, "")
+    assert "x is certifiably outside the attractor [0, 1/(q-1)]" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_count_takes_a_zero_with_a_large_exponent_as_zero():
+    # 0e9999999 has the exponent of a huge number, but is 0: in the attractor
+    code, out, _ = run(["count", "--q", "1.5", "--x", "0e9999999", "--depth", "5"])
+    assert code == 0 and "count 1" in out
 
 
 # ----------------------------------------------------------------------

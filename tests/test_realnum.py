@@ -46,6 +46,7 @@ from betacert.realnum import (
     _from_raw,
     _horner,
     _pow_int,
+    _power,
     _root_bracket,
     _step,
     _to_raw,
@@ -440,6 +441,32 @@ def test_integer_power_kernel_keeps_mpmaths_working_precisions(bits, ends, n):
     # rounding boundary, so these pin the precisions the kernel works at
     with precision(bits):
         assert _to_raw(_pow_int(ends, n)) == mpi_pow(_to_raw(ends), (from_int(n),) * 2, bits)
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(50), max_denominator=1000),
+       st.booleans(),
+       st.sampled_from([0, 1, 2, 3, 17, -1, -2, -17, Fraction(20, 19), Fraction(19, 20),
+                        Fraction(-20, 19)]))
+@settings(max_examples=80, deadline=None)
+def test_power_cache_matches_the_uncached_kernel_across_precisions(base, negate, exponent):
+    # the same operand ends at alternating precisions: a power kept at one
+    # precision must not serve another (only integer powers take a negative base)
+    x = Enclosure(-base if negate and exponent.denominator == 1 else base)
+    for bits in (64, 256, 512, 64, 512, 256):
+        with precision(bits):
+            kernel = _power.__wrapped__(x._ends, as_enclosure(exponent)._ends, bits)
+            assert (x ** exponent)._ends == kernel
+
+
+def test_power_errors_raise_on_every_call():
+    # an exception is never kept in place of a value
+    straddle = Enclosure.from_endpoints(Fraction(-1, 3), Fraction(1, 2))
+    for _ in range(2):
+        with pytest.raises(PrecisionError):
+            straddle ** -3
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Enclosure(-2) ** Fraction(1, 2)
 
 
 def reference_ends(x, y, pick):
@@ -971,6 +998,17 @@ def test_precision_context_narrows_enclosures():
     with precision(512):
         narrow = pi_q((1, 0, 1, 1), Enclosure(1) / 3 + q)
     assert narrow.width < wide.width
+
+
+def test_pi_q_value_is_kept_per_precision():
+    # the same word and the same q ends at 64 and 512 bits: the precision is
+    # part of the key under which a word's value is kept
+    q = Enclosure(Fraction(13, 8))
+    widths = []
+    for bits in (64, 512, 64, 512):
+        with precision(bits):
+            widths.append(pi_q((1, 0, 1, 1, 0, 1), q).width)
+    assert widths[0] == widths[2] > widths[1] == widths[3] > 0
 
 
 def test_set_precision_floor():
