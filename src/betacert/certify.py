@@ -345,10 +345,8 @@ def theorem_a_certify(m: int, k: int, q: Union[Enclosure, str] = "interval") -> 
 # ======================================================================
 
 def _b_cover_depth(k: int) -> int:
-    # deep enough to resolve the witness cluster (scale root^(-2k+1)),
-    # shallow enough that the number of free digits keeps the cover a few
-    # thousand cylinders
-    return min(k + 26, 2 * k + 8)
+    # deep enough to resolve the witness cluster (scale root^(-2k+1))
+    return 2 * k + 8
 
 
 @_timed

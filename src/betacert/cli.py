@@ -15,7 +15,8 @@ Precision: the --precision flag wins over the BETACERT_PREC environment
 variable, which wins over the library default.  All precisions are
 mantissa bits, minimum 64.
 
-Base and point syntax (--q, --x): a decimal literal ("1.999"), a
+Base and point syntax (--q, --x): a decimal literal ("1.999"), exact
+while its exponent is within +-400 and outward-rounded past that, a
 rational "p/r" ("4/3"), "qk:<k>" for the order-k root, offset forms
 "qk:<k>+<decimal>" / "qk:<k>-<decimal>" for exact displacements from an
 irrational center, and "golden" as a synonym for qk:2.  The gaps and
@@ -35,7 +36,6 @@ import io
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -61,6 +61,7 @@ from .realnum import (
     DEFAULT_PRECISION,
     PrecisionError,
     _ENV_PRECISION,
+    _decimal,
     _precision_from_env,
     as_enclosure,
     bonacci_root,
@@ -100,11 +101,11 @@ _DEPTH_COMMANDS = ("--depth applies to gaps, thickness, count, and certify "
 _QK_FORM = re.compile(r"^qk:(\d+)(?:([+-])([0-9.eE+-]+))?$")
 
 
-def _decimal_fraction(text: str) -> Fraction:
+def _parse_decimal(text: str):
     try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError, OverflowError) as exc:  # Infinity overflows
-        raise UsageError(f"cannot parse decimal {text!r}") from exc
+        return _decimal(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def parse_base(text: str):
@@ -120,7 +121,7 @@ def parse_base(text: str):
         root = bonacci_root(k).value
         if got.group(2) is None:
             return root
-        offset = _decimal_fraction(got.group(3))
+        offset = _parse_decimal(got.group(3))
         return root + offset if got.group(2) == "+" else root - offset
     if "/" in t:
         num, _, den = t.partition("/")
@@ -128,35 +129,7 @@ def parse_base(text: str):
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"cannot parse rational {t!r}") from exc
-    return _decimal_fraction(t)
-
-
-def _check_decimal_base(text: str) -> None:
-    """Refuse a decimal --q outside (1, 2) on its Decimal, before parse_base
-    builds the exact Fraction (for "1e9999999", a ten-million-digit int)."""
-    try:
-        value = Decimal(text.strip())
-    except InvalidOperation:
-        return  # golden, qk:, p/r, or text that parse_base refuses
-    if value.is_finite() and not 1 < value < 2:
-        raise ValueError("q must be certifiably inside (1, 2)")
-
-
-def _check_decimal_point(text: str, q) -> None:
-    """Refuse a decimal --x below 0, or a nonzero one (at least
-    10**adjusted()) with more digits before its point than an integer above
-    1/(q-1), on its Decimal before parse_base builds the exact Fraction.
-    Any other --x, or a q not certifiably inside (1, 2), is left to
-    count_prefixes."""
-    try:
-        value = Decimal(text.strip())
-    except InvalidOperation:
-        return
-    q = as_enclosure(q)
-    if not value.is_finite() or q.gt(1) is not True or q.lt(2) is not True:
-        return
-    if value < 0 or value and value.adjusted() >= len(str(int(1 / (q.lo - 1)) + 1)):
-        raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
+    return _parse_decimal(t)
 
 
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
@@ -385,10 +358,8 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
     if q_text is None or x_text is None:
         raise UsageError("count requires --q and --x")
     depth = cfg.depth if cfg.depth is not None else 200
-    _check_decimal_base(q_text)
     with precision(cfg.precision_bits):
         q = parse_base(q_text)
-        _check_decimal_point(x_text, q)
         x = parse_base(x_text)
         report = count_prefixes(q, x, depth=depth)
 

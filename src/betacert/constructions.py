@@ -31,6 +31,7 @@ from .certificate import (
     GRADE_EVIDENCE,
     GRADE_PROVED,
     STATUS_CERTIFIED,
+    STATUS_FAILED,
     Certificate,
     Check,
     check_consistent,
@@ -450,12 +451,13 @@ class AqDescription:
 def fixed_expansion_of_one(q, k: int, depth: int) -> AqDescription:
     """Compute the spine c to ``depth`` digits and its zero-rank classes.
 
-    Preconditions (both certified, else ValueError): k >= 9 and
-    |q - root_k| <= root_k^(-2k-6).  After the forced prefix 1^k 0^{k+4}
-    the remainder of 1 is certified to lie in the invariant band
-    [-q/(q^2-1), q/(q^2-1)], and each further two-digit block is the first
-    of W2_BLOCKS whose forward image is certified to stay in the band
-    (PrecisionError when none can be certified — retry with more bits).
+    Preconditions: k >= 9 and |q - root_k| <= root_k^(-2k-6) (ValueError
+    where either fails, PrecisionError where the second is uncertain).
+    After the forced prefix 1^k 0^{k+4} the remainder of 1 is certified to
+    lie in the invariant band [-q/(q^2-1), q/(q^2-1)], and each further
+    two-digit block is the first of W2_BLOCKS whose forward image is
+    certified to stay in the band (PrecisionError when none can be
+    certified — retry with more bits).
     """
     q = _require_base(q)
     if k < 9:
@@ -467,9 +469,12 @@ def fixed_expansion_of_one(q, k: int, depth: int) -> AqDescription:
     root = bonacci_root(k).value
     pin = check_le("pinning_radius", abs(q - root), _three_radius(root, k),
                    note="|q - root_k| <= root_k^(-2k-6)")
+    if pin.status == STATUS_FAILED:
+        raise ValueError("q is not within root_k^(-2k-6) of the order-k root")
     if pin.status != STATUS_CERTIFIED:
-        raise ValueError(
-            "q is not certifiably within root_k^(-2k-6) of the order-k root")
+        raise PrecisionError(
+            "cannot certify q within root_k^(-2k-6) of the order-k root; "
+            "raise the working precision (--precision)")
 
     band_hi = q / (q * q - 1)
     band_lo = -band_hi

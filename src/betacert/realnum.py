@@ -19,16 +19,16 @@ Arithmetic, negation, abs, the int and Fraction constructors, compares and
 min / max form the exact integer result and round it once, outward, to the
 working precision: the values mpmath's interval kernels give.  Integer
 powers round step by step exactly as mpmath's mpi_pow_int does, on the
-same ints.  The branch walk (membership, _step) runs on them too.  mpmath
-is only the edge: decimal parsing, printing, logarithms and non-integer
+same ints.  The branch walk (membership, _step) and decimal parsing run on
+them too.  mpmath is only the edge: printing, logarithms and non-integer
 powers (whose rounding it owns) convert to its tuples and back.  No mpmath
 context is read or written, so a host program's mpmath settings and this
 module's precision never meet.
 
-Both endpoints are always finite.  Division, powers, logarithms and
-decimal parsing raise where they would make an infinite or nan endpoint:
-PrecisionError for the three operations (a division by an enclosure that
-contains zero, say), ValueError for a string such as "inf".  A logarithm
+Both endpoints are always finite.  Division, powers and logarithms raise
+PrecisionError where they would make an infinite or nan endpoint (a
+division by an enclosure that contains zero, say); a string that is not a
+decimal literal, such as "inf", raises ValueError.  A logarithm
 or a non-integer power of an argument that reaches below zero raises
 ValueError if it is certifiably negative, else PrecisionError.  A
 logarithm of exactly 0, or to a base of exactly 0 or 1, raises ValueError.
@@ -44,15 +44,18 @@ precision.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ldexp, nextafter
+from math import copysign, inf, ldexp
+from sys import float_info
 from typing import Optional
 
 from mpmath.libmp import from_man_exp
-from mpmath.libmp.libmpi import mpi_from_str, mpi_log, mpi_pow, mpi_to_str
+from mpmath.libmp.libmpi import mpi_log, mpi_pow, mpi_to_str
 
 
 DEFAULT_PRECISION = 256
@@ -319,6 +322,20 @@ def _to_fraction(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
+def _double(m: int, e: int, up: bool) -> float:
+    """m 2**e rounded down (or up) to a double: the mantissa cut to 53 bits
+    or to the 2**-1074 grid, whichever keeps fewer; a result of 2**1024 or
+    more is an infinity, or the largest double where rounding goes to zero."""
+    n = m.bit_length() - 53
+    if n < -1074 - e:
+        n = -1074 - e
+    if n > 0:
+        m, e = (-(-m >> n) if up else m >> n), e + n
+    if e <= 970 or not m or m.bit_length() + e <= 1024:  # a cut m has <= 54 bits
+        return ldexp(m, e)
+    return copysign(inf if up == (m > 0) else float_info.max, m)
+
+
 def _not_negative(x, what: str) -> tuple:
     """x, a logarithm's argument or a non-integer power's base, unless it
     reaches below zero: ValueError if certifiably, else PrecisionError."""
@@ -336,12 +353,12 @@ def _to_raw(x) -> tuple:
     return from_man_exp(x[0], x[1]), from_man_exp(x[2], x[3])
 
 
-def _from_raw(raw, op: str, error: type = PrecisionError) -> tuple:
+def _from_raw(raw, op: str) -> tuple:
     """The ends of the libmp pair op produced, if both are finite (a tuple
-    (sign, man, exp, bc) with bc < 0 is inf or nan); else raise error."""
+    (sign, man, exp, bc) with bc < 0 is inf or nan); else PrecisionError."""
     (s, m, e, c), (t, n, f, d) = raw
     if c < 0 or d < 0:
-        raise error(f"non-finite endpoint from {op}")
+        raise PrecisionError(f"non-finite endpoint from {op}")
     return -int(m) if s else int(m), e, -int(n) if t else int(n), f
 
 
@@ -431,25 +448,10 @@ class Enclosure:
         return (self.hi + self.lo) / 2
 
     def float_bounds(self) -> tuple[float, float]:
-        """Endpoints as doubles, rounded *outward* (for reports only)."""
+        """Endpoints as doubles, rounded *outward* (for reports only); past
+        the largest double an end reports as that double or as an infinity."""
         m, e, n, f = self._ends
-        c, d = m.bit_length(), n.bit_length()
-        # zero or normal with room to round up: the mantissa cut to 53 bits
-        # (floor below, ceiling above) times its power of two is a double
-        if (not m or -1021 <= e + c <= 1023) and (not n or -1021 <= f + d <= 1023):
-            if c > 53:
-                m, e = m >> c - 53, e + c - 53
-            if d > 53:
-                n, f = -(-n >> d - 53), f + d - 53
-            return ldexp(m, e), ldexp(n, f)
-        # subnormal or huge: the exact route (OverflowError past the doubles)
-        lo, hi = self.lo, self.hi
-        lo_f, hi_f = float(lo), float(hi)
-        if Fraction(lo_f) > lo:
-            lo_f = nextafter(lo_f, float("-inf"))
-        if Fraction(hi_f) < hi:
-            hi_f = nextafter(hi_f, float("inf"))
-        return lo_f, hi_f
+        return _double(m, e, False), _double(n, f, True)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -463,8 +465,7 @@ class Enclosure:
         if isinstance(other, Fraction):
             return _div(_int(other.numerator), _int(other.denominator))
         if isinstance(other, str):
-            return _from_raw(mpi_from_str(other, _prec), f"the decimal string {other!r}",
-                             ValueError)
+            return _text_ends(other)
         if isinstance(other, float):
             raise TypeError(_FLOAT_ERROR)
         return None
@@ -585,6 +586,44 @@ def as_enclosure(x) -> Enclosure:
     return x if isinstance(x, Enclosure) else Enclosure(x)
 
 
+# -- decimal literals ------------------------------------------------------
+
+_EXACT_EXPONENT = 400  # as far as mpmath's own parse keeps a literal exact
+_DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+
+
+def _decimal(text: str):
+    """The value of a decimal literal such as "-1.5e-7": the exact Fraction
+    while its exponent (the fraction's digits moved into it) lies within
+    +-_EXACT_EXPONENT, else its mantissa times an outward-rounded
+    Enclosure(10) ** exponent, so that no literal costs a power of ten as
+    long as its exponent.  ValueError for any other text ("inf", "1/3")."""
+    got = _DECIMAL.fullmatch(text.strip())
+    if not got:
+        raise ValueError(f"cannot parse the decimal string {text!r}")
+    sign, whole, frac, exp = got.groups()
+    frac = (frac or "").rstrip("0")
+    # Decimal reads any number of digits, where int(str) stops at 4,300
+    man, exp = int(Decimal(sign + (whole + frac or "0"))), int(exp or 0) - len(frac)
+    if abs(exp) > _EXACT_EXPONENT:
+        return Enclosure(10) ** exp * man
+    return Fraction(man * 10 ** exp) if exp >= 0 else Fraction(man, 10 ** -exp)
+
+
+def _text_ends(text: str) -> tuple:
+    """The ends of Enclosure(text): a decimal literal's exact value rounded
+    once per end, or the "[lo, hi]" form str_digits prints, end by end."""
+    t = text.strip()
+    if t[:1] == "[" and t[-1:] == "]":
+        lo, _, hi = t[1:-1].partition(",")
+        return Enclosure.from_endpoints(lo, hi)._ends
+    value = _decimal(t)
+    if isinstance(value, Enclosure):
+        return value._ends
+    p, q = value.numerator, value.denominator
+    return _quotient(p, 0, q, 0, False) + _quotient(p, 0, q, 0, True)
+
+
 def _envelope(xs, sign: int) -> Enclosure:
     """Endpoint-wise min (sign -1) or max (sign +1) of xs: nothing rounds."""
     picked = ()
@@ -646,18 +685,21 @@ def _within(lo, hi):
     """membership on nodes, the kernel it shares with the branch walk: the
     test of a node x against the bounds lo and hi, whose ends are read once.
 
-    Each compare of an end m 2**e with a bound n 2**f is written out as
-    _cmp's alignment, which this hot loop cannot afford to call."""
+    Each compare of an end with a bound is written out for this hot loop:
+    of a 2**d and b (d >= 0 the exponent gap), b is shifted right, rounded
+    as the relation needs (a 2**d >= b exactly when a > (b - 1) >> d, and
+    a 2**d > b when a > b >> d), so no compare costs more as d grows."""
     lam, lae, lbm, lbe = lo
     ham, hae, hbm, hbe = hi
+    lam1, lbm1 = lam - 1, lbm - 1
 
     def within(x) -> Optional[bool]:
         am, ae, bm, be = x
-        if ((am << (ae - lbe)) >= lbm if ae >= lbe else am >= (lbm << (lbe - ae))) and \
-                ((bm << (be - hae)) <= ham if be >= hae else bm <= (ham << (hae - be))):
+        if (am > (lbm1 >> (ae - lbe)) if ae >= lbe else (am >> (lbe - ae)) >= lbm) and \
+                (bm <= (ham >> (be - hae)) if be >= hae else ((bm - 1) >> (hae - be)) < ham):
             return True
-        if ((bm << (be - lae)) < lam if be >= lae else bm < (lam << (lae - be))) or \
-                ((am << (ae - hbe)) > hbm if ae >= hbe else am > (hbm << (hbe - ae))):
+        if (bm <= (lam1 >> (be - lae)) if be >= lae else (bm >> (lae - be)) < lam) or \
+                (am > (hbm >> (ae - hbe)) if ae >= hbe else ((am - 1) >> (hbe - ae)) >= hbm):
             return False
         return None
 
@@ -755,9 +797,11 @@ def _confirm_cell(k: int, e: int, n: int) -> tuple[int, int]:
     once, at the root we want: it is negative at 3/2 (value 1 - x^k(2-x)
     with x^k(2-x) > 1 there for every k >= 2) and equals +1 at x = 2.  By
     the rational root theorem its only rational root is 1, so no grid
-    point is a root and the sign is never 0.  The cell n is confirmed by
-    two tests; a wrong estimate falls back to bisection between grid
-    points of known sign (a probe outside (3/2, 2) is skipped), so it
+    point is a root and the sign is never 0.  The estimate n is probed, then
+    its neighbour on the root's side, so that an estimate one cell off (as
+    Newton's method gives where the root lies just below a grid point)
+    costs two tests too; one farther off falls back to bisection between
+    grid points of known sign (a probe outside (3/2, 2) is skipped), so it
     costs time, never correctness.
     """
     def probe(m: int) -> None:
@@ -769,7 +813,9 @@ def _confirm_cell(k: int, e: int, n: int) -> tuple[int, int]:
 
     assert characteristic_sign(k, Fraction(3, 2)) < 0
     lo, hi = 3 << (e - 1), 1 << (e + 1)  # 3/2 and 2, of known sign
-    for m in (n, n + 1):
+    if lo < n < hi:
+        probe(n)
+        m = n + 1 if lo == n else n - 1
         if lo < m < hi:
             probe(m)
     while hi - lo > 1:

@@ -629,3 +629,16 @@ def test_12_cli_tables_and_certificate_schema():
         f"table reproduction is expected to match {rows_matched} reference "
         f"rows and exit 1 but exited {code}: "
         + out.strip().splitlines()[-1])
+
+
+def test_12b_base_past_the_double_range_is_refused_with_a_schema_valid_document():
+    # the refusal reports the base's ends outward: the largest double and
+    # an infinity
+    start = time.perf_counter()
+    code, out, err = run_cli(["certify", "--k", "10", "--q", "1e309", "--format", "json"])
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, CERTIFICATE_SCHEMA)
+    assert doc["params"]["q"] == [1.7976931348623157e+308, float("inf")]
+    assert doc["params"]["verdict"] == "hypothesis-not-met"

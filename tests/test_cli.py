@@ -49,8 +49,11 @@ def run_json(argv):
 def test_parse_decimal_is_exact():
     assert parse_base("1.999") == F(1999, 1000)
     assert parse_base("1") == F(1)
-    # scientific notation goes through Decimal, still exact
+    # scientific notation is exact too, up to an exponent of 400
     assert parse_base("1e-8") == F(1, 10**8)
+    assert parse_base("3e400") == 3 * 10 ** 400
+    # past int()'s 4,300-digit limit for strings
+    assert parse_base("1" * 5000) == (10 ** 5000 - 1) // 9
 
 
 def test_parse_rational():
@@ -513,6 +516,34 @@ def test_count_takes_a_zero_with_a_large_exponent_as_zero():
     # 0e9999999 has the exponent of a huge number, but is 0: in the attractor
     code, out, _ = run(["count", "--q", "1.5", "--x", "0e9999999", "--depth", "5"])
     assert code == 0 and "count 1" in out
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # past the exact exponent bound a literal is its mantissa times an
+    # outward-rounded power of ten, which each range check decides at once
+    (["certify", "--k", "10", "--q", "1e999999999999"], 1, ""),
+    (["count", "--q", "1.5", "--x", "1e-999999999999", "--depth", "200"], 0, ""),
+    (["count", "--q", "1.5", "--x", "1e999999999999"], 2,
+     "x is certifiably outside the attractor [0, 1/(q-1)]"),
+    (["count", "--q", "qk:10+1e-9999999", "--x", "1/2"], 0, ""),
+])
+def test_literals_with_huge_exponents_are_decided_fast(argv, code, message):
+    start = time.perf_counter()
+    got, _, err = run(argv)
+    assert got == code and message in err
+    assert time.perf_counter() - start < 2
+
+
+def test_three_expansions_band_at_every_order_exits_0_or_3():
+    # the cover depth 2k + 8 covers the spine's forced prefix 2k + 4 at
+    # every order; where 256 bits cannot resolve the band the pin check is
+    # uncertain, a precision limit, never a usage error
+    for k in (9, 14, 19, 23, 30, 40, 60, 100, 120, 130):
+        code, out, err = run(["certify", "--k", str(k), "--interval",
+                              "--precision", "256", "--format", "json"])
+        assert code in (0, 3), (k, code, err)
+        if code == 3:
+            assert "--precision" in err
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ from betacert.realnum import (
     as_enclosure,
     bonacci_root,
     pi_q,
+    precision,
 )
 from betacert.symbolic import ResourceError, SubshiftSk, SymbolicSeq, Word
 from betacert.thickness import (
@@ -355,6 +356,17 @@ def test_spine_off_root_stays_near_one_and_uses_signed_blocks():
 def test_spine_rejects_bases_outside_the_pinning_radius():
     with pytest.raises(ValueError):
         fixed_expansion_of_one(F(39, 20), 9, 30)
+
+
+def test_spine_pin_beyond_the_precision_is_a_precision_error():
+    # at k = 130 the radius root^(-266) is below what 256 bits resolve: the
+    # pin check is uncertain, not failed
+    k = 130
+    with precision(256):
+        with pytest.raises(PrecisionError, match="--precision"):
+            fixed_expansion_of_one(bonacci_root(k).value, k, _b_cover_depth(k))
+    with precision(512):
+        assert fixed_expansion_of_one(bonacci_root(k).value, k, _b_cover_depth(k)).depth == 268
 
 
 def test_spine_rejects_bad_depth_and_order():
