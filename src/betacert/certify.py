@@ -208,11 +208,16 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
 
     ``c`` defaults to ``DEFAULT_SPLIT``.  Premises -- tau > 0, beta in
     (0, 1/4], c in (0, 1) -- are emitted as checks, and the main
-    comparison is left undecided when they fail.
+    comparison is left undecided when they fail.  An int or Fraction ``c``
+    stays exact in the three powers; a decimal string or an enclosure enters
+    them as its enclosure (Fraction(text) would cost time in the exponent).
     """
     tau = as_enclosure(tau)
     beta = as_enclosure(beta)
-    c = as_enclosure(DEFAULT_SPLIT if c is None else c)
+    split = DEFAULT_SPLIT if c is None else c
+    c = as_enclosure(split)
+    if not isinstance(split, (int, Fraction)):
+        split = c
     checks = [
         check_gt("premise_tau_positive", tau, as_enclosure(0)),
         check_flag(
@@ -224,8 +229,8 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
             c.gt(0) is True and c.lt(1) is True),
     ]
     if all(p.status == STATUS_CERTIFIED for p in checks):
-        lhs = (m + 2) * tau ** (-c)
-        rhs = beta ** c * (1 - beta ** (1 - c)) / _OVERLAP_MODULUS
+        lhs = (m + 2) * tau ** (-split)
+        rhs = beta ** split * (1 - beta ** (1 - split)) / _OVERLAP_MODULUS
         checks.append(check_le("count_term_within_overlap_budget", lhs, rhs))
     else:
         checks.append(Check(name="count_term_within_overlap_budget",

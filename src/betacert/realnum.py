@@ -19,9 +19,14 @@ Arithmetic, negation, abs, the int and Fraction constructors, compares and
 min / max form the exact integer result and round it once, outward, to the
 working precision: the values mpmath's interval kernels give.  Integer
 powers round step by step exactly as mpmath's mpi_pow_int does, on the
-same ints.  The branch walk (membership, _step) and decimal parsing run on
-them too.  mpmath is only the edge: printing, logarithms and non-integer
-powers (whose rounding it owns) convert to its tuples and back.  No mpmath
+same ints.  A Fraction power p/r of a base above zero is the outward r-th
+root, by Newton's method, of the outward p-th power.  The branch walk
+(membership, _step) and decimal parsing run on them too.
+
+mpmath is only the edge, imported on first use: printing (str_digits,
+repr), Enclosure.raw, logarithms, and powers to an enclosure of
+non-integer value convert to its tuples and back.  Importing this module
+and running the certification pipelines never load it.  No mpmath
 context is read or written, so a host program's mpmath settings and this
 module's precision never meet.
 
@@ -50,12 +55,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, inf, ldexp
+from math import copysign, inf, ldexp, log2
 from sys import float_info
 from typing import Optional
-
-from mpmath.libmp import from_man_exp
-from mpmath.libmp.libmpi import mpi_log, mpi_pow, mpi_to_str
 
 
 DEFAULT_PRECISION = 256
@@ -346,10 +348,76 @@ def _not_negative(x, what: str) -> tuple:
     raise PrecisionError(f"{what} reaches below zero")
 
 
-# -- the mpmath edge ------------------------------------------------------
+# -- rational powers ------------------------------------------------------
+#
+# x ** (p/r) for x above zero is the r-th root of x ** p, rounded outward
+# end by end.  Newton's method (Brent and Zimmermann, Modern Computer
+# Arithmetic, 2010, section 4.2) approximates each root; one power of the
+# rounded end, itself rounded toward the side it must certify, confirms it
+# or steps it one unit outward.
+
+_GUARD = 10  # bits the approximations carry past the working precision
+
+
+def _newton(m: int, e: int, r: int, w: int) -> tuple:
+    """(z, x), z 2**x within a few units of z's last bit of the r-th root of
+    m 2**e (m > 0), z of about w bits.  With m 2**e = c 2**(r s), c in
+    [2**(t-1), 2**t), each step z <- ((r-1) z + c / z**(r-1)) / r runs on
+    z 2**-v in [1/2, 2), with z**(r-1) rounded to v bits, and doubles v from
+    a double's start, at 50 bits or fewer, up to w."""
+    n = m.bit_length()
+    s, t = divmod(e + n, r)
+    ladder = [w]
+    while ladder[-1] > 50:
+        ladder.append(ladder[-1] // 2 + 8)
+    v = ladder.pop()
+    head = m >> (n - 53) if n > 53 else m << (53 - n)
+    z = int(ldexp(2.0 ** ((log2(ldexp(head, -53)) + t) / r), v))
+    for u in reversed(ladder):
+        z, v = z << (u - v), u
+        pm, pe = _pow_end(z, 0, r - 1, v, False)
+        d = e - r * s + r * v - pe  # c / z**(r-1), times 2**v, is m 2**d / pm
+        z = ((r - 1) * z + ((m << d) if d >= 0 else (m >> -d)) // pm) // r
+    return z, s - v
+
+
+def _root_end(m: int, e: int, r: int, up: bool, approx: tuple) -> tuple:
+    """The r-th root of m 2**e rounded down (or up) to _prec bits: approx
+    rounded so, then stepped one unit outward while its r-th power, rounded
+    toward m 2**e, does not reach past m 2**e."""
+    y, g = _round(*approx, _prec, up)
+    while True:
+        c = _cmp(*_pow_end(y, g, r, _prec + _GUARD, not up), m, e)
+        if (c >= 0) if up else (c <= 0):
+            return _round(y, g, _prec, up)
+        y += 1 if up else -1
+
+
+def _rational_power(x, p: int, r: int) -> tuple:
+    """x ** (p/r) for p/r in lowest terms, r >= 2, and x's lower end above
+    zero: the r-th roots of the ends a <= b of x ** p (from _pow_int,
+    outward), the lower rounded down and the upper up.  When b < a (1 +
+    2**-(w/2)), as for a point, b's root is a's approximation z moved by the
+    first-order term z (b - a) / (r a), whose error is below z's last bit;
+    the ends of a wider (band) enclosure take a Newton run each."""
+    am, ae, bm, be = _pow_int(x, p)
+    w = _prec + _GUARD
+    lo = _newton(am, ae, r, w)
+    h = w // 2
+    if _cmp(bm, be, am * ((1 << h) + 1), ae - h) >= 0:
+        hi = _newton(bm, be, r, w)
+    else:
+        (z, g), (dm, de) = lo, _sum(bm, be, -am, ae)
+        d = de - ae
+        hi = z + ((z * dm << d) if d >= 0 else (z * dm >> -d)) // (r * am), g
+    return _root_end(am, ae, r, False, lo) + _root_end(bm, be, r, True, hi)
+
+
+# -- the mpmath edge: each function imports what it needs on first use ----
 
 def _to_raw(x) -> tuple:
     """The (lo, hi) libmp tuples of x, normalised."""
+    from mpmath.libmp import from_man_exp
     return from_man_exp(x[0], x[1]), from_man_exp(x[2], x[3])
 
 
@@ -365,23 +433,45 @@ def _from_raw(raw, op: str) -> tuple:
 @lru_cache(maxsize=64)  # a request asks for the same radii and constants again
 def _power(x, y, prec: int) -> tuple:
     """The ends of x ** y at the working precision prec, which keys the cache
-    (an exception is not kept, so it raises again on every call): an integer
-    y goes to _pow_int, any other to mpi_pow."""
+    (an exception is not kept, so it raises again on every call): a Fraction
+    y, which __pow__ passes only for a non-integer on a base above zero, goes
+    to _rational_power; the ends y of an integer to _pow_int; any other y to
+    mpi_pow."""
+    if isinstance(y, Fraction):
+        return _rational_power(x, y.numerator, y.denominator)
     m, e, n, f = y
     if not _cmp(m, e, n, f) and (not m or e + (m & -m).bit_length() > 0):  # an integer
         return _pow_int(x, m << e if e >= 0 else m >> -e)
     _not_negative(x, "the base of a non-integer power")
+    from mpmath.libmp import mpi_pow
     return _from_raw(mpi_pow(_to_raw(x), _to_raw(y), prec), _POW)
+
+
+def _end_keys(ends) -> list[int]:
+    """Integers ordered exactly as the ends (m, e).  So that no key grows with
+    the exponents' spread, an end above zero becomes the position of its top
+    bit, t = e + bitlen(m), counted from the least such t0, above its
+    mantissa left-aligned to the longest mantissa's b bits, (t - t0 + 1) << b
+    | m << (b - bitlen(m)); an end below zero the negated key of its
+    magnitude; zero 0.  Keys of separate calls do not compare."""
+    tops = [(m, e, m.bit_length()) for m, e in ends]
+    b = max((n for _, _, n in tops), default=0)
+    c = 1 - min((e + n for m, e, n in tops if m), default=0)
+    return [(m << (b - n)) + ((e + n + c) << b if m > 0 else -((e + n + c) << b) if m else 0)
+            for m, e, n in tops]
 
 
 def exact_keys(xs) -> tuple[list[int], list[int]]:
     """Integers ordered exactly as the endpoints of the enclosures xs, as (lower
-    ends' keys, upper ends' keys): each end m 2**e becomes m << (e - e0), e0
-    the least exponent among them.  Keys of separate calls do not compare."""
-    ends = [x._ends for x in xs]
-    e0 = min((min(ae, be) for _, ae, _, be in ends), default=0)
-    return ([m << (e - e0) for m, e, _, _ in ends],
-            [m << (e - e0) for _, _, m, e in ends])
+    ends' keys, upper ends' keys), all on one scale (see _end_keys)."""
+    keys = _end_keys(end for x in xs for end in (x._ends[:2], x._ends[2:]))
+    return keys[::2], keys[1::2]
+
+
+def lower_keys(xs) -> list[int]:
+    """Integers ordered exactly as the lower ends of the enclosures xs: the
+    order of exact_keys(xs)[0], without building the upper ends' keys."""
+    return _end_keys(x._ends[:2] for x in xs)
 
 
 _FLOAT_ERROR = ("binary floats are not exact inputs; pass a Fraction or a "
@@ -507,7 +597,11 @@ class Enclosure:
 
     def __pow__(self, exponent):
         """An integer exponent (an int, or an Enclosure or Fraction of integer
-        value) rounds in _pow_int; only a non-integer one goes to mpmath."""
+        value) rounds in _pow_int, and a non-integer Fraction on a base above
+        zero in _rational_power; only an enclosure of non-integer value, or a
+        Fraction on a base that reaches zero or below, goes to mpmath."""
+        if isinstance(exponent, Fraction) and exponent.denominator > 1 and self._ends[0] > 0:
+            return self._wrap(_power(self._ends, exponent, _prec))
         o = self._coerce(exponent)
         return NotImplemented if o is None else self._wrap(_power(self._ends, o, _prec))
 
@@ -578,6 +672,7 @@ class Enclosure:
         return f"Enclosure({self.str_digits()})"
 
     def str_digits(self, digits: int = 20) -> str:
+        from mpmath.libmp import mpi_to_str
         return mpi_to_str(self.raw, digits)
 
 
@@ -651,6 +746,7 @@ def _log(x, what: str) -> tuple:
     x = _not_negative(as_enclosure(x)._ends, f"the {what} of a logarithm")
     if not x[0] and not x[2]:
         raise ValueError(f"the {what} of a logarithm is zero")
+    from mpmath.libmp import mpi_log
     return _from_raw(mpi_log(_to_raw(x), _prec), _LOG)
 
 
@@ -728,12 +824,31 @@ def _step(q, x) -> tuple:
     return am, ae, bm, be
 
 
+def _sign(*terms) -> int:
+    """The sign of the sum of at most four ends (m, e): added exactly from the
+    highest top bit down until the partial sum's last unit lies two bits above
+    the next term's top bit, where it decides (what is left sums to less than
+    three such top bits), so no shift outgrows the mantissas."""
+    m = e = 0
+    for t, f, n in sorted([(f + abs(n).bit_length(), f, n) for n, f in terms if n], reverse=True):
+        if not m:
+            m, e = n, f
+        elif e >= t + 2:
+            break
+        elif e >= f:
+            m, e = (m << (e - f)) + n, f
+        else:
+            m += n << (f - e)
+    return (m > 0) - (m < 0)
+
+
 def _wider(x, y) -> bool:
-    """Is the node x wider than the node y?  Exact: no rounding."""
-    w = []
-    for am, ae, bm, be in (x, y):
-        w += ((bm << (be - ae)) - am, ae) if be >= ae else (bm - (am << (ae - be)), be)
-    return _cmp(*w) > 0
+    """Is the node x wider than the node y?  Exact: the sign of
+    (x_hi - x_lo) - (y_hi - y_lo), which _sign decides on the four ends, so
+    no shift grows with an exponent gap."""
+    am, ae, bm, be = x
+    cm, ce, dm, de = y
+    return _sign((bm, be), (-am, ae), (-dm, de), (cm, ce)) > 0
 
 
 # ======================================================================
@@ -869,8 +984,9 @@ def _seq_parts(seq) -> tuple[tuple, tuple]:
 
 def _horner(word, q) -> tuple:
     """The ends of sum_j word[j-1] q^(-j), as the loop acc = (acc + d) / q
-    over word back to front: _add's digit sum and _div's two _quotient
-    roundings are written out, with q's sign and zero test taken once."""
+    over word back to front from its last nonzero digit: _add's digit sum
+    and _div's two _quotient roundings are written out, with q's sign and
+    zero test taken once (for any nonempty word)."""
     if not word:
         return _ZERO
     cm, ce, dm, de = q
@@ -881,7 +997,10 @@ def _horner(word, q) -> tuple:
         cm, ce, dm, de = -dm, de, -cm, ce
     cb, db, prec = cm.bit_length(), dm.bit_length(), _prec
     am = ae = bm = be = 0
-    for d in reversed(word):
+    n = len(word)
+    while n and not word[n - 1]:  # a zero accumulator stays exactly zero
+        n -= 1
+    for d in reversed(word[:n]):
         if d:  # acc has at most _prec bits, or is a power of two: + 0 keeps it
             if -prec <= ae <= prec:
                 am, ae = ((am << ae) + d, 0) if ae >= 0 else (am + (d << -ae), ae)

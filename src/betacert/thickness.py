@@ -51,6 +51,7 @@ from .realnum import (
     enc_max,
     enc_min,
     exact_keys,
+    lower_keys,
 )
 
 __all__ = [
@@ -190,8 +191,8 @@ class GapSet:
 def _position_order(pairs) -> list[int]:
     """Indices of (left, right) enclosure pairs in exact position order:
     by lower end of left, then lower end of right."""
-    lefts = exact_keys(a for a, _ in pairs)[0]
-    rights = exact_keys(b for _, b in pairs)[0]
+    lefts = lower_keys(a for a, _ in pairs)
+    rights = lower_keys(b for _, b in pairs)
     return sorted(range(len(pairs)), key=lambda i: (lefts[i], rights[i]))
 
 

@@ -22,6 +22,7 @@ report exactly that mismatch pattern, not paper over it.
 import importlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -180,10 +181,20 @@ def test_fy_premise_failure_leaves_main_undecided():
 
 
 def test_fy_custom_split():
-    # a custom split is respected and reported
-    cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c=F(9, 10))
-    assert cert.certified
-    assert cert.params["c"][0] == pytest.approx(0.9)
+    # a custom split is respected and reported, whether exact or given as
+    # text or an enclosure (which enter the powers as enclosures)
+    for c in (F(9, 10), "0.9", as_enclosure(F(9, 10))):
+        cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c=c)
+        assert cert.certified
+        assert cert.params["c"][0] == pytest.approx(0.9)
+
+
+def test_fy_split_literal_costs_no_time_in_its_exponent():
+    # its exact Fraction would need 10**9999999, a 33-million-bit int
+    start = time.perf_counter()
+    cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c="1e-9999999")
+    assert checks_by_name(cert)["count_term_within_overlap_budget"].status == STATUS_FAILED
+    assert time.perf_counter() - start < 2
 
 
 @given(st.integers(min_value=1, max_value=6),

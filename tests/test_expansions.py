@@ -226,6 +226,14 @@ def test_widening_node_within_the_budget_stops_the_walk_first():
             count_prefixes(q, 1, depth=400, node_budget=3900)
 
 
+def test_widening_node_with_far_apart_ends_stops_the_walk_at_once():
+    # x = [-2**-(10**12), 1/2]: undecided, and wider than the switch region;
+    # the widening test compares the widths without a 10**12-bit shift
+    x = Enclosure._wrap((-1, -10 ** 12, 1, -1))
+    with pytest.raises(PrecisionError, match="wider than the switch region"):
+        count_prefixes(F(3, 2), x)
+
+
 def reference_walk(q, x, depth: int):
     """count_prefixes written with Enclosure operations only: each
     membership is also read off the tri-valued compares, each step is

@@ -15,6 +15,7 @@ from functools import cmp_to_key
 from math import inf, nextafter
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
@@ -37,6 +38,7 @@ from betacert.realnum import (
     enc_min,
     exact_keys,
     get_precision,
+    lower_keys,
     membership,
     pi_q,
     precision,
@@ -231,6 +233,12 @@ def test_exact_keys_order_as_fractions(xs):
         for j in range(len(keys)):
             assert (keys[i] < keys[j]) is (exact[i] < exact[j])
             assert (keys[i] == keys[j]) is (exact[i] == exact[j])
+    # the lower ends alone, on a scale of their own
+    lower = lower_keys(xs)
+    for i in range(len(xs)):
+        for j in range(len(xs)):
+            assert (lower[i] < lower[j]) is (xs[i].lo < xs[j].lo)
+            assert (lower[i] == lower[j]) is (xs[i].lo == xs[j].lo)
 
 
 def test_non_finite_endpoints_raise():
@@ -419,8 +427,13 @@ def test_arithmetic_kernels_match_interval_operators(x, y, bits, n, f, g, text, 
         base = abs(x) + Fraction(1, 3)
         p = iv.make_mpf(base.raw)
         exponent = Enclosure.from_endpoints(min(f, g), max(f, g))
-        for e in (n, f, exponent):
+        for e in (n, exponent):
             assert finite_raw(base ** e) == (p ** mpmath_operand(e))._mpi_
+        # a Fraction exponent rounds in realnum's root kernel (tested on its
+        # own below): its ends bound the power at the base's ends exactly
+        y, r = base ** f, f.denominator
+        powers = [end ** f.numerator for end in (base.lo, base.hi)]
+        assert y.lo > 0 and y.lo ** r <= min(powers) and y.hi ** r >= max(powers)
         assert finite_raw(enc_log(base)) == iv.log(p)._mpi_
         other = abs(Enclosure(y)) + Fraction(1, 3)
         for log_base in (2, other):
@@ -494,10 +507,60 @@ def test_power_cache_matches_the_uncached_kernel_across_precisions(base, negate,
     # the same operand ends at alternating precisions: a power kept at one
     # precision must not serve another (only integer powers take a negative base)
     x = Enclosure(-base if negate and exponent.denominator == 1 else base)
+    key = exponent if exponent.denominator > 1 else as_enclosure(exponent)._ends
     for bits in (64, 256, 512, 64, 512, 256):
         with precision(bits):
-            kernel = _power.__wrapped__(x._ends, as_enclosure(exponent)._ends, bits)
+            kernel = _power.__wrapped__(x._ends, key, bits)
             assert (x ** exponent)._ends == kernel
+
+
+@st.composite
+def root_bases(draw, bits):
+    """A base above zero for a rational power: a point with up to twice the
+    precision's bits, or a band whose upper end lies a relative 2**-j above
+    its lower one, j from 1 to past the kernel's 2**-(w/2) switch, or a
+    factor of up to 2**40 above; exponents far below and above 1."""
+    lo = Fraction(draw(st.integers(1, 2 ** (2 * bits))), 2 ** draw(st.integers(0, 2 * bits)))
+    lo *= Fraction(2) ** draw(st.integers(-200, 200))
+    kind = draw(st.sampled_from(["point", "rounded", "near", "wide"]))
+    if kind == "point":
+        return Enclosure.from_endpoints(lo, lo)
+    if kind == "rounded":  # a rational, rounded outward at the precision
+        return Enclosure(lo * Fraction(draw(st.integers(1, 10 ** 6)),
+                                       draw(st.integers(1, 10 ** 6))))
+    if kind == "near":
+        j = draw(st.integers(1, bits + 40))
+        return Enclosure.from_endpoints(lo, lo * (1 + Fraction(1, 2 ** j)))
+    return Enclosure.from_endpoints(lo, lo * draw(st.integers(2, 2 ** 40)))
+
+
+def ulps_off(end: Fraction, true, bits: int) -> float:
+    """|end - true| in units of 2**(1 - bits) times |true|, in mpmath at the
+    current (4x) working precision."""
+    end = mpmath.mpf(end.numerator) / end.denominator
+    return float(abs(end - true) / (abs(true) * mpmath.mpf(2) ** (1 - bits)))
+
+
+@given(st.data(), st.sampled_from([64, 256, 512]),
+       st.integers(-40, 40).filter(bool), st.integers(2, 25))
+@settings(max_examples=300, deadline=None)
+def test_rational_power_kernel_contains_the_power_within_a_few_ulps(data, bits, p, r):
+    exponent = Fraction(p, r)
+    if exponent.denominator == 1:
+        return
+    x = data.draw(root_bases(bits))
+    with precision(bits):
+        y = x ** exponent
+    p, r = exponent.numerator, exponent.denominator
+    # exactly: y's ends bound the power's least and greatest values, which
+    # x's ends take (x ** p is monotone on x > 0)
+    small, large = sorted([x.lo ** p, x.hi ** p])
+    assert y.lo > 0 and y.lo ** r <= small and y.hi ** r >= large
+    # and tightly: each end within three units of the true end, which
+    # mpmath finds at four times the precision
+    with mpmath.workprec(4 * bits):
+        true = [mpmath.root(mpmath.mpf(v.numerator) / v.denominator, r) for v in (small, large)]
+        assert ulps_off(y.lo, true[0], bits) <= 3 and ulps_off(y.hi, true[1], bits) <= 3
 
 
 def test_power_errors_raise_on_every_call():
@@ -580,6 +643,44 @@ def test_within_matches_the_fraction_reference_on_ties_and_far_ends():
                                                      hi[:2], hi[2:]))
         want = True if xl >= lh and xh <= hl else (False if xh < ll or xl > hh else None)
         assert _within(lo, hi)(x) is want, (x, lo, hi)
+
+
+def test_wider_and_exact_keys_match_fractions_on_ties_and_far_ends():
+    # the same kind of ends: node widths compare, and endpoint keys order,
+    # exactly as the rationals they stand for
+    rng = random.Random(40001)
+    value = lambda m, e: Fraction(m) * Fraction(2) ** e
+    for _ in range(3000):
+        pool = [(rng.choice((0, rng.randint(-2 ** 70, 2 ** 70))),
+                 rng.choice((rng.randint(-80, 80), rng.randint(-20000, 20000))))]
+        for _ in range(3):
+            m, e = rng.choice(pool)
+            shift = rng.randint(0, 40)
+            pool.append(rng.choice((((m << shift) + rng.choice((-1, 0, 1)), e - shift),
+                                    (rng.randint(-2 ** 70, 2 ** 70), rng.randint(-20000, 20000)))))
+        x, y = (tuple(a for v in sorted(pool[i:i + 2], key=lambda v: value(*v)) for a in v)
+                for i in (0, 2))
+        width = lambda n: value(*n[2:]) - value(*n[:2])
+        assert _wider(x, y) is (width(x) > width(y)), (x, y)
+        lows, highs = exact_keys([Enclosure._wrap(x), Enclosure._wrap(y)])
+        keys = lows + highs
+        exact = [value(*v[:2]) for v in (x, y)] + [value(*v[2:]) for v in (x, y)]
+        for i in range(4):
+            for j in range(4):
+                assert (keys[i] < keys[j]) is (exact[i] < exact[j])
+
+
+@pytest.mark.parametrize("gap", [10 ** 8, 10 ** 12])
+def test_wider_and_exact_keys_cost_does_not_grow_with_the_exponent_gap(gap):
+    # a node whose own ends lie 2**gap apart: no shift by the gap, which at
+    # 10**12 would need some 125 GB
+    near, far = (1, -1, 3, -1), (-1, -gap, 1, -1)
+    start = time.perf_counter()
+    assert _wider(near, far) and not _wider(far, near)
+    lows, highs = exact_keys([Enclosure._wrap(far), Enclosure._wrap(near)])
+    assert lows[0] < 0 < lows[1] == highs[0] < highs[1]
+    assert max(abs(k) for k in lows + highs).bit_length() < 100
+    assert time.perf_counter() - start < 0.05
 
 
 def test_equality_is_by_value_on_unnormalised_endpoints():
@@ -959,7 +1060,24 @@ def test_horner_kernel_matches_add_div_loop(word, q, bits):
             with pytest.raises(PrecisionError, match=re.escape(str(exc))):
                 _horner(tuple(word), q._ends)
         else:
+            # the kernel starts at the word's last nonzero digit, so an
+            # all-zero word is a plain zero, where the loop's zero carries
+            # the exponents of its divisions
+            if not any(word):
+                assert not expected[0] and not expected[2]
+                expected = (0, 0, 0, 0)
             assert _horner(tuple(word), q._ends) == expected
+
+
+def test_horner_skips_a_words_trailing_zeros():
+    # a zero accumulator divided by q stays exactly zero, so the trailing
+    # zeros change nothing; q's zero test still holds for any nonempty word
+    q = bonacci_root(3).value._ends
+    assert _horner((1, 0, -1) + (0,) * 50, q) == _horner((1, 0, -1), q)
+    assert _horner((0,) * 5, q) == (0, 0, 0, 0)
+    for word in ((0,), (0, 0, 1)):
+        with pytest.raises(PrecisionError, match="division"):
+            _horner(word, (-1, 0, 1, 0))
 
 
 # ----------------------------------------------------------------------
@@ -1164,6 +1282,42 @@ def test_precision_leaves_host_interval_precision_alone():
         with precision(512):
             assert get_precision() == 512 and iv.prec == 99
         assert iv.prec == 99
+
+
+_PIPELINES_WITHOUT_MPMATH = """
+import contextlib, io, sys
+from fractions import Fraction
+import betacert, betacert.cli
+from betacert import Enclosure, bonacci_root, enc_log
+assert "mpmath" not in sys.modules, "import"
+for argv in (["certify", "--k", "10", "--interval"],
+             ["certify", "--m", "1", "--k", "31", "--interval"],
+             ["count", "--q", "3/2", "--x", "1/2", "--depth", "30"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert betacert.cli.main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+# the pipelines' Fraction powers at a point too
+for base in (bonacci_root(31).value ** 27, Enclosure(Fraction(1, 8)), Enclosure(3)):
+    for exponent in (Fraction(-19, 20), Fraction(19, 20), Fraction(1, 20), Fraction(20, 19)):
+        base ** exponent
+assert "mpmath" not in sys.modules, "Fraction powers"
+# the edge still works, and loads mpmath when first asked
+half = Enclosure.from_endpoints(Fraction(1, 2), Fraction(1, 2))
+print(Enclosure(2).str_digits(5), enc_log(8, 2).str_digits(5), (Enclosure(4) ** half).str_digits(5))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_import_and_pipelines_leave_mpmath_unloaded():
+    # mpmath is imported only at the print and log edge and for a power to
+    # an enclosure of non-integer value, none of which a pipeline takes
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("BETACERT_PREC", None)
+    proc = subprocess.run([sys.executable, "-c", _PIPELINES_WITHOUT_MPMATH],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[2.0, 2.0] [3.0, 3.0] [2.0, 2.0]", "True"]
 
 
 def test_import_leaves_host_interval_precision_alone():
