@@ -447,33 +447,6 @@ def _power(x, y, prec: int) -> tuple:
     return _from_raw(mpi_pow(_to_raw(x), _to_raw(y), prec), _POW)
 
 
-def _end_keys(ends) -> list[int]:
-    """Integers ordered exactly as the ends (m, e).  So that no key grows with
-    the exponents' spread, an end above zero becomes the position of its top
-    bit, t = e + bitlen(m), counted from the least such t0, above its
-    mantissa left-aligned to the longest mantissa's b bits, (t - t0 + 1) << b
-    | m << (b - bitlen(m)); an end below zero the negated key of its
-    magnitude; zero 0.  Keys of separate calls do not compare."""
-    tops = [(m, e, m.bit_length()) for m, e in ends]
-    b = max((n for _, _, n in tops), default=0)
-    c = 1 - min((e + n for m, e, n in tops if m), default=0)
-    return [(m << (b - n)) + ((e + n + c) << b if m > 0 else -((e + n + c) << b) if m else 0)
-            for m, e, n in tops]
-
-
-def exact_keys(xs) -> tuple[list[int], list[int]]:
-    """Integers ordered exactly as the endpoints of the enclosures xs, as (lower
-    ends' keys, upper ends' keys), all on one scale (see _end_keys)."""
-    keys = _end_keys(end for x in xs for end in (x._ends[:2], x._ends[2:]))
-    return keys[::2], keys[1::2]
-
-
-def lower_keys(xs) -> list[int]:
-    """Integers ordered exactly as the lower ends of the enclosures xs: the
-    order of exact_keys(xs)[0], without building the upper ends' keys."""
-    return _end_keys(x._ends[:2] for x in xs)
-
-
 _FLOAT_ERROR = ("binary floats are not exact inputs; pass a Fraction or a "
                 "decimal string such as '0.1'")
 
@@ -552,8 +525,9 @@ class Enclosure:
             return other._ends
         if isinstance(other, int):
             return _int(other)
-        if isinstance(other, Fraction):
-            return _div(_int(other.numerator), _int(other.denominator))
+        if isinstance(other, Fraction):  # one rounding per end, at any length
+            p, q = other.numerator, other.denominator
+            return _quotient(p, 0, q, 0, False) + _quotient(p, 0, q, 0, True)
         if isinstance(other, str):
             return _text_ends(other)
         if isinstance(other, float):
@@ -712,11 +686,7 @@ def _text_ends(text: str) -> tuple:
     if t[:1] == "[" and t[-1:] == "]":
         lo, _, hi = t[1:-1].partition(",")
         return Enclosure.from_endpoints(lo, hi)._ends
-    value = _decimal(t)
-    if isinstance(value, Enclosure):
-        return value._ends
-    p, q = value.numerator, value.denominator
-    return _quotient(p, 0, q, 0, False) + _quotient(p, 0, q, 0, True)
+    return Enclosure._coerce(_decimal(t))
 
 
 def _envelope(xs, sign: int) -> Enclosure:

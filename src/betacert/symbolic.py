@@ -15,7 +15,8 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .realnum import Enclosure, pi_q
-from .thickness import Gap, GapSet, _admissible_count, _family_base, _probe_sides
+from .thickness import (Gap, GapSet, MalformedGapSet, _admissible_count, _family_base,
+                        _probe_sides)
 
 __all__ = [
     "ResourceError",
@@ -314,7 +315,7 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
     it stepwise to cross-validate sk_thickness; the three-expansions
     pipeline builds only the gaps next to its probes.
 
-    For k = 2 any positive depth fails GapSet validation — adjacent index
+    For k = 2 any positive depth raises MalformedGapSet — adjacent index
     words there share an endpoint sequence, so the gaps touch and the
     family has no positive-bridge structure.
     """
@@ -338,6 +339,10 @@ def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
     """
     if k < 2:
         raise ValueError("order must be at least 2")
+    if k == 2 and max_delta_len > 0:
+        # touching ends enclose the same value, which no precision separates
+        raise MalformedGapSet("the order-2 gaps touch at every positive depth: "
+                              "adjacent index words share an endpoint sequence")
     q = _family_base(q, k, max_delta_len)
     total = _admissible_count(k, max_delta_len)
     if total > budget:

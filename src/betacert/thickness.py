@@ -3,12 +3,15 @@
 A GapSet is a finite outer description of a compact set: a hull interval
 minus finitely many certifiably disjoint open gaps.  Everything here is
 enclosure arithmetic; a comparison that cannot be certified either fails
-closed (predicates) or raises PrecisionError (orderings that the stepwise
-thickness construction depends on).
+closed (predicates) or raises PrecisionError (GapSet validation, whose
+certifiably false claims raise MalformedGapSet instead).
 
 Thickness is computed stepwise, in Newhouse's sense: gaps are processed
-in decreasing diameter (ties left to right), and a gap's bridges end at
-the nearest gap on each side processed before it, or at the hull.  One
+in decreasing diameter (ties left to right; widths whose enclosures
+overlap in the order of their upper ends), and a gap's bridges end at
+the nearest gap on each side processed before it, or at the hull.  Both
+orders, by position and by diameter, compare exact endpoints with
+realnum._cmp, whose cost does not grow with the exponents' spread.  One
 nearest-earlier-gap pass each way over the validated position order finds
 those ends for every gap; each gap scores its shorter bridge over its
 width, and tau is the minimum of the scores.  Both families of the
@@ -32,7 +35,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import groupby
 from typing import Iterable, Optional
 
@@ -46,12 +49,11 @@ from .certificate import (
 from .realnum import (
     Enclosure,
     PrecisionError,
+    _cmp,
     as_enclosure,
     bonacci_root,
     enc_max,
     enc_min,
-    exact_keys,
-    lower_keys,
 )
 
 __all__ = [
@@ -116,19 +118,17 @@ class GapSet:
     depth: Optional[int] = None
 
     def __post_init__(self):
-        if self.hull_lo.lt(self.hull_hi) is not True:
-            raise MalformedGapSet("hull must have certified positive length")
+        _require(self.hull_lo.lt(self.hull_hi), None, "of positive length")
         order = _position_order([(g.left, g.right) for g in self.gaps])
         gaps = tuple(self.gaps[i] for i in order)
         object.__setattr__(self, "gaps", gaps)
         prev_right = None
         for g in gaps:
-            if g.left.lt(g.right) is not True:
-                raise MalformedGapSet(f"gap {g.label!r} has no certified positive width")
-            if self.hull_lo.lt(g.left) is not True or g.right.lt(self.hull_hi) is not True:
-                raise MalformedGapSet(f"gap {g.label!r} not certified interior to the hull")
-            if prev_right is not None and prev_right.lt(g.left) is not True:
-                raise MalformedGapSet(f"gap {g.label!r} not certified disjoint from its predecessor")
+            _require(g.left.lt(g.right), g.label, "of positive width")
+            _require(self.hull_lo.lt(g.left), g.label, "interior to the hull")
+            _require(g.right.lt(self.hull_hi), g.label, "interior to the hull")
+            if prev_right is not None:
+                _require(prev_right.lt(g.left), g.label, "disjoint from its predecessor")
             prev_right = g.right
 
     def bridges(self) -> list[tuple[Enclosure, Enclosure]]:
@@ -188,12 +188,29 @@ class GapSet:
         return verdict
 
 
+def _require(verdict: Optional[bool], label: Optional[str], claim: str) -> None:
+    """Pass a certified claim about the hull (label None) or a gap:
+    MalformedGapSet when it is certifiably false, PrecisionError when the
+    working precision cannot decide it."""
+    if verdict is True:
+        return
+    subject = "the hull" if label is None else f"gap {label!r}"
+    if verdict is False:
+        raise MalformedGapSet(f"{subject} is not {claim}")
+    raise PrecisionError(f"cannot certify {subject} {claim} at this precision; "
+                         "raise the working precision (--precision)")
+
+
 def _position_order(pairs) -> list[int]:
     """Indices of (left, right) enclosure pairs in exact position order:
     by lower end of left, then lower end of right."""
-    lefts = lower_keys(a for a, _ in pairs)
-    rights = lower_keys(b for _, b in pairs)
-    return sorted(range(len(pairs)), key=lambda i: (lefts[i], rights[i]))
+    ends = [a._ends[:2] + b._ends[:2] for a, b in pairs]
+
+    def cmp(i, j):
+        (m, e, n, f), (m2, e2, n2, f2) = ends[i], ends[j]
+        return _cmp(m, e, m2, e2) or _cmp(n, f, n2, f2)
+
+    return sorted(range(len(ends)), key=cmp_to_key(cmp))
 
 
 def gapset_from_intervals(hull_lo, hull_hi, pieces: Iterable[tuple], depth=None) -> GapSet:
@@ -236,8 +253,7 @@ class ThicknessValue:
     gap_count: int = 0
 
 
-def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
-              strict: bool = False) -> ThicknessValue:
+def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None) -> ThicknessValue:
     """Stepwise Newhouse thickness of a finite gap description.
 
     Gaps are processed in decreasing diameter.  Each is scored against the
@@ -246,8 +262,7 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
     form a tie block processed left to right (or in an order drawn from
     ``tie_rng``, for invariance testing — the value is independent of the
     choice).  When two width enclosures overlap without coinciding, the
-    true diameter order is unknowable at this precision: with
-    ``strict=True`` that raises PrecisionError; by default the sort order
+    true diameter order is unknowable at this precision, and the sort order
     (upper width bound descending) is used as the processing order, which
     is the right call for families whose equal-width gaps acquire unequal
     enclosures through rounding.
@@ -258,23 +273,13 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None,
         return ThicknessValue(tau=None, infinite=True, depth=gapset.depth, gap_count=0)
 
     widths = [g.width for g in gaps]
-    # exact integer keys, one scale for both width ends
-    w_lo, w_hi = exact_keys(widths)
-
+    tops = [w._ends[2:] for w in widths]
     # validation left the gaps in position order, so a stable sort breaks
     # width ties left to right
-    order = sorted(range(n), key=lambda i: -w_hi[i])
-    if strict:
-        for a, b in zip(order, order[1:]):
-            if (w_lo[a], w_hi[a]) == (w_lo[b], w_hi[b]):
-                continue
-            if w_lo[a] < w_hi[b]:
-                raise PrecisionError(
-                    "cannot certify the diameter processing order at this precision"
-                )
+    order = sorted(range(n), key=cmp_to_key(lambda i, j: _cmp(*tops[j], *tops[i])))
     if tie_rng is not None:
         shuffled: list[int] = []
-        for _, block in groupby(order, key=lambda i: (w_lo[i], w_hi[i])):
+        for _, block in groupby(order, key=widths.__getitem__):
             block = list(block)
             tie_rng.shuffle(block)
             shuffled += block

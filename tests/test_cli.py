@@ -533,12 +533,12 @@ def test_literals_with_huge_exponents_are_decided_fast(argv, code, message):
 
 
 def test_gap_family_at_a_base_with_a_huge_exponent_exits_with_a_contract_code():
-    # the gaps' validation orders their ends by exact keys, which no longer
-    # shift every end to the least exponent (here some 3.3e12 bits), so the
-    # run ends in an exit code instead of a MemoryError out of main
+    # the gaps' validation orders their ends without shifting any end to the
+    # least exponent (here some 3.3e12 bits); gaps whose separation 256 bits
+    # cannot decide are a precision limit (3), not a usage error (2)
     start = time.perf_counter()
-    code, _, _ = run(["gaps", "--k", "10", "--q", "1e999999999999"])
-    assert code in (0, 1, 2, 3)
+    code, _, err = run(["gaps", "--k", "10", "--q", "1e999999999999"])
+    assert code == 3 and "--precision" in err
     assert time.perf_counter() - start < 2
 
 

@@ -19,8 +19,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
-from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
-                          mpf_cmp, mpf_neg, mpf_sub, round_ceiling, round_floor)
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, fzero,
+                          mpf_abs, mpf_add, mpf_cmp, mpf_neg, mpf_sub, round_ceiling,
+                          round_floor)
 from mpmath.libmp.libmpi import mpi_mul, mpi_pow
 
 from betacert import realnum
@@ -36,9 +37,7 @@ from betacert.realnum import (
     enc_log,
     enc_max,
     enc_min,
-    exact_keys,
     get_precision,
-    lower_keys,
     membership,
     pi_q,
     precision,
@@ -57,7 +56,7 @@ from betacert.realnum import (
     _wider,
     _within,
 )
-from betacert.thickness import Gap, GapSet
+from betacert.thickness import Gap, GapSet, _position_order
 
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000)
@@ -99,6 +98,23 @@ def test_decimal_string_outward():
     assert e.encloses(Fraction(1, 10))
     assert e.width > 0  # 1/10 is not a binary float: must be outward-rounded
     assert Enclosure("2").width == 0
+
+
+def test_a_fraction_rounds_once_per_end_at_any_length():
+    # a Fraction is rounded as its decimal literal is: its exact value, once
+    # per end, to the neighbours on the working precision's grid, also where
+    # its numerator or denominator is longer than the precision
+    assert Enclosure(Fraction(1, 10 ** 400)) == Enclosure("1e-400")
+    rng = random.Random(5)
+    for bits in (64, 256):
+        with precision(bits):
+            for f in [Fraction(3 ** 200, 7 ** 150)] + [
+                    Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** 150),
+                             rng.randint(1, 10 ** 150)) for _ in range(200)]:
+                x = Enclosure(f)
+                top = abs(f).numerator.bit_length() - f.denominator.bit_length()
+                top -= abs(f) < Fraction(2) ** top  # 2**top <= |f| < 2**(top + 1)
+                assert x.lo <= f <= x.hi and x.width <= Fraction(2) ** (top + 1 - bits), f
 
 
 #: literals whose enclosure mpmath's parse misses: past an exponent of 400
@@ -223,22 +239,19 @@ def test_compare_kernels_match_fraction_oracle(x, y, z):
     assert twin == x and hash(twin) == hash(x)
 
 
-@given(st.lists(enclosures(), max_size=12))
+@given(st.lists(enclosures(), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=12))
 @settings(max_examples=200, deadline=None)
-def test_exact_keys_order_as_fractions(xs):
-    lows, highs = exact_keys(xs)
-    keys = [key for pair in zip(lows, highs) for key in pair]
-    exact = [end for x in xs for end in (x.lo, x.hi)]
-    for i in range(len(keys)):
-        for j in range(len(keys)):
-            assert (keys[i] < keys[j]) is (exact[i] < exact[j])
-            assert (keys[i] == keys[j]) is (exact[i] == exact[j])
-    # the lower ends alone, on a scale of their own
-    lower = lower_keys(xs)
-    for i in range(len(xs)):
-        for j in range(len(xs)):
-            assert (lower[i] < lower[j]) is (xs[i].lo < xs[j].lo)
-            assert (lower[i] == lower[j]) is (xs[i].lo == xs[j].lo)
+def test_position_order_sorts_as_fractions(xs, picks):
+    # pairs drawn from a few enclosures and their twins with trailing zero
+    # bits, so that ends tie often and in unequal forms; the order is the
+    # stable sort by the rational lower ends
+    twins = [Enclosure._wrap((m << 3, e - 3, n << 5, f - 5)) for m, e, n, f in
+             (x._ends for x in xs)]
+    pool = xs + twins
+    pairs = [(pool[i % len(pool)], pool[j % len(pool)]) for i, j in picks]
+    want = sorted(range(len(pairs)), key=lambda i: (pairs[i][0].lo, pairs[i][1].lo))
+    assert _position_order(pairs) == want
 
 
 def test_non_finite_endpoints_raise():
@@ -354,11 +367,14 @@ def straddling_zero(draw):
 
 def mpmath_operand(v):
     """The operand the interval operators were given before: an interval
-    for enclosures and fractions, the int itself for ints."""
+    for enclosures, the int itself for ints, and for fractions the exact
+    quotient rounded once per end (mpf_div of exact ints)."""
     if isinstance(v, Enclosure):
         return iv.make_mpf(v.raw)
     if isinstance(v, Fraction):
-        return iv.mpf(v.numerator) / iv.mpf(v.denominator)
+        p, q = v.numerator, v.denominator
+        return iv.make_mpf((from_rational(p, q, iv.prec, round_floor),
+                            from_rational(p, q, iv.prec, round_ceiling)))
     return v
 
 
@@ -645,9 +661,9 @@ def test_within_matches_the_fraction_reference_on_ties_and_far_ends():
         assert _within(lo, hi)(x) is want, (x, lo, hi)
 
 
-def test_wider_and_exact_keys_match_fractions_on_ties_and_far_ends():
-    # the same kind of ends: node widths compare, and endpoint keys order,
-    # exactly as the rationals they stand for
+def test_wider_and_position_order_match_fractions_on_ties_and_far_ends():
+    # the same kind of ends: node widths compare, and points at the ends
+    # sort, exactly as the rationals they stand for
     rng = random.Random(40001)
     value = lambda m, e: Fraction(m) * Fraction(2) ** e
     for _ in range(3000):
@@ -662,24 +678,25 @@ def test_wider_and_exact_keys_match_fractions_on_ties_and_far_ends():
                 for i in (0, 2))
         width = lambda n: value(*n[2:]) - value(*n[:2])
         assert _wider(x, y) is (width(x) > width(y)), (x, y)
-        lows, highs = exact_keys([Enclosure._wrap(x), Enclosure._wrap(y)])
-        keys = lows + highs
-        exact = [value(*v[:2]) for v in (x, y)] + [value(*v[2:]) for v in (x, y)]
-        for i in range(4):
-            for j in range(4):
-                assert (keys[i] < keys[j]) is (exact[i] < exact[j])
+        ends = [x[:2], x[2:], y[:2], y[2:]]
+        points = [Enclosure._wrap(v + v) for v in ends]
+        pairs = [(a, b) for a in points for b in points]
+        exact = [(value(*a), value(*b)) for a in ends for b in ends]
+        assert _position_order(pairs) == sorted(range(16), key=exact.__getitem__)
 
 
 @pytest.mark.parametrize("gap", [10 ** 8, 10 ** 12])
-def test_wider_and_exact_keys_cost_does_not_grow_with_the_exponent_gap(gap):
+def test_wider_and_position_order_cost_ignores_the_exponent_gap(gap):
     # a node whose own ends lie 2**gap apart: no shift by the gap, which at
     # 10**12 would need some 125 GB
     near, far = (1, -1, 3, -1), (-1, -gap, 1, -1)
     start = time.perf_counter()
     assert _wider(near, far) and not _wider(far, near)
-    lows, highs = exact_keys([Enclosure._wrap(far), Enclosure._wrap(near)])
-    assert lows[0] < 0 < lows[1] == highs[0] < highs[1]
-    assert max(abs(k) for k in lows + highs).bit_length() < 100
+    # 3/2, 1/2, -2**-gap, 1/2 as points; the tie keeps its input order
+    points = [Enclosure._wrap(v + v) for v in (near[2:], near[:2], far[:2], far[2:])]
+    assert _position_order([(p, p) for p in points]) == [2, 1, 3, 0]
+    near, far = Enclosure._wrap(near), Enclosure._wrap(far)
+    assert _position_order([(near, near), (far, near), (near, far)]) == [1, 2, 0]
     assert time.perf_counter() - start < 0.05
 
 

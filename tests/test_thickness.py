@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from betacert import realnum
 from betacert.certify import _GAP_DEPTH, _b_cover_depth
 from betacert.constructions import aq_gapset, fixed_expansion_of_one
-from betacert.realnum import (Enclosure, PrecisionError, bonacci_root, enc_max, enc_min,
-                              exact_keys)
+from betacert.realnum import Enclosure, PrecisionError, bonacci_root, enc_max, enc_min
 from betacert.symbolic import gaps_of_Sk
 from betacert.thickness import (
     Gap,
@@ -123,6 +122,13 @@ def test_gapset_validation():
         to_gapset((F(0), F(1)), [(F(1, 4), F(1, 2)), (F(1, 4), F(1, 2))])  # duplicate
     gs = to_gapset((F(0), F(1)), [(F(1, 2), F(3, 4)), (F(1, 8), F(1, 4))])
     assert [g.left.lo for g in gs.gaps] == [F(1, 8), F(1, 2)]  # sorted
+    # a claim the precision cannot decide is a precision limit, not bad data
+    half = blurred(F(1, 2), F(1, 2 ** 300))
+    for hull, gaps in [((E(0), half), [Gap(E(F(1, 4)), half)]),  # at the hull's end
+                       ((E(0), E(1)), [Gap(half, half)]),  # width
+                       ((E(0), E(1)), [Gap(E(F(1, 4)), half), Gap(half, E(F(3, 4)))])]:
+        with pytest.raises(PrecisionError, match="--precision"):
+            GapSet(*hull, tuple(gaps))
 
 
 def test_point_membership():
@@ -298,21 +304,6 @@ def test_truncation_at_bridges_never_decreases(case):
         assert restricted >= 0
 
 
-def test_strict_mode_raises_on_uncertain_order():
-    # width enclosures overlap with interior: [1/8, 1/8+e] vs [1/8-e, 1/8+2e]
-    eps = F(1, 2 ** 300)
-    a = Gap(E(F(1, 8)), E.from_endpoints(F(1, 4), F(1, 4) + eps))
-    b = Gap(E.from_endpoints(F(1, 2) - eps, F(1, 2) + eps),
-            E.from_endpoints(F(5, 8), F(5, 8) + eps))
-    gs = GapSet(E(0), E(1), (a, b))
-    assert thickness(gs).tau is not None  # default mode proceeds
-    with pytest.raises(Exception):
-        thickness(gs, strict=True)
-    # exact ties and certified orderings pass strict mode
-    clean = to_gapset((F(0), F(1)), [(F(1, 8), F(1, 4)), (F(1, 2), F(5, 8))])
-    assert thickness(clean, strict=True).tau is not None
-
-
 def test_kernels_convert_no_endpoint_to_fraction(monkeypatch):
     # gaps_of_Sk, GapSet validation and thickness order endpoints on their
     # raw binary form; a rational view per endpoint made them several
@@ -476,27 +467,21 @@ def test_hausdorff_matches_fraction_oracle(case_a, case_b):
 #
 # thickness walks the gaps in the position order that GapSet validation
 # certified; the references below are the earlier forms, which rebuilt that
-# order from exact integer keys.  Both must give the same raw endpoints.
+# order from the exact rational ends.  Both must give the same raw endpoints.
 
 
-def ref_thickness(gapset, tie_rng=None, strict=False):
+def ref_thickness(gapset, tie_rng=None):
     """Stepwise thickness over insertion-sorted placed endpoints, keyed by
     exact lower bounds, with two bisects and two inserts per gap."""
     gaps = gapset.gaps
     n = len(gaps)
     widths = [g.width for g in gaps]
-    w_lo, w_hi = exact_keys(widths)
-    positions = exact_keys([g.left for g in gaps] + [g.right for g in gaps])[0]
-    left_at, right_at = positions[:n], positions[n:]
-    order = sorted(range(n), key=lambda i: (-w_hi[i], left_at[i]))
-    if strict:
-        for a, b in zip(order, order[1:]):
-            if (w_lo[a], w_hi[a]) != (w_lo[b], w_hi[b]) and w_lo[a] < w_hi[b]:
-                raise PrecisionError("uncertain diameter order")
+    left_at, right_at = [g.left.lo for g in gaps], [g.right.lo for g in gaps]
+    order = sorted(range(n), key=lambda i: (-widths[i].hi, left_at[i]))
     if tie_rng is not None:
         shuffled, block, block_key = [], [], None
         for i in order:
-            key = (w_lo[i], w_hi[i])
+            key = (widths[i].lo, widths[i].hi)
             if key == block_key:
                 block.append(i)
             else:
@@ -532,9 +517,8 @@ def ref_contained_in_complement(inner, outer):
     if side_low is True or side_high is True:
         return True
     uncertain = side_low is None or side_high is None
-    lows, highs = exact_keys([g.left for g in outer.gaps] + [lo])
-    keys, probe = lows[:-1], highs[-1]
-    start = bisect.bisect_right(keys, probe)
+    keys = [g.left.lo for g in outer.gaps]
+    start = bisect.bisect_right(keys, lo.hi)
     for g in outer.gaps[max(0, start - 2): start + 2]:
         in_gap_l = g.left.lt(lo)
         in_gap_r = hi.lt(g.right)
@@ -546,10 +530,9 @@ def ref_contained_in_complement(inner, outer):
 
 
 def ref_distance_to_set(x, bset):
-    """Distance by an outward scan from an exact-key bisection position."""
+    """Distance by an outward scan from an exact-end bisection position."""
     bridges = bset.bridges()
-    *keys, probe = exact_keys([u for (u, _) in bridges] + [x])[0]
-    idx = bisect.bisect_right(keys, probe)
+    idx = bisect.bisect_right([u.lo for (u, _) in bridges], x.lo)
     lo_j = idx - 1
     while lo_j > 0 and bridges[lo_j][1].lt(x) is not True:
         lo_j -= 1
@@ -632,18 +615,12 @@ def tied_gapsets(draw):
     return GapSet(E(0), E(F(at + steps[n], 64)), tuple(gaps[i] for i in order))
 
 
-@given(tied_gapsets(), st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+@given(tied_gapsets(), st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=150, deadline=None)
-def test_tied_thickness_matches_the_placement_list_reference(gs, seed, strict):
-    try:
-        expected = ref_thickness(gs, tie_rng=random.Random(seed), strict=strict)
-    except PrecisionError:
-        with pytest.raises(PrecisionError):
-            thickness(gs, tie_rng=random.Random(seed), strict=True)
-        return
-    got = thickness(gs, tie_rng=random.Random(seed), strict=strict).tau
-    assert got.raw == expected.raw
-    assert thickness(gs, strict=strict).tau.raw == ref_thickness(gs, strict=strict).raw
+def test_tied_thickness_matches_the_placement_list_reference(gs, seed):
+    expected = ref_thickness(gs, tie_rng=random.Random(seed))
+    assert thickness(gs, tie_rng=random.Random(seed)).tau.raw == expected.raw
+    assert thickness(gs).tau.raw == ref_thickness(gs).raw
 
 
 @given(gapsets_and_points(), gapsets_and_points())
