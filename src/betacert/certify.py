@@ -20,12 +20,11 @@ This module strings the lower layers into the two headline claims:
   switch-region preimage of the located intersection point (the preimage
   is where the three expansions live: one branch falls into the
   run-limited family, the other reaches the intersection point's two).
-  Neither family is materialized: both thicknesses are closed forms
-  (``sk_thickness``, ``cover_thickness``), each family is read only next
-  to the few probes the gap lemma needs, and the gap lemma runs in the
-  cover's own coordinates, so the cover is never moved.  A cover whose
-  closed form or probe paths cannot be certified raises PrecisionError;
-  there is no stepwise fallback.
+  Neither family is materialized or moved: both thicknesses are closed
+  forms (``sk_thickness``, ``cover_thickness``), and each family is read
+  in its own coordinates, next to the few probes the gap lemma needs.  A
+  cover whose closed form or probe paths cannot be certified raises
+  PrecisionError; there is no stepwise fallback.
 
 ``reproduce_tables`` recomputes every row of the two reference tables
 (roots, radii, dimension bounds, order thresholds) and flags each column
@@ -82,9 +81,8 @@ from .realnum import (
 )
 from .symbolic import SymbolicSeq, _sk_gaps_near
 from .thickness import (
+    _contained_in_complement,
     _gap_lemma_checks,
-    affine_image,
-    interleaved,
     sk_thickness,
     strongly_interleaved,
 )
@@ -371,14 +369,14 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
     cover is read from one cylinder tree (constructions._cover_near): its
     thickness in the closed form cover_thickness, and its gaps along the
     search paths of three probes (the run-limited family's hull ends,
-    pulled back, and the located point's preimage).  Where a premise of
-    the closed form, or a node on those paths, cannot be certified, the
-    run raises PrecisionError.  The run-limited family is read only
-    at its hull and next to three probes (the images of the cover's hull
-    ends and the located point), so of that family only the gaps on the
-    probes' search paths through its index tree are built, validated and
-    pulled back into the cover's coordinates; its thickness is the
-    closed form sk_thickness.
+    mapped into the cover's coordinates, and the located point's
+    preimage).  Where a premise of the closed form, or a node on those
+    paths, cannot be certified, the run raises PrecisionError.  Of the
+    run-limited family only the gaps on the search paths of three probes
+    (the cover's hull ends, mapped into its coordinates, and the located
+    point) are built; its thickness is the closed form sk_thickness.  So
+    each interleaving containment reads one family's gaps at the other's
+    hull ends, and neither family is moved.
     The branch count of the located three-expansion point always runs at
     the band center -- the one base where that point is exactly
     representable; elsewhere the claim rides the drift and gap-lemma
@@ -459,27 +457,30 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "s_family_thickness_exceeds_power", sk.tau, q_span ** (k - 4)))
     cover_depth = _b_cover_depth(k)
     spine = fixed_expansion_of_one(q_eval, k, cover_depth)
+    if not spine.certificate.certified:
+        raise PrecisionError(
+            f"cannot certify the order-{k} spine's value at depth "
+            f"{cover_depth}; raise the working precision (--precision)")
 
-    # gap-lemma run in the cover's own coordinates: A is the cover moved
-    # by x -> g(x) - 1, and interleaving, membership and thickness are
-    # affine invariant, so the few S gaps the run reads are pulled back
-    # instead, and A keeps the cover's tau.  The located intersection
-    # point y is the second witness image (exact at the root, within the
-    # drift bounds elsewhere), so g^-1(y) is the value of the witness seq.
+    # gap-lemma run with neither family moved: A is the cover placed by
+    # x -> g(x) - 1, and interleaving, membership and thickness are affine
+    # invariant, so each family is read in its own coordinates and A keeps
+    # the cover's tau.  The located intersection point y is the second
+    # witness image (exact at the root, within the drift bounds
+    # elsewhere), so g^-1(y) is the value of the witness seq.
     gap_depth = _GAP_DEPTH if depth is None else depth
     gmap = GMap(q_eval, k)
     shift = gmap.offset - 1
     q_k = q_eval ** k
-    to_a = (q_k, -(shift * q_k))
     anchor = ws.points[1]
     y_val = pi_q(anchor.image_seq, q_eval)
     a_point = pi_q(anchor.seq, q_eval)
-    # interleaving reads each description at its hull and at the gaps
-    # next to the other's hull ends, membership at the gaps next to the
-    # located point; those gaps lie on the probes' search paths, so only
-    # the paths are built.  S's hull [0, 1/(q-1)] pulls back into the
-    # cover's coordinates without building S.
-    s_hull_in_a = tuple(to_a[0] * h + to_a[1]
+    # interleaving asks whether either hull lies in a gap of the other,
+    # membership whether the located point does; so each family is read
+    # on the search paths of the other's hull ends, mapped into its
+    # coordinates, and of the located point.  S's hull [0, 1/(q-1)] maps
+    # by x -> q^k (x - shift) without building S.
+    s_hull_in_a = tuple(q_k * h - shift * q_k
                         for h in (Enclosure(0), 1 / (q_eval - 1)))
     cover, a_tau = _cover_near(spine, cover_depth, s_hull_in_a + (a_point,))
     a_note = ("cover evidence at the evaluation base; the floor holds for "
@@ -491,14 +492,13 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
         "thickness_product_at_least_one", sk.tau * a_tau.tau,
         as_enclosure(1)))
 
-    gs_s = _sk_gaps_near(q_eval, k - 1, gap_depth,
-                         (gmap.scale * cover.hull_lo + shift,
-                          gmap.scale * cover.hull_hi + shift, y_val - 1))
-    gs_s_in_a = affine_image(gs_s, *to_a)
-    _merge(checks,
-           _gap_lemma_checks(interleaved(gs_s_in_a, cover),
-                             sk_thickness(q_eval, k - 1, gap_depth), a_tau),
-           "newhouse_")
+    a_hull_in_s = tuple(gmap.scale * h + shift
+                        for h in (cover.hull_lo, cover.hull_hi))
+    gs_s = _sk_gaps_near(q_eval, k - 1, gap_depth, a_hull_in_s + (y_val - 1,))
+    inter = (_contained_in_complement(*s_hull_in_a, cover) is False
+             and _contained_in_complement(*a_hull_in_s, gs_s) is False)
+    _merge(checks, _gap_lemma_checks(
+        inter, sk_thickness(q_eval, k - 1, gap_depth), a_tau), "newhouse_")
     in_s = gs_s.point_in(y_val - 1)
     in_a = cover.point_in(a_point)
     # three-valued and: one certified miss decides, else undecided unless

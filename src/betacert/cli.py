@@ -279,8 +279,6 @@ def _family_base(q_text: Optional[str], k: int):
 def cmd_gaps(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> int:
     if k is None:
         raise UsageError("gaps requires --k")
-    if k < 3:
-        raise UsageError("gap families start at order 3 (order k-1 = 2)")
     depth = cfg.depth if cfg.depth is not None else 8
     with precision(cfg.precision_bits):
         q = _family_base(q_text, k)
@@ -318,8 +316,6 @@ def cmd_gaps(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> int:
 def cmd_thickness(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> int:
     if k is None:
         raise UsageError("thickness requires --k")
-    if k < 3:
-        raise UsageError("thickness families start at order 3 (order k-1 = 2)")
     depth = cfg.depth if cfg.depth is not None else 3 * k
     with precision(cfg.precision_bits):
         q = _family_base(q_text, k)

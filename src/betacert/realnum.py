@@ -988,19 +988,17 @@ def _horner(word, q) -> tuple:
                 bm, be = -(-bm >> n), be + n
         if flip:
             am, ae, bm, be = -bm, be, -am, ae
+        # each end has at most prec + 1 bits here (rounding up carries
+        # one) and q's mantissas at least one, so both shifts k are >= 1.
         # lower end: over q's upper end when it is not negative, else its lower
         m, f, b = (dm, de, db) if am >= 0 else (cm, ce, cb)
         k = prec + 1 + b - am.bit_length()
-        if k < 0:
-            k = 0
         am, ae = (am << k) // m, ae - f - k
         n = am.bit_length() - prec
         if n > 0:
             am, ae = am >> n, ae + n
         m, f, b = (dm, de, db) if bm <= 0 else (cm, ce, cb)
         k = prec + 1 + b - bm.bit_length()
-        if k < 0:
-            k = 0
         bm, be = -((-bm << k) // m), be - f - k
         n = bm.bit_length() - prec
         if n > 0:

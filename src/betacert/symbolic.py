@@ -338,7 +338,7 @@ def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
     family's.
     """
     if k < 2:
-        raise ValueError("order must be at least 2")
+        raise ValueError(f"order must be at least 2, got {k}")
     if k == 2 and max_delta_len > 0:
         # touching ends enclose the same value, which no precision separates
         raise MalformedGapSet("the order-2 gaps touch at every positive depth: "

@@ -24,7 +24,9 @@ generic routine.  The pipeline reads each family only along the search
 paths of a few probes through its tree of gaps, and both walks route
 their probes by _probe_sides.
 
-The gap lemma's checks are built in one place from an interleaving verdict
+Interleaving reads one set's gaps at the other's hull ends only
+(_contained_in_complement), so the pipeline moves neither family.  The
+gap lemma's checks are built in one place from an interleaving verdict
 and two ThicknessValues, however each tau was obtained: stepwise in
 newhouse_certificate, from values already at hand in the pipelines.
 """
@@ -421,17 +423,17 @@ def affine_image(gapset: GapSet, scale, offset) -> GapSet:
     return GapSet(hull_lo, hull_hi, gaps, depth=gapset.depth)
 
 
-def _contained_in_complement(inner: GapSet, outer: GapSet) -> Optional[bool]:
-    """Tri-valued: is inner's hull certifiably inside one component of the
-    complement of outer (a gap or an unbounded side)?  True means inner
-    misses outer entirely; None means some containment is undecidable."""
-    lo, hi = inner.hull_lo, inner.hull_hi
+def _contained_in_complement(lo: Enclosure, hi: Enclosure,
+                              outer: GapSet) -> Optional[bool]:
+    """Tri-valued: is the hull [lo, hi] certifiably inside one component of
+    the complement of outer (a gap or an unbounded side)?  True means the
+    hull misses outer entirely; None means some containment is undecidable."""
     side_low = hi.lt(outer.hull_lo)
     side_high = outer.hull_hi.lt(lo)
     if side_low is True or side_high is True:
         return True
     uncertain = side_low is None or side_high is None
-    # only gaps positioned to straddle the inner hull can contain it; the
+    # only gaps positioned to straddle the hull can contain it; the
     # gaps certifiably right of lo form a suffix of the validated order
     start = bisect_left(outer.gaps, True, key=lambda g: lo.lt(g.left) is True)
     for g in outer.gaps[max(0, start - 2): start + 2]:
@@ -448,8 +450,8 @@ def interleaved(a: GapSet, b: GapSet) -> bool:
     """True iff neither described set fits inside a single complementary
     component of the other, certified on the finite descriptions.  Any
     undecidable containment fails closed to False."""
-    return (_contained_in_complement(a, b) is False
-            and _contained_in_complement(b, a) is False)
+    return (_contained_in_complement(a.hull_lo, a.hull_hi, b) is False
+            and _contained_in_complement(b.hull_lo, b.hull_hi, a) is False)
 
 
 def strongly_interleaved(a1, a2, b1, b2, eps) -> Certificate:

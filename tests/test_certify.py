@@ -23,7 +23,9 @@ import importlib
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -63,7 +65,7 @@ from betacert.realnum import (
     pi_q,
     precision,
 )
-from betacert.symbolic import ResourceError
+from betacert.symbolic import ResourceError, gaps_of_Sk
 from betacert.thickness import GapSet, affine_image, interleaved, thickness
 
 F = Fraction
@@ -456,10 +458,10 @@ def _spy(monkeypatch, module, name):
 
 def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     # both families take their tau from closed forms and neither is
-    # materialized: of each, only the gaps on the search paths of the
-    # pipeline's probes are built, the cover's in its own coordinates and
-    # from one cylinder tree.  No stepwise thickness pass runs, and the
-    # only affine image is of the built run-limited gaps
+    # materialized or moved: of each, only the gaps on the search paths of
+    # the pipeline's probes are built, in the family's own coordinates,
+    # the cover's from one cylinder tree.  No stepwise thickness pass runs
+    # and no affine image is taken
     symbolic = importlib.import_module("betacert.symbolic")
     constructions = importlib.import_module("betacert.constructions")
     thickness_module = importlib.import_module("betacert.thickness")
@@ -484,6 +486,7 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     assert families == []
     assert covers == []
     assert measured == []
+    assert imaged == []
     [(_, s_near)] = near
     assert len(s_near.gaps) <= 3 * (_GAP_DEPTH + 1)
     [((spine, depth, probes), (cover, a_tau))] = cover_near
@@ -493,31 +496,32 @@ def test_three_pipeline_builds_and_measures_each_family_once(monkeypatch):
     levels = len([j for j in spine.J_free if j <= depth])
     assert len(probes) == 3
     assert 0 < len(cover.gaps) <= levels * len(probes) < a_tau.gap_count
-    assert [args[0] is s_near for args, _ in imaged] == [True]
-    # one GapSet per family, plus the one placement of the run-limited gaps
-    assert len(built) == 3
-    assert sum(g is s_near for g in built) == 1
-    # validation sees each built cover gap once and each run-limited gap
-    # twice
+    # one GapSet per family, and validation sees each built gap once
+    assert len(built) == 2
+    assert built[0] is cover and built[1] is s_near
     assert (sum(len(g.gaps) for g in built)
-            == len(cover.gaps) + 2 * len(s_near.gaps))
+            == len(cover.gaps) + len(s_near.gaps))
 
 
 @pytest.mark.parametrize("bits", [64, 256])
 @pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
 def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
-    # oracle: the interleaving and A-membership verdicts the pipeline
-    # reaches in the cover's coordinates, on the cover gaps next to its
-    # probes, equal those of the reference route, which builds the whole
-    # cover, images it into the run-limited family's coordinates
-    # (x -> g(x) - 1) and tests y - 1 there
-    thickness_module = importlib.import_module("betacert.thickness")
+    # oracle: the interleaving verdict the pipeline reaches on the gaps
+    # next to its probes, each family in its own coordinates, equals the
+    # whole-family route, which builds both families whole and moves the
+    # cover into the run-limited family's coordinates (x -> g(x) - 1); and
+    # the A-membership verdict equals that of y - 1 there.  A second run
+    # places the cover with its hull in the run-limited family's widest
+    # gap, so the interleaving oracle also sees a False verdict.  The
+    # branch count, which raises PrecisionError at 64 bits after every
+    # check that reads the families, is left out
+    certify_module = importlib.import_module("betacert.certify")
+    monkeypatch.setattr(certify_module, "certify_m_expansions",
+                        lambda q, x, m, depth: Certificate("expansion-count", {}))
     cover_near = _spy(monkeypatch, importlib.import_module("betacert.constructions"),
                       "_cover_near")
     near = _spy(monkeypatch, importlib.import_module("betacert.symbolic"),
                 "_sk_gaps_near")
-    imaged = _spy(monkeypatch, thickness_module, "affine_image")
-    verdicts = _spy(monkeypatch, thickness_module, "interleaved")
     members = []
     point_in = GapSet.point_in
 
@@ -526,37 +530,51 @@ def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
         members.append((self, out))
         return out
 
+    def interleaving(q, place):
+        monkeypatch.setattr(certify_module, "GMap", place)
+        status = checks_by_name(theorem_b_certify(k, q))["newhouse_interleaved"].status
+        monkeypatch.setattr(certify_module, "GMap", GMap)
+        return status
+
     monkeypatch.setattr(GapSet, "point_in", record)
-    seen = set()
+    seen_in, seen_inter = set(), set()
     with precision(bits):
         root = bonacci_root(k).value
-        rho = root ** (-2 * k - 6)
-        offsets = [t for t in (-7, -4, -1, 1, 4, 7) if k > 9 or t > 0]
-        for q in ["interval"] + [root + rho * F(t, 8) for t in offsets]:
-            for calls in (cover_near, near, imaged, verdicts, members):
+        for q in _band_bases(k):
+            for calls in (cover_near, near, members):
                 calls.clear()
-            try:
-                theorem_b_certify(k, q)
-            except PrecisionError:
-                assert bits == 64  # the branch count, after the gap lemma
+            status = interleaving(q, GMap)
             [((spine, depth, cover_probes), (cover, _))] = cover_near
-            [((_, _, _, probes), s_near)] = near
-            [((gs, _, _), s_in_a)] = imaged
-            [(_, inter)] = verdicts
+            [((_, _, _, probes), _)] = near
             [in_a] = [out for gs, out in members if gs is cover]
             q_eval = root if q == "interval" else q
             gmap = GMap(q_eval, k)
-            gs_a = affine_image(aq_gapset(spine, depth), gmap.scale,
-                                gmap.offset - 1)
+            whole_a = aq_gapset(spine, depth)
+            gs_a = affine_image(whole_a, gmap.scale, gmap.offset - 1)
+            whole_s = gaps_of_Sk(q_eval, k - 1, _GAP_DEPTH)
             y = pi_q(witness_points(k).points[1].image_seq, q_eval)
-            assert gs is s_near
             assert [p.raw for p in probes[:2]] == [gs_a.hull_lo.raw, gs_a.hull_hi.raw]
+            q_k = q_eval ** k
+            s_in_a = affine_image(GapSet(whole_s.hull_lo, whole_s.hull_hi, ()),
+                                  q_k, -((gmap.offset - 1) * q_k))
             assert [p.raw for p in cover_probes[:2]] == [s_in_a.hull_lo.raw,
                                                          s_in_a.hull_hi.raw]
-            assert inter is interleaved(s_near, gs_a)
+            verdict = interleaved(whole_s, gs_a)
+            assert status == (STATUS_CERTIFIED if verdict else STATUS_FAILED)
             assert in_a is point_in(gs_a, y - 1)
-            seen.add(in_a)
-    assert seen == {True, False}  # both verdicts occur: the oracle bites
+            seen_in.add(in_a)
+            seen_inter.add(verdict)
+
+            widest = max(whole_s.gaps, key=lambda g: (g.right - g.left).mid)
+            t = (widest.left + widest.right - gs_a.hull_lo - gs_a.hull_hi) / 2
+            moved = SimpleNamespace(scale=gmap.scale, offset=gmap.offset + t)
+            status = interleaving(q, lambda q, k: moved)
+            verdict = interleaved(
+                whole_s, affine_image(whole_a, moved.scale, moved.offset - 1))
+            assert status == (STATUS_CERTIFIED if verdict else STATUS_FAILED)
+            seen_inter.add(verdict)
+    # both verdicts occur: the oracles bite
+    assert seen_in == seen_inter == {True, False}
 
 
 def _band_bases(k):
@@ -600,6 +618,29 @@ def test_three_pipeline_unreadable_cover_exits_3(monkeypatch, capsys, k):
         assert out == ""
         assert "cover" in err and "--precision" in err
     assert covers == []
+
+
+def test_three_pipeline_uncertain_spine_exits_3(monkeypatch, capsys):
+    # the spine's own checks fail closed too: where its value check comes
+    # back uncertain the request exits 3 with nothing on stdout and an
+    # error naming the spine and --precision
+    certify_module = importlib.import_module("betacert.certify")
+    real = certify_module.fixed_expansion_of_one
+
+    def uncertain_value(q, k, depth):
+        spine = real(q, k, depth)
+        checks = [replace(c, status=STATUS_UNCERTAIN)
+                  if c.name == "prefix_value_near_one" else c
+                  for c in spine.certificate.checks]
+        assert checks != spine.certificate.checks
+        return replace(spine, certificate=replace(spine.certificate,
+                                                  checks=checks))
+
+    monkeypatch.setattr(certify_module, "fixed_expansion_of_one", uncertain_value)
+    assert cli.main(["certify", "--k", "10", "--interval"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "spine" in err and "--precision" in err
 
 
 @pytest.mark.parametrize("bits", [64, 80])

@@ -379,6 +379,9 @@ def test_gaps_json_matches_csv_row_count():
 def test_gaps_requires_sane_order():
     assert run(["gaps", "--depth", "4"])[0] == 2       # no --k
     assert run(["gaps", "--k", "2", "--depth", "4"])[0] == 2
+    # the order-2 family's gaps touch at every depth: the library refuses
+    code, out, err = run(["gaps", "--k", "3", "--depth", "1"])
+    assert (code, out) == (2, "") and "order-2" in err
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +401,10 @@ def test_thickness_exceeds_reference_power():
 def test_thickness_explicit_base_below_root_is_usage_error():
     # the family needs a base certifiably above its defining root
     assert run(["thickness", "--k", "10", "--q", "1.5"])[0] == 2
+    # and an order of at least 3: the library refuses the order-2 family,
+    # whose gaps touch
+    code, out, err = run(["thickness", "--k", "3"])
+    assert (code, out) == (2, "") and "order-2" in err
 
 
 def test_thickness_text_mode():

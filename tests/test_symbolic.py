@@ -343,13 +343,11 @@ def _assert_near_agrees(family: GapSet, q, order: int, depth: int,
         assert (near.hull_lo, near.hull_hi) == (family.hull_lo, family.hull_hi)
         assert near.point_in(x) is family.point_in(x)
     for lo, hi in _hull_probes(family, rng):
-        inner = GapSet(lo, hi, ())
         near = _sk_gaps_near(q, order, depth, (lo, hi))
         assert set(near.gaps) <= gaps
-        assert (_contained_in_complement(inner, near)
-                is _contained_in_complement(inner, family))
-        assert (_contained_in_complement(near, inner)
-                is _contained_in_complement(family, inner))
+        assert (near.hull_lo, near.hull_hi) == (family.hull_lo, family.hull_hi)
+        assert (_contained_in_complement(lo, hi, near)
+                is _contained_in_complement(lo, hi, family))
 
 
 @pytest.mark.parametrize("k", range(9, 14))

@@ -510,8 +510,7 @@ def ref_thickness(gapset, tie_rng=None):
     return tau
 
 
-def ref_contained_in_complement(inner, outer):
-    lo, hi = inner.hull_lo, inner.hull_hi
+def ref_contained_in_complement(lo, hi, outer):
     side_low = hi.lt(outer.hull_lo)
     side_high = outer.hull_hi.lt(lo)
     if side_low is True or side_high is True:
@@ -550,14 +549,16 @@ def ref_distance_to_set(x, bset):
 def assert_locators_match(a, b, probes):
     """Containment both ways and distances to b at every probe agree with
     the references, raw endpoint for raw endpoint."""
-    assert _contained_in_complement(a, b) is ref_contained_in_complement(a, b)
-    assert _contained_in_complement(b, a) is ref_contained_in_complement(b, a)
+    for inner, outer in ((a, b), (b, a)):
+        lo, hi = inner.hull_lo, inner.hull_hi
+        assert (_contained_in_complement(lo, hi, outer)
+                is ref_contained_in_complement(lo, hi, outer))
     bridges = b.bridges()
     for x in probes:
         assert _distance_to_set(x, bridges).raw == ref_distance_to_set(x, b).raw
-        inner = GapSet(x, x + E(x.width + F(1, 10 ** 6)), ())
-        assert (_contained_in_complement(inner, b)
-                is ref_contained_in_complement(inner, b))
+        hi = x + E(x.width + F(1, 10 ** 6))
+        assert (_contained_in_complement(x, hi, b)
+                is ref_contained_in_complement(x, hi, b))
 
 
 def family_probes(gs, rng, count):
