@@ -62,6 +62,7 @@ from .realnum import (
     PrecisionError,
     _ENV_PRECISION,
     _decimal,
+    _double_rows,
     _precision_from_env,
     as_enclosure,
     bonacci_root,
@@ -366,7 +367,7 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
         "certified_min": list(report.certified_min),
         "possible_max": list(report.possible_max),
         "stabilized": report.stabilized,
-        "branch_events": [[d, _float_pair(v)] for d, v in report.branch_events],
+        "branch_events": _double_rows(report.branch_events),
         "nodes_processed": report.nodes_processed,
     }
     if cfg.output_format == "csv":

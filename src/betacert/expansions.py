@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .certificate import Certificate, GRADE_EVIDENCE, _float_pair, check_flag
-from .realnum import (Enclosure, PrecisionError, _add, _step, _within, _wider, as_enclosure,
+from .realnum import (Enclosure, PrecisionError, _canon, _walk_level, as_enclosure,
                       membership, pi_q)
 from .symbolic import ResourceError
 
@@ -125,10 +125,11 @@ def count_prefixes(q, x, depth: int = 200,
     A node spawns a child for each digit whose domain does not certifiably
     exclude it; only children reached through all-certified memberships
     count toward ``certified_min``.  Nodes are realnum's integer endpoint
-    quadruples, stepped and classified by its kernel; a node becomes an
-    Enclosure only as a branch event.  An undecided node wider than the
-    switch region raises PrecisionError: the enclosures have widened past
-    deciding anything, and the walk would only grind into the node budget.
+    quadruples, classified and stepped a whole level at a time by its
+    kernel; a node becomes an Enclosure only as a branch event.  An
+    undecided node wider than the switch region raises PrecisionError: the
+    enclosures have widened past deciding anything, and the walk would only
+    grind into the node budget.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -138,11 +139,11 @@ def count_prefixes(q, x, depth: int = 200,
     if root_in is False:
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
 
-    q, minus_one = maps.q._ends, (-1, 0, -1, 0)
-    zero, s_hi = (e._ends for e in maps.domain(0))
-    s_lo, top = (e._ends for e in maps.domain(1))
-    switch = s_lo[:2] + s_hi[2:]  # the switch region's widest reading
-    in0, in1 = _within(zero, s_hi), _within(s_lo, top)
+    # q without trailing zero bits, so that a dyadic q multiplies as a short
+    # int; digit 0's domain is [0, s_hi], digit 1's [s_lo, top]
+    q = _canon(*maps.q._ends[:2]) + _canon(*maps.q._ends[2:])
+    s_lo, s_hi = (e._ends for e in maps.switch)
+    top = maps.attractor[1]._ends
     # the frontier: its nodes, and whether each is reached through
     # certified memberships only
     nodes: list[tuple] = [x._ends]
@@ -158,36 +159,20 @@ def count_prefixes(q, x, depth: int = 200,
         spent = processed + size > node_budget
         if spent:
             nodes = nodes[:max(0, node_budget - processed)]
-        nxt: list[tuple] = []
-        nxt_flags: list[bool] = []
-        push, mark = nxt.append, nxt_flags.append
-        for y, certified in zip(nodes, flags):
-            m0 = in0(y)
-            m1 = in1(y)
-            if m0 is None or m1 is None:
-                if _wider(y, switch):
-                    raise PrecisionError(
-                        f"enclosure widening: a node at depth {d - 1} of the branch "
-                        "walk is wider than the switch region; raise the working "
-                        "precision (--precision)")
-            elif m0 and m1:
-                events.append((d - 1, Enclosure._wrap(y)))
-            if m0 is not False:
-                qy = _step(q, y)
-                push(qy)
-                mark(certified and m0 is True)
-                if m1 is not False:  # both digits: q y is rounded once
-                    push(_add(qy, minus_one))
-                    mark(certified and m1 is True)
-            elif m1 is not False:
-                push(_add(_step(q, y), minus_one))
-                mark(certified and m1 is True)
+        level = _walk_level(q, s_hi, s_lo, top, nodes, flags)
+        if level is None:
+            raise PrecisionError(
+                f"enclosure widening: a node at depth {d - 1} of the branch "
+                "walk is wider than the switch region; raise the working "
+                "precision (--precision)")
+        nodes, flags, forks = level
+        for y in forks:
+            events.append((d - 1, Enclosure._wrap(y)))
         if spent:
             raise ResourceError(
                 f"branch walk exceeded the node budget of {node_budget} "
                 f"at depth {d} (frontier size {size})")
         processed += size
-        nodes, flags = nxt, nxt_flags
         cmin.append(flags.count(True))
         cmax.append(len(nodes))
 

@@ -20,8 +20,9 @@ min / max form the exact integer result and round it once, outward, to the
 working precision: the values mpmath's interval kernels give.  Integer
 powers round step by step exactly as mpmath's mpi_pow_int does, on the
 same ints.  A Fraction power p/r of a base above zero is the outward r-th
-root, by Newton's method, of the outward p-th power.  The branch walk
-(membership, _step) and decimal parsing run on them too.
+root, by Newton's method, of the outward p-th power.  Membership, the
+branch walk's level kernel (_walk_level) and decimal parsing run on them
+too.
 
 mpmath is only the edge, imported on first use: printing (str_digits,
 repr), Enclosure.raw, logarithms, and powers to an enclosure of
@@ -167,8 +168,8 @@ def _sum(m: int, e: int, n: int, f: int) -> tuple:
 
 
 def _add(x, y) -> tuple:
-    """x + y.  The branch walk subtracts every digit here, so _sum's common
-    case (exponents within _prec) and the rounding are written out."""
+    """x + y, with _sum's common case (exponents within _prec) and the
+    rounding written out."""
     am, ae, bm, be = x
     cm, ce, dm, de = y
     prec = _prec
@@ -336,6 +337,16 @@ def _double(m: int, e: int, up: bool) -> float:
     if e <= 970 or not m or m.bit_length() + e <= 1024:  # a cut m has <= 54 bits
         return ldexp(m, e)
     return copysign(inf if up == (m > 0) else float_info.max, m)
+
+
+def _double_rows(pairs) -> list:
+    """[[d, [lo, hi]], ...] for pairs (d, x) of an int and an Enclosure: x's
+    ends as float_bounds rounds them, for reports that list many values."""
+    rows = []
+    for d, x in pairs:
+        m, e, n, f = x._ends
+        rows.append([d, [_double(m, e, False), _double(n, f, True)]])
+    return rows
 
 
 def _not_negative(x, what: str) -> tuple:
@@ -748,13 +759,14 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
 # node as an Enclosure only as a branch event.
 
 def _within(lo, hi):
-    """membership on nodes, the kernel it shares with the branch walk: the
-    test of a node x against the bounds lo and hi, whose ends are read once.
+    """membership on nodes: the test of a node x against the bounds lo and
+    hi, whose ends are read once.
 
-    Each compare of an end with a bound is written out for this hot loop:
-    of a 2**d and b (d >= 0 the exponent gap), b is shifted right, rounded
-    as the relation needs (a 2**d >= b exactly when a > (b - 1) >> d, and
-    a 2**d > b when a > b >> d), so no compare costs more as d grows."""
+    Each compare of an end with a bound is written out, as _walk_level
+    repeats it for the branch walk: of a 2**d and b (d >= 0 the exponent
+    gap), b is shifted right, rounded as the relation needs (a 2**d >= b
+    exactly when a > (b - 1) >> d, and a 2**d > b when a > b >> d), so no
+    compare costs more as d grows."""
     lam, lae, lbm, lbe = lo
     ham, hae, hbm, hbe = hi
     lam1, lbm1 = lam - 1, lbm - 1
@@ -772,26 +784,74 @@ def _within(lo, hi):
     return within
 
 
-def _step(q, x) -> tuple:
-    """The node q x, rounded as Enclosure's q * x: _mul for q's lower end
-    positive, written out with _floor and _ceil for the hot loop."""
+def _walk_level(q, s_hi, s_lo, top, nodes, flags):
+    """One level of the branch walk: the children, their flags and the
+    forks of the nodes with the given flags, or None at the first undecided
+    node wider than the switch region [s_lo, s_hi].  A node is tested
+    against digit 0's domain [0, s_hi] and digit 1's [s_lo, top] with
+    _within's compares (at 0 a sign test); its children are q y, rounded as
+    _mul rounds it for q > 0, and q y - 1, rounded as _add rounds it."""
     qam, qae, qbm, qbe = q
-    am, ae, bm, be = x
-    if am >= 0:
-        am, ae = am * qam, ae + qae
-    else:
-        am, ae = am * qbm, ae + qbe
-    if bm >= 0:
-        bm, be = bm * qbm, be + qbe
-    else:
-        bm, be = bm * qam, be + qae
-    n = am.bit_length() - _prec
-    if n > 0:
-        am, ae = am >> n, ae + n
-    n = bm.bit_length() - _prec
-    if n > 0:
-        bm, be = -(-bm >> n), be + n
-    return am, ae, bm, be
+    sam, sae, sbm, sbe = s_hi
+    tam, tae, tbm, tbe = s_lo
+    uam, uae, ubm, ube = top
+    tam1, tbm1, prec = tam - 1, tbm - 1, _prec
+    nxt, marks, forks = [], [], []
+    push, mark = nxt.append, marks.append
+    for y, certified in zip(nodes, flags):
+        am, ae, bm, be = y
+        m0 = m1 = None
+        if am >= 0 and \
+                (bm <= (sam >> (be - sae)) if be >= sae else ((bm - 1) >> (sae - be)) < sam):
+            m0 = True
+        elif bm < 0 or \
+                (am > (sbm >> (ae - sbe)) if ae >= sbe else ((am - 1) >> (sbe - ae)) >= sbm):
+            m0 = False
+        if (am > (tbm1 >> (ae - tbe)) if ae >= tbe else (am >> (tbe - ae)) >= tbm) and \
+                (bm <= (uam >> (be - uae)) if be >= uae else ((bm - 1) >> (uae - be)) < uam):
+            m1 = True
+        elif (bm <= (tam1 >> (be - tae)) if be >= tae else (bm >> (tae - be)) < tam) or \
+                (am > (ubm >> (ae - ube)) if ae >= ube else ((am - 1) >> (ube - ae)) >= ubm):
+            m1 = False
+        if m0 is None or m1 is None:
+            if _wider(y, s_lo[:2] + s_hi[2:]):
+                return None
+        elif m0 and m1:
+            forks.append(y)
+        elif m0 is False and m1 is False:
+            continue
+        if am >= 0:
+            am, ae = am * qam, ae + qae
+        else:
+            am, ae = am * qbm, ae + qbe
+        if bm >= 0:
+            bm, be = bm * qbm, be + qbe
+        else:
+            bm, be = bm * qam, be + qae
+        n = am.bit_length() - prec
+        if n > 0:
+            am, ae = am >> n, ae + n
+        n = bm.bit_length() - prec
+        if n > 0:
+            bm, be = -(-bm >> n), be + n
+        if m0 is not False:
+            push((am, ae, bm, be))
+            mark(certified and m0 is True)
+        if m1 is not False:
+            if -prec <= ae <= prec and -prec <= be <= prec:  # _add's exact sum, written out
+                am, ae = ((am << ae) - 1, 0) if ae >= 0 else (am - (1 << -ae), ae)
+                bm, be = ((bm << be) - 1, 0) if be >= 0 else (bm - (1 << -be), be)
+                n = am.bit_length() - prec
+                if n > 0:
+                    am, ae = am >> n, ae + n
+                n = bm.bit_length() - prec
+                if n > 0:
+                    bm, be = -(-bm >> n), be + n
+                push((am, ae, bm, be))
+            else:
+                push(_add((am, ae, bm, be), (-1, 0, -1, 0)))
+            mark(certified and m1 is True)
+    return nxt, marks, forks
 
 
 def _sign(*terms) -> int:

@@ -285,8 +285,10 @@ def _walk_cases():
     x = 1 (undecided memberships), a forking point, and band enclosures
     whose nodes straddle the domain ends and, deeper down, outgrow the
     switch region: around the order-10 root with both memberships
-    undecided there, around 3/2 with only digit 1's; and a start wider
-    than the switch region, which stops the walk at once."""
+    undecided there, around 3/2 with only digit 1's; a start wider than
+    the switch region, which stops the walk at once; a start whose digit-1
+    child subtracts 1 from an end far below 2**-_prec (_add's general sum);
+    and starts that straddle zero (the product's negative lower end)."""
     golden = bonacci_root(2).value
     root = bonacci_root(10).value
     band = Enclosure.from_endpoints(root.lo - F(1, 10 ** 9), root.hi + F(1, 10 ** 9))
@@ -296,7 +298,10 @@ def _walk_cases():
     cases += [(F(3, 2), 0, 30), (golden, 0, 30), (golden, 1, 16), (F(3, 2), 1, 14),
               (F(17, 10), F(4, 5), 16), (band, 1, 17), (band, F(1, 4), 22),
               (band, F(1, 2), 60), (wide, F(1, 20), 40),
-              (F(3, 2), Enclosure.from_endpoints(F(1, 10), F(9, 10)), 5)]
+              (F(3, 2), Enclosure.from_endpoints(F(1, 10), F(9, 10)), 5),
+              (F(5, 4), Enclosure._wrap((1, -1000, 1, 0)), 3),
+              (F(3, 2), Enclosure._wrap((-1, -300, 1, -2)), 3),
+              (F(8, 5), Enclosure._wrap((-1, -300, 1, -70)), 30)]
     return cases
 
 
@@ -317,7 +322,7 @@ def test_walk_kernel_matches_enclosure_reference(bits):
             assert [(d, v.raw) for d, v in got.branch_events] == \
                 [(d, v.raw) for d, v in want.branch_events]
         assert stopped == 3  # the deep band walks and the wide start
-        # DigitMaps.apply runs the same kernel: equal to q * x - eps on
+        # DigitMaps.apply runs Enclosure's operators: q * x - eps on
         # points, zero, negative and straddling values
         maps = DigitMaps(F(8, 5))
         for x in (F(3, 7), 0, F(-5, 9), Enclosure.from_endpoints(-1, F(1, 3)),
@@ -341,12 +346,12 @@ def test_count_accepts_decimal_strings():
 
 
 def test_branch_walk_bypasses_interval_operator_dispatch(monkeypatch):
-    # the walk's q*x - eps steps run realnum's kernels on integer
-    # endpoints; going through mpmath's operator dispatch (operand
-    # conversion, method lookup, result wrapping) made it about a third
-    # slower, so count those calls instead of timing
-    import mpmath
-    from mpmath.ctx_iv import ivmpf
+    # the walk classifies, steps and subtracts nodes in realnum's level
+    # kernel on integer endpoints; the same walk through Enclosure's
+    # operators and membership (operand coercion, wrapping, a call per
+    # compare) ran about four times slower, so count their calls instead
+    # of timing: a walk that makes them per node makes more at depth 24
+    import betacert.expansions as expansions
 
     calls = []
 
@@ -356,12 +361,16 @@ def test_branch_walk_bypasses_interval_operator_dispatch(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mpmath.iv, "convert", counted("convert", mpmath.iv.convert))
-    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
-        monkeypatch.setattr(ivmpf, op, counted(op, getattr(ivmpf, op)))
-    report = count_prefixes(F(3, 2), F(1, 20), 24)
-    assert report.nodes_processed > 24 and report.branch_events
-    assert calls == []
+    for op in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Enclosure, op, counted(op, getattr(Enclosure, op)))
+    monkeypatch.setattr(expansions, "membership", counted("membership", membership))
+    counts = []
+    for depth in (12, 24):
+        calls.clear()
+        report = count_prefixes(F(3, 2), F(1, 20), depth)
+        assert report.nodes_processed > depth and report.branch_events
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @settings(deadline=None, max_examples=40)

@@ -47,12 +47,13 @@ from betacert.realnum import (
     _div,
     _from_raw,
     _horner,
+    _mul,
     _newton_cell,
     _pow_int,
     _power,
     _root_bracket,
-    _step,
     _to_raw,
+    _walk_level,
     _wider,
     _within,
 )
@@ -1158,24 +1159,43 @@ def kernel_cases(draw):
 def test_walk_kernel_matches_mpmath(case, eps):
     bits, q, x, y = case
     node = lambda raw: _from_raw(raw, "a test node")
+    width = lambda v: mpf_sub(v[1], v[0])  # exact
     saved = realnum._prec
     realnum._prec = bits  # 53 bits is below set_precision's floor
     try:
-        # the walk's product kernel, then the digit subtracted by the shared
-        # add, as the walk does for either digit
-        child = _to_raw(_add(_step(node(q), node(x)), (-eps, 0, -eps, 0)))
+        # the product kernel, then the digit subtracted by the shared add
+        child = _to_raw(_add(_mul(node(q), node(x)), (-eps, 0, -eps, 0)))
+        nodes = (x, y, child)
+        # the level kernel with the nodes in every role: probe and domain end
+        levels = [(s_hi, s_lo, top, probe, certified,
+                   _walk_level(node(q), node(s_hi), node(s_lo), node(top),
+                               [node(probe)], [certified]))
+                  for s_hi in nodes for s_lo in nodes for top in nodes
+                  for probe, certified in zip(nodes, (True, False, True))]
     finally:
         realnum._prec = saved
     assert child == reference_step(q, x, eps, bits)
     assert _to_raw(node(x)) == x
+    # each level as the walk reads it: digit 0 on [0, s_hi], digit 1 on
+    # [s_lo, top], a child per digit not excluded, rounded as
+    # reference_step rounds it, and a stop at an undecided node wider
+    # than [s_lo, s_hi]
+    for s_hi, s_lo, top, probe, certified, got in levels:
+        m0, m1 = reference_within(probe, (fzero, fzero), s_hi), reference_within(probe, s_lo, top)
+        if None in (m0, m1) and mpf_cmp(width(probe), mpf_sub(s_hi[1], s_lo[0])) > 0:
+            assert got is None
+            continue
+        want = [(reference_step(q, probe, digit, bits), certified and m is True)
+                for digit, m in ((0, m0), (1, m1)) if m is not False]
+        children, flags, forks = got
+        assert [(_to_raw(c), f) for c, f in zip(children, flags)] == want
+        assert forks == ([node(probe)] if m0 is True and m1 is True else [])
     # membership with the three nodes in every role: probe, lower and upper bound
-    nodes = (x, y, child)
     for lo in nodes:
         for hi in nodes:
             for probe in nodes:
                 assert _within(node(lo), node(hi))(node(probe)) == \
                     reference_within(probe, lo, hi)
-    width = lambda v: mpf_sub(v[1], v[0])  # exact
     for a in nodes:
         for b in nodes:
             assert _wider(node(a), node(b)) == (mpf_cmp(width(a), width(b)) > 0)
