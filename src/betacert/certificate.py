@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from math import inf
 from typing import Optional
 
-from .realnum import Enclosure, as_enclosure
+from .realnum import Enclosure, _double, as_enclosure
 
 GRADE_PROVED = "proved-inequality"
 GRADE_EVIDENCE = "finite-depth-evidence"
@@ -61,38 +61,22 @@ def _int_text(n: int) -> str:
         int.__repr__(c).zfill(1000) for c in reversed(chunks))
 
 
-#: the depth of an event row stays below this, far inside any limit the
-#: interpreter may set on int-to-str conversion (at least 640 digits)
-_ROW_DEPTH = 2 ** 63
-
-
-def _event_rows(o) -> bool:
-    """Is every item of o a branch event row [depth, [lo, hi]]: a list of an
-    int (not a bool) and a list of two finite floats?"""
-    for row in o:
-        if type(row) is not list or len(row) != 2:
-            return False
-        d, pair = row
-        if type(d) is not int or not -_ROW_DEPTH < d < _ROW_DEPTH or \
-                type(pair) is not list or len(pair) != 2:
-            return False
-        lo, hi = pair
-        if type(lo) is not float or type(hi) is not float or \
-                not -inf < lo < inf or not -inf < hi < inf:
-            return False
-    return True
+class _EventRows(tuple):
+    """Branch events (depth, Enclosure), which _json_text writes as rows
+    [depth, [lo, hi]], each end rounded outward to a double by _double."""
 
 
 def _json_text(o, nl: str = "\n") -> str:
     """json.dumps(o, indent=2), byte for byte, for str-keyed dicts, lists,
     tuples, str, int, float, bool and None; any other type raises
-    TypeError.  nl is the newline and indent that close o.
+    TypeError.  nl is the newline and indent that close o.  An _EventRows
+    is written as json.dumps writes its rows [depth, list(x.float_bounds())].
 
     With an indent the standard library leaves its C encoder for a
     pure-Python generator chain; this writer makes one call per container
-    and renders the plain ints and floats inside a list in place, and the
-    rows of a list of branch events through one %-template.  Each
-    container is a single join, brackets included: concatenating around
+    and renders the plain ints and floats inside a list in place, and an
+    _EventRows row by row, from each event's ends, through one %-template.
+    Each container is a single join, brackets included: concatenating around
     a large joined string would copy it, and the freed copies leave holes
     that raise the process's peak memory."""
     if isinstance(o, str):
@@ -111,10 +95,15 @@ def _json_text(o, nl: str = "\n") -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if _event_rows(o):
+        if type(o) is _EventRows:
+            # events lie in the switch region, so both doubles are finite
+            # and %r writes them as JSON does (an infinity would be "inf")
             r, p = inner + "  ", inner + "    "
             row = f"[{r}%d,{r}[{p}%r,{p}%r{r}]{inner}]"
-            items = [row % (d, lo, hi) for d, (lo, hi) in o]
+            items = []
+            for d, x in o:
+                m, e, n, f = x._ends
+                items.append(row % (d, _double(m, e, False), _double(n, f, True)))
         else:
             try:
                 items = [int.__repr__(v) if type(v) is int else

@@ -45,6 +45,7 @@ from .certificate import (
     STATUS_CERTIFIED,
     STATUS_FAILED,
     STATUS_UNCERTAIN,
+    _EventRows,
     _float_pair,
     _int_text,
     _json_text,
@@ -62,7 +63,6 @@ from .realnum import (
     PrecisionError,
     _ENV_PRECISION,
     _decimal,
-    _double_rows,
     _precision_from_env,
     as_enclosure,
     bonacci_root,
@@ -367,7 +367,7 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
         "certified_min": list(report.certified_min),
         "possible_max": list(report.possible_max),
         "stabilized": report.stabilized,
-        "branch_events": _double_rows(report.branch_events),
+        "branch_events": _EventRows(report.branch_events),
         "nodes_processed": report.nodes_processed,
     }
     if cfg.output_format == "csv":

@@ -339,16 +339,6 @@ def _double(m: int, e: int, up: bool) -> float:
     return copysign(inf if up == (m > 0) else float_info.max, m)
 
 
-def _double_rows(pairs) -> list:
-    """[[d, [lo, hi]], ...] for pairs (d, x) of an int and an Enclosure: x's
-    ends as float_bounds rounds them, for reports that list many values."""
-    rows = []
-    for d, x in pairs:
-        m, e, n, f = x._ends
-        rows.append([d, [_double(m, e, False), _double(n, f, True)]])
-    return rows
-
-
 def _not_negative(x, what: str) -> tuple:
     """x, a logarithm's argument or a non-integer power's base, unless it
     reaches below zero: ValueError if certifiably, else PrecisionError."""
@@ -1012,11 +1002,21 @@ def _seq_parts(seq) -> tuple[tuple, tuple]:
     return tuple(seq), ()
 
 
+@lru_cache(maxsize=4)  # a request reads its runs of ones at one or two bases
+def _ones_chain(q: tuple, prec: int) -> list:
+    """Horner's accumulator after j ones, at entry j, for q's ends at working
+    precision prec; _horner extends the list as longer runs come."""
+    return [_ZERO]
+
+
 def _horner(word, q) -> tuple:
     """The ends of sum_j word[j-1] q^(-j), as the loop acc = (acc + d) / q
     over word back to front from its last nonzero digit: _add's digit sum
     and _div's two _quotient roundings are written out, with q's sign and
-    zero test taken once (for any nonempty word)."""
+    zero test taken once (for any nonempty word).  The loop starts from the
+    accumulator after the word's trailing run of ones, kept per (q's ends,
+    precision) in _ones_chain: the same steps in the same order, so the
+    same ends, with each base's run divided through once, not per word."""
     if not word:
         return _ZERO
     cm, ce, dm, de = q
@@ -1026,11 +1026,17 @@ def _horner(word, q) -> tuple:
     if flip:
         cm, ce, dm, de = -dm, de, -cm, ce
     cb, db, prec = cm.bit_length(), dm.bit_length(), _prec
-    am = ae = bm = be = 0
     n = len(word)
     while n and not word[n - 1]:  # a zero accumulator stays exactly zero
         n -= 1
-    for d in reversed(word[:n]):
+    j = n
+    while j and word[j - 1] == 1:
+        j -= 1
+    chain = _ones_chain(q, prec)
+    held = min(n - j, len(chain) - 1)  # the run's ones the chain holds
+    grow = n - j - held  # the loop's first steps extend the chain
+    am, ae, bm, be = chain[held]
+    for d in reversed(word[:n - held]):
         if d:  # acc has at most _prec bits, or is a power of two: + 0 keeps it
             if -prec <= ae <= prec:
                 am, ae = ((am << ae) + d, 0) if ae >= 0 else (am + (d << -ae), ae)
@@ -1063,13 +1069,10 @@ def _horner(word, q) -> tuple:
         n = bm.bit_length() - prec
         if n > 0:
             bm, be = -(-bm >> n), be + n
+        if grow:
+            chain.append((am, ae, bm, be))
+            grow -= 1
     return am, ae, bm, be
-
-
-@lru_cache(maxsize=64)  # a request evaluates the same fixed points again
-def _word_value(word: tuple, q: tuple, prec: int) -> tuple:
-    """_horner(word, q) kept per working precision prec."""
-    return _horner(word, q)
 
 
 def pi_q(seq, q) -> Enclosure:
@@ -1081,14 +1084,15 @@ def pi_q(seq, q) -> Enclosure:
         value(u) + q^(-|u|) * value(v) / (1 - q^(-|v|)).
 
     Digits may come from {-1, 0, 1}; the result always lies within
-    [-1/(q-1), 1/(q-1)].
+    [-1/(q-1), 1/(q-1)].  u and v go through _horner, which divides through
+    a base's run of ones once for every word that ends in part of it.
     """
     q = as_enclosure(q)
     pre, per = _seq_parts(seq)
     for d in pre + per:
         if d not in (-1, 0, 1):
             raise ValueError(f"digit {d!r} outside {{-1, 0, 1}}")
-    acc, pv = (Enclosure._wrap(_word_value(word, q._ends, _prec)) for word in (pre, per))
+    acc, pv = (Enclosure._wrap(_horner(word, q._ends)) for word in (pre, per))
     if per:
         acc = acc + q ** (-len(pre)) * pv / (1 - q ** (-len(per)))
     return acc

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from betacert import realnum
 from betacert.certificate import _json_text
 from betacert.cli import RunConfig, UsageError, main, parse_base
+from betacert.expansions import count_prefixes
 from betacert.realnum import bonacci_root
 from betacert.symbolic import _admissible_count, gaps_of_Sk
 
@@ -523,6 +524,30 @@ def test_count_takes_a_zero_with_a_large_exponent_as_zero():
     assert code == 0 and "count 1" in out
 
 
+@pytest.mark.parametrize("q, x, depth", [("3/2", "11/20", 30), ("8/5", "3/10", 40),
+                                          ("golden", "1", 10)])
+def test_count_json_writes_branch_events_as_float_bounds_rows(q, x, depth):
+    # the writer rounds each event's ends to doubles itself; the document
+    # built from float_bounds rows must read the same through json.dumps
+    code, out, err = run(["count", "--q", q, "--x", x, "--depth", str(depth),
+                          "--format", "json"])
+    assert code == 0 and err == ""
+    base, point = parse_base(q), parse_base(x)
+    report = count_prefixes(base, point, depth=depth)
+    doc = {
+        "base": list(realnum.as_enclosure(base).float_bounds()),
+        "x": list(report.x.float_bounds()),
+        "depth": report.depth,
+        "certified_min": list(report.certified_min),
+        "possible_max": list(report.possible_max),
+        "stabilized": report.stabilized,
+        "branch_events": [[d, list(v.float_bounds())] for d, v in report.branch_events],
+        "nodes_processed": report.nodes_processed,
+    }
+    assert bool(doc["branch_events"]) == (q != "golden")
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("argv, code, message", [
     # past the exact exponent bound a literal is its mantissa times an
     # outward-rounded power of ten, which each range check decides at once
@@ -633,8 +658,8 @@ json_scalars = st.one_of(
     st.sampled_from([-0.0, 1e308, 5e-324, float("nan"), float("-inf")]),
     st.text(), st.text(st.characters(max_codepoint=0x20)),
     st.text(st.characters(min_codepoint=0x7f)))
-# lists of branch-event rows [depth, [lo, hi]], which the writer renders
-# through one template, and near misses that must take the per-item path
+# lists of rows shaped like branch events [depth, [lo, hi]], and near misses:
+# nested lists of ints and floats, each item written on its own
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 row_depths = st.one_of(st.integers(), st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63)]))
 event_pairs = st.builds(lambda lo, hi: [lo, hi], finite_floats, finite_floats)

@@ -1087,6 +1087,60 @@ def test_horner_kernel_matches_add_div_loop(word, q, bits):
             assert _horner(tuple(word), q._ends) == expected
 
 
+def run_words(j):
+    """Words whose last nonzero digits are a run of exactly j ones (all-zero
+    words aside: the loop's zero carries the exponents of its divisions)."""
+    return [head + (1,) * j + tail for head in ((), (-1,), (1, 0, -1, 0))
+            for tail in ((), (0, 0)) if head or j]
+
+
+def run_bases():
+    root = bonacci_root(10).value
+    radius = Enclosure(2) ** (-33)
+    return [Enclosure(Fraction(13, 8)), Enclosure(Fraction(-3, 2)),
+            Enclosure.from_endpoints((root - radius).lo, (root + radius).hi)]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_horner_reads_runs_of_ones_from_one_chain_per_base(bits):
+    # the chain of a base's run of ones grows one entry at a time (ascending
+    # runs), is read back (descending), and grows by many entries at once
+    # (descending after a clear); every word ends as the plain loop ends it
+    with precision(bits):
+        for order in (range(61), range(60, -1, -1)):
+            realnum._ones_chain.cache_clear()
+            for runs in (order, range(60, -1, -1)):
+                for q in run_bases():
+                    for j in runs:
+                        for word in run_words(j):
+                            assert _horner(word, q._ends) == \
+                                reference_add_div_loop(word, q._ends), (q, j, word)
+            for q in run_bases():
+                assert len(realnum._ones_chain(q._ends, bits)) == 61
+
+
+def test_horner_run_chain_is_kept_per_precision():
+    # the same ends at 512 and 64 bits: each precision has its own chain
+    q = Enclosure(Fraction(13, 8))._ends
+    realnum._ones_chain.cache_clear()
+    for bits in (512, 64, 512, 64):
+        with precision(bits):
+            for j in (40, 10, 60):
+                word = (-1,) + (1,) * j
+                assert _horner(word, q) == reference_add_div_loop(word, q), (bits, j)
+
+
+def test_horner_run_chain_after_eviction():
+    # more bases than the chain cache holds, then the first base again
+    bases = [Enclosure(Fraction(p, 8))._ends
+             for p in range(9, 10 + realnum._ones_chain.cache_info().maxsize)]
+    realnum._ones_chain.cache_clear()
+    for q in bases + bases[:1]:
+        for j in (30, 5, 50):
+            for word in run_words(j):
+                assert _horner(word, q) == reference_add_div_loop(word, q), (q, j, word)
+
+
 def test_horner_skips_a_words_trailing_zeros():
     # a zero accumulator divided by q stays exactly zero, so the trailing
     # zeros change nothing; q's zero test still holds for any nonempty word
@@ -1265,7 +1319,7 @@ def test_precision_context_narrows_enclosures():
 
 def test_pi_q_value_is_kept_per_precision():
     # the same word and the same q ends at 64 and 512 bits: the precision is
-    # part of the key under which a word's value is kept
+    # part of the key under which a base's run of ones is kept
     q = Enclosure(Fraction(13, 8))
     widths = []
     for bits in (64, 512, 64, 512):
