@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
-from math import inf
+from math import inf, ldexp
 from typing import Optional
 
 from .realnum import Enclosure, _double, as_enclosure
@@ -103,7 +103,12 @@ def _json_text(o, nl: str = "\n") -> str:
             items = []
             for d, x in o:
                 m, e, n, f = x._ends
-                items.append(row % (d, _double(m, e, False), _double(n, f, True)))
+                c, k = m.bit_length() - 53, n.bit_length() - 53
+                if c > 0 < k and -1074 <= e + c <= 970 and -1074 <= f + k <= 970:
+                    # _double's common case: each end cut to a normal double
+                    items.append(row % (d, ldexp(m >> c, e + c), ldexp(-(-n >> k), f + k)))
+                else:
+                    items.append(row % (d, _double(m, e, False), _double(n, f, True)))
         else:
             try:
                 items = [int.__repr__(v) if type(v) is int else

@@ -140,10 +140,12 @@ def count_prefixes(q, x, depth: int = 200,
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
 
     # q without trailing zero bits, so that a dyadic q multiplies as a short
-    # int; digit 0's domain is [0, s_hi], digit 1's [s_lo, top]
+    # int; digit 0's domain is [0, s_hi], digit 1's [s_lo, top]; the
+    # kernel's tables (bounds and units by exponent) last as long as this walk
     q = _canon(*maps.q._ends[:2]) + _canon(*maps.q._ends[2:])
     s_lo, s_hi = (e._ends for e in maps.switch)
     top = maps.attractor[1]._ends
+    tables = {}, {}
     # the frontier: its nodes, and whether each is reached through
     # certified memberships only
     nodes: list[tuple] = [x._ends]
@@ -159,7 +161,7 @@ def count_prefixes(q, x, depth: int = 200,
         spent = processed + size > node_budget
         if spent:
             nodes = nodes[:max(0, node_budget - processed)]
-        level = _walk_level(q, s_hi, s_lo, top, nodes, flags)
+        level = _walk_level(q, s_hi, s_lo, top, nodes, flags, tables)
         if level is None:
             raise PrecisionError(
                 f"enclosure widening: a node at depth {d - 1} of the branch "

@@ -528,6 +528,8 @@ class Enclosure:
             return _int(other)
         if isinstance(other, Fraction):  # one rounding per end, at any length
             p, q = other.numerator, other.denominator
+            if q & (q - 1) == 0 and p.bit_length() <= _prec:  # dyadic, and exact in _prec bits
+                return _canon(p, 1 - q.bit_length()) * 2
             return _quotient(p, 0, q, 0, False) + _quotient(p, 0, q, 0, True)
         if isinstance(other, str):
             return _text_ends(other)
@@ -750,13 +752,12 @@ def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:
 
 def _within(lo, hi):
     """membership on nodes: the test of a node x against the bounds lo and
-    hi, whose ends are read once.
+    hi, whose ends are read once; _walk_level's test where no table serves.
 
-    Each compare of an end with a bound is written out, as _walk_level
-    repeats it for the branch walk: of a 2**d and b (d >= 0 the exponent
-    gap), b is shifted right, rounded as the relation needs (a 2**d >= b
-    exactly when a > (b - 1) >> d, and a 2**d > b when a > b >> d), so no
-    compare costs more as d grows."""
+    Each compare of an end with a bound is written out: of a 2**d and b
+    (d >= 0 the exponent gap), b is shifted right, rounded as the relation
+    needs (a 2**d >= b exactly when a > (b - 1) >> d, and a 2**d > b when
+    a > b >> d), so no compare costs more as d grows."""
     lam, lae, lbm, lbe = lo
     ham, hae, hbm, hbe = hi
     lam1, lbm1 = lam - 1, lbm - 1
@@ -774,35 +775,54 @@ def _within(lo, hi):
     return within
 
 
-def _walk_level(q, s_hi, s_lo, top, nodes, flags):
+def _bounds_at(e: int, s_hi, s_lo, top):
+    """The domain bounds moved to 2**e, rounded so that one int compare with
+    a node end at e decides as _within's does (floor(t) for a <= t and
+    a > t, ceil(t) for a >= t and a < t): the upper end's s_hi.lo, top.lo,
+    s_lo.lo, the lower end's s_hi.hi, s_lo.hi, top.hi.  None for an e more
+    than 2 _prec bits below a bound's, where they would grow with the gap."""
+    ends = s_hi[:2], top[:2], s_lo[:2], s_hi[2:], s_lo[2:], top[2:]
+    if e < max(f for _, f in ends) - 2 * _prec:
+        return None
+    return tuple(m << (f - e) if f >= e else -(-m >> (e - f)) if up else m >> (e - f)
+                 for (m, f), up in zip(ends, (False, False, True, False, True, False)))
+
+
+def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables):
     """One level of the branch walk: the children, their flags and the
     forks of the nodes with the given flags, or None at the first undecided
     node wider than the switch region [s_lo, s_hi].  A node is tested
-    against digit 0's domain [0, s_hi] and digit 1's [s_lo, top] with
-    _within's compares (at 0 a sign test); its children are q y, rounded as
-    _mul rounds it for q > 0, and q y - 1, rounded as _add rounds it."""
+    against digit 0's domain [0, s_hi] and digit 1's [s_lo, top] by int
+    compares with the bounds at its ends' exponents, or by _within where
+    no entry serves; its children are q y, rounded as _mul rounds it for
+    q > 0, and q y - 1, rounded as _add rounds it.  tables is the walk's
+    own pair of dicts, empty at its first level, which fill by a node
+    end's exponent e: _bounds_at's entries, and digit 1's units 2**-e for
+    -_prec <= e < 0."""
     qam, qae, qbm, qbe = q
-    sam, sae, sbm, sbe = s_hi
-    tam, tae, tbm, tbe = s_lo
-    uam, uae, ubm, ube = top
-    tam1, tbm1, prec = tam - 1, tbm - 1, _prec
+    bounds, units = tables
+    prec = _prec
     nxt, marks, forks = [], [], []
     push, mark = nxt.append, marks.append
     for y, certified in zip(nodes, flags):
         am, ae, bm, be = y
-        m0 = m1 = None
-        if am >= 0 and \
-                (bm <= (sam >> (be - sae)) if be >= sae else ((bm - 1) >> (sae - be)) < sam):
-            m0 = True
-        elif bm < 0 or \
-                (am > (sbm >> (ae - sbe)) if ae >= sbe else ((am - 1) >> (sbe - ae)) >= sbm):
-            m0 = False
-        if (am > (tbm1 >> (ae - tbe)) if ae >= tbe else (am >> (tbe - ae)) >= tbm) and \
-                (bm <= (uam >> (be - uae)) if be >= uae else ((bm - 1) >> (uae - be)) < uam):
-            m1 = True
-        elif (bm <= (tam1 >> (be - tae)) if be >= tae else (bm >> (tae - be)) < tam) or \
-                (am > (ubm >> (ae - ube)) if ae >= ube else ((am - 1) >> (ube - ae)) >= ubm):
-            m1 = False
+        try:
+            b0, b1, b2, a0, a1, a2 = bounds[ae] if ae == be else bounds[be][:3] + bounds[ae][3:]
+        except (KeyError, TypeError):  # an exponent met first, or None (too far)
+            m0, m1 = _within(_ZERO, s_hi)(y), _within(s_lo, top)(y)
+            for e in (ae, be):
+                if e not in bounds:
+                    bounds[e] = _bounds_at(e, s_hi, s_lo, top)
+        else:
+            m0 = m1 = None
+            if am >= 0 and bm <= b0:
+                m0 = True
+            elif bm < 0 or am > a0:
+                m0 = False
+            if am >= a1 and bm <= b1:
+                m1 = True
+            elif bm < b2 or am > a2:
+                m1 = False
         if m0 is None or m1 is None:
             if _wider(y, s_lo[:2] + s_hi[2:]):
                 return None
@@ -828,9 +848,12 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags):
             push((am, ae, bm, be))
             mark(certified and m0 is True)
         if m1 is not False:
-            if -prec <= ae <= prec and -prec <= be <= prec:  # _add's exact sum, written out
-                am, ae = ((am << ae) - 1, 0) if ae >= 0 else (am - (1 << -ae), ae)
-                bm, be = ((bm << be) - 1, 0) if be >= 0 else (bm - (1 << -be), be)
+            try:  # _add's exact sum, a subtraction where the table holds the units
+                am, bm = am - units[ae], bm - units[be]
+            except KeyError:  # an exponent met first, or one outside [-_prec, 0)
+                push(_add((am, ae, bm, be), (-1, 0, -1, 0)))
+                units.update((e, 1 << -e) for e in (ae, be) if -prec <= e < 0)
+            else:
                 n = am.bit_length() - prec
                 if n > 0:
                     am, ae = am >> n, ae + n
@@ -838,8 +861,6 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags):
                 if n > 0:
                     bm, be = -(-bm >> n), be + n
                 push((am, ae, bm, be))
-            else:
-                push(_add((am, ae, bm, be), (-1, 0, -1, 0)))
             mark(certified and m1 is True)
     return nxt, marks, forks
 

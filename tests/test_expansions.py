@@ -11,6 +11,7 @@ Oracles:
 """
 
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,9 @@ from betacert.expansions import (
     certify_m_expansions,
     count_prefixes,
 )
-from betacert.realnum import (Enclosure, PrecisionError, as_enclosure, bonacci_root,
-                              membership, precision)
+from betacert import realnum
+from betacert.realnum import (Enclosure, PrecisionError, _canon, _walk_level,
+                              as_enclosure, bonacci_root, membership, pi_q, precision)
 from betacert.symbolic import ResourceError, SymbolicSeq, Word
 
 F = Fraction
@@ -329,6 +331,158 @@ def test_walk_kernel_matches_enclosure_reference(bits):
                   Enclosure.from_endpoints(0, 1)):
             for eps in (-1, 0, 1):
                 assert maps.apply(eps, x).raw == (maps.q * as_enclosure(x) - eps).raw
+
+
+# The level kernel as it was before its bound and unit tables, verbatim: it
+# shifts each domain bound to a node end's exponent at every compare and
+# each digit-1 unit at every subtraction.  Bound to realnum's globals, so
+# that it reads the working precision and the helpers the kernel reads.
+def _reference_walk_level(q, s_hi, s_lo, top, nodes, flags):
+    """One level of the branch walk: the children, their flags and the
+    forks of the nodes with the given flags, or None at the first undecided
+    node wider than the switch region [s_lo, s_hi].  A node is tested
+    against digit 0's domain [0, s_hi] and digit 1's [s_lo, top] with
+    _within's compares (at 0 a sign test); its children are q y, rounded as
+    _mul rounds it for q > 0, and q y - 1, rounded as _add rounds it."""
+    qam, qae, qbm, qbe = q
+    sam, sae, sbm, sbe = s_hi
+    tam, tae, tbm, tbe = s_lo
+    uam, uae, ubm, ube = top
+    tam1, tbm1, prec = tam - 1, tbm - 1, _prec
+    nxt, marks, forks = [], [], []
+    push, mark = nxt.append, marks.append
+    for y, certified in zip(nodes, flags):
+        am, ae, bm, be = y
+        m0 = m1 = None
+        if am >= 0 and \
+                (bm <= (sam >> (be - sae)) if be >= sae else ((bm - 1) >> (sae - be)) < sam):
+            m0 = True
+        elif bm < 0 or \
+                (am > (sbm >> (ae - sbe)) if ae >= sbe else ((am - 1) >> (sbe - ae)) >= sbm):
+            m0 = False
+        if (am > (tbm1 >> (ae - tbe)) if ae >= tbe else (am >> (tbe - ae)) >= tbm) and \
+                (bm <= (uam >> (be - uae)) if be >= uae else ((bm - 1) >> (uae - be)) < uam):
+            m1 = True
+        elif (bm <= (tam1 >> (be - tae)) if be >= tae else (bm >> (tae - be)) < tam) or \
+                (am > (ubm >> (ae - ube)) if ae >= ube else ((am - 1) >> (ube - ae)) >= ubm):
+            m1 = False
+        if m0 is None or m1 is None:
+            if _wider(y, s_lo[:2] + s_hi[2:]):
+                return None
+        elif m0 and m1:
+            forks.append(y)
+        elif m0 is False and m1 is False:
+            continue
+        if am >= 0:
+            am, ae = am * qam, ae + qae
+        else:
+            am, ae = am * qbm, ae + qbe
+        if bm >= 0:
+            bm, be = bm * qbm, be + qbe
+        else:
+            bm, be = bm * qam, be + qae
+        n = am.bit_length() - prec
+        if n > 0:
+            am, ae = am >> n, ae + n
+        n = bm.bit_length() - prec
+        if n > 0:
+            bm, be = -(-bm >> n), be + n
+        if m0 is not False:
+            push((am, ae, bm, be))
+            mark(certified and m0 is True)
+        if m1 is not False:
+            if -prec <= ae <= prec and -prec <= be <= prec:  # _add's exact sum, written out
+                am, ae = ((am << ae) - 1, 0) if ae >= 0 else (am - (1 << -ae), ae)
+                bm, be = ((bm << be) - 1, 0) if be >= 0 else (bm - (1 << -be), be)
+                n = am.bit_length() - prec
+                if n > 0:
+                    am, ae = am >> n, ae + n
+                n = bm.bit_length() - prec
+                if n > 0:
+                    bm, be = -(-bm >> n), be + n
+                push((am, ae, bm, be))
+            else:
+                push(_add((am, ae, bm, be), (-1, 0, -1, 0)))
+            mark(certified and m1 is True)
+    return nxt, marks, forks
+
+
+reference_walk_level = FunctionType(_reference_walk_level.__code__, vars(realnum))
+
+
+def assert_kernel_matches_reference(q, x, depth: int) -> int:
+    """Walk x's branch tree with _walk_level and with reference_walk_level
+    side by side, as count_prefixes sets the walk up, asserting equal
+    (nodes, flags, forks), or None, at every level; returns the number of
+    levels walked before a stop.  The walk starts from two copies of x, so
+    that the second is read from the tables that the first one's
+    exponents filled."""
+    maps = DigitMaps(q)
+    x = as_enclosure(x)
+    qe = _canon(*maps.q._ends[:2]) + _canon(*maps.q._ends[2:])
+    s_lo, s_hi = (e._ends for e in maps.switch)
+    top = maps.attractor[1]._ends
+    tables = {}, {}
+    nodes, flags = [x._ends] * 2, [maps.in_attractor(x) is True] * 2
+    for d in range(depth):
+        want = reference_walk_level(qe, s_hi, s_lo, top, nodes, flags)
+        got = _walk_level(qe, s_hi, s_lo, top, nodes, flags, tables)
+        assert got == want, (q, x, d)
+        if got is None:
+            return d
+        nodes, flags, _ = got
+    return depth
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_walk_kernel_matches_its_reference_on_the_walk_cases(bits):
+    with precision(bits):
+        stops = [assert_kernel_matches_reference(*case) for case in _walk_cases()]
+    assert sum(d < case[2] for d, case in zip(stops, _walk_cases())) == 3
+
+
+def test_walk_kernel_matches_its_reference_on_golden_requests():
+    # one request per branch-walk base whose walk processes about 1,000
+    # nodes, at the default precision as the command line runs it
+    for q, x, depth in ((F(3, 2), F(1, 10), 24), (F(8, 5), F(1, 10), 28),
+                        (F(5, 3), F(1, 4), 30), (F(17, 10), F(1, 10), 32),
+                        (bonacci_root(2).value, F(1, 4), 26)):
+        assert assert_kernel_matches_reference(q, x, depth) == depth
+        assert 850 < count_prefixes(q, x, depth).nodes_processed < 1150
+
+
+@pytest.mark.parametrize("gap", ["prec+1", 10 ** 6])
+def test_walk_kernel_matches_its_reference_at_far_exponents(gap):
+    # nodes whose ends sit gap bits below the domain bounds' exponents (a
+    # node's ends padded with zero bits) or above them (a zero end, or one
+    # outside the attractor), one end or both: the far ones are tested by
+    # _within's compares, the others through the tables
+    with precision(256):
+        g = 257 if gap == "prec+1" else gap
+        for q in (F(3, 2), bonacci_root(2).value):
+            for x in (F(1, 10), F(1, 2), F(7, 10)):
+                am, ae, bm, be = Enclosure(x)._ends
+                fine = [(am << g, ae - g, bm << g, be - g), (am << g, ae - g, bm, be),
+                        (am, ae, bm << g, be - g)]
+                for node in fine:
+                    assert Enclosure._wrap(node) == Enclosure(x)
+                    assert assert_kernel_matches_reference(q, Enclosure._wrap(node), 6) == 6
+            e = g - 255
+            for node in ((0, e, 1, -1), (0, e, 0, e), (0, e, 1, e), (-1, e, 1, -1),
+                         (-1, -g - 255, 1, -1), (1, -g - 255, 1, -2)):
+                assert assert_kernel_matches_reference(q, Enclosure._wrap(node), 6) >= 0
+
+
+def test_walk_kernel_matches_its_reference_on_a_root_wider_than_the_precision():
+    # enclosures built at 512 bits, whose mantissas are twice as long as
+    # the 256-bit walk rounds to, walked at 256 bits
+    with precision(512):
+        roots = [Enclosure(F(1, 10)), Enclosure(F(11, 20)), pi_q(
+            SymbolicSeq.periodic(Word.from_str("10")), F(8, 5))]
+        q512 = bonacci_root(2).value
+    for q in (F(3, 2), F(8, 5), q512):
+        for x in roots:
+            assert assert_kernel_matches_reference(q, x, 24) == 24
 
 
 def test_count_accepts_symbolic_points():

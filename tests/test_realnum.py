@@ -118,6 +118,26 @@ def test_a_fraction_rounds_once_per_end_at_any_length():
                 assert x.lo <= f <= x.hi and x.width <= Fraction(2) ** (top + 1 - bits), f
 
 
+
+def test_a_dyadic_fraction_is_exact_without_trailing_zero_bits():
+    # a Fraction whose denominator is a power of two and whose numerator
+    # fits the working precision is its own ends, with no trailing zero
+    # bits, as the literal "1.5" is; a longer numerator still rounds
+    assert Enclosure(Fraction(3, 2))._ends == as_enclosure("1.5")._ends == (3, -1, 3, -1)
+    assert Enclosure(Fraction(-12))._ends == (-3, 2, -3, 2)
+    assert Enclosure(Fraction(0))._ends == (0, 0, 0, 0)
+    rng = random.Random(28)
+    with precision(64):
+        assert Enclosure(Fraction(2 ** 64 - 1, 2 ** 70))._ends == (2 ** 64 - 1, -70) * 2
+        assert Enclosure(Fraction(2 ** 64 + 1, 2 ** 70))._ends == (2 ** 63, -69, 2 ** 63 + 1, -69)
+        for _ in range(200):
+            f = Fraction(rng.randint(-2 ** 70, 2 ** 70), 2 ** rng.randint(0, 90))
+            m, e, n, g = Enclosure(f)._ends
+            if abs(f.numerator).bit_length() <= 64:
+                assert (m, e) == (n, g) and m % 2 == (m != 0) and Enclosure(f).lo == f
+            else:
+                assert Enclosure(f).lo <= f <= Enclosure(f).hi
+
 #: literals whose enclosure mpmath's parse misses: past an exponent of 400
 #: it multiplies by a power of ten rounded toward zero (found by search)
 MISSED_BY_MPMATH = {64: ["281292682099624809705851e458", "419578838188e949",
@@ -1220,10 +1240,12 @@ def test_walk_kernel_matches_mpmath(case, eps):
         # the product kernel, then the digit subtracted by the shared add
         child = _to_raw(_add(_mul(node(q), node(x)), (-eps, 0, -eps, 0)))
         nodes = (x, y, child)
-        # the level kernel with the nodes in every role: probe and domain end
+        # the level kernel with the nodes in every role: probe and domain end;
+        # each probe twice in a walk's fresh tables, so that the first takes
+        # the path for an exponent met first and the second the table's
         levels = [(s_hi, s_lo, top, probe, certified,
                    _walk_level(node(q), node(s_hi), node(s_lo), node(top),
-                               [node(probe)], [certified]))
+                               [node(probe)] * 2, [certified] * 2, ({}, {})))
                   for s_hi in nodes for s_lo in nodes for top in nodes
                   for probe, certified in zip(nodes, (True, False, True))]
     finally:
@@ -1242,8 +1264,8 @@ def test_walk_kernel_matches_mpmath(case, eps):
         want = [(reference_step(q, probe, digit, bits), certified and m is True)
                 for digit, m in ((0, m0), (1, m1)) if m is not False]
         children, flags, forks = got
-        assert [(_to_raw(c), f) for c, f in zip(children, flags)] == want
-        assert forks == ([node(probe)] if m0 is True and m1 is True else [])
+        assert [(_to_raw(c), f) for c, f in zip(children, flags)] == want * 2
+        assert forks == ([node(probe)] * 2 if m0 is True and m1 is True else [])
     # membership with the three nodes in every role: probe, lower and upper bound
     for lo in nodes:
         for hi in nodes:
@@ -1253,6 +1275,64 @@ def test_walk_kernel_matches_mpmath(case, eps):
     for a in nodes:
         for b in nodes:
             assert _wider(node(a), node(b)) == (mpf_cmp(width(a), width(b)) > 0)
+
+
+@st.composite
+def bound_cases(draw):
+    """A precision, the six domain-bound ends of a walk (negative, zero and
+    positive mantissas at nearby exponents) and a node end's exponent on
+    either side of theirs, out to past the tables' reach."""
+    bits = draw(st.sampled_from([64, 256]))
+    mantissas = st.one_of(st.just(0), st.integers(-8, 8),
+                          st.integers(1 - 2 ** bits, 2 ** bits - 1))
+    f = draw(st.integers(-bits - 80, 40))
+    ends = [(draw(mantissas), f + draw(st.integers(-40, 40))) for _ in range(6)]
+    return bits, ends, f + draw(st.integers(-2 * bits - 60, 2 * bits + 60))
+
+
+@given(bound_cases(), st.lists(st.integers(-2 ** 600, 2 ** 600), max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_walk_bounds_and_units_agree_with_fraction_compares(case, more):
+    bits, ends, e = case
+    value = lambda m, f: Fraction(m) * Fraction(2) ** f
+    (hl, tl, ll, hh, lh, th) = ends  # s_hi, top and s_lo's lower ends, then their upper ends
+    with precision(bits):
+        got = realnum._bounds_at(e, hl + hh, ll + lh, tl + th)
+    if e < max(f for _, f in ends) - 2 * bits:
+        assert got is None  # no bound shifted further than the tables reach
+    else:
+        # the upper end's compares with s_hi.lo, top.lo, s_lo.lo (<=, <=, <),
+        # the lower end's with s_hi.hi, s_lo.hi, top.hi (>, >=, >)
+        relations = ((lambda a, t: a <= t),) * 2 + (
+            (lambda a, t: a < t), (lambda a, t: a > t), (lambda a, t: a >= t), (lambda a, t: a > t))
+        for k, (end, bound, holds) in enumerate(zip(ends, got, relations)):
+            for a in [bound - 1, bound, bound + 1, 0, -bound] + more:
+                assert holds(a, bound) == holds(value(a, e), value(*end)), (k, a, e, end)
+    # digit 1's unit: a level of two copies of the point a 2**e at q = 1,
+    # outside digit 0's domain and inside digit 1's, so that each has the
+    # one child a 2**e - 1; the first copy's comes from _add and fills the
+    # unit table where -bits <= e < 0, the second's from the table
+    low, high = (-1, 8 * bits, -1, 8 * bits), (1, 8 * bits, 1, 8 * bits)
+    for a in [0, 1, -1, 2 ** bits - 1, 1 - 2 ** bits] + [m for m, _ in ends]:
+        units = {}
+        with precision(bits):
+            children, _, _ = _walk_level((1, 0, 1, 0), low, low, high, [(a, e, a, e)] * 2,
+                                         [True] * 2, ({}, units))
+            want = _add((a, e, a, e), (-1, 0, -1, 0))
+        assert children == [want, want]
+        assert units == ({e: 2 ** -e} if -bits <= e < 0 else {})
+        assert value(*want[:2]) <= value(a, e) - 1 <= value(*want[2:])
+
+
+def test_walk_cost_does_not_grow_with_the_exponent_gap():
+    # from x = 2**-(10**6) at q = 3/2 every node lies about 10**6 bits
+    # below the domain bounds, too far to shift them to: each is tested by
+    # _within's compares, and no shifted bound is built
+    x = Enclosure(2) ** -10 ** 6
+    start = time.perf_counter()
+    report = count_prefixes(Fraction(3, 2), x)
+    assert time.perf_counter() - start < 0.05
+    assert set(report.certified_min) == set(report.possible_max) == {1}
 
 
 # ----------------------------------------------------------------------
