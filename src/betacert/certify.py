@@ -74,6 +74,7 @@ from .expansions import certify_m_expansions
 from .realnum import (
     Enclosure,
     PrecisionError,
+    _decimal,
     as_enclosure,
     bonacci_root,
     get_precision,
@@ -206,25 +207,25 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
 
     ``c`` defaults to ``DEFAULT_SPLIT``.  Premises -- tau > 0, beta in
     (0, 1/4], c in (0, 1) -- are emitted as checks, and the main
-    comparison is left undecided when they fail.  An int or Fraction ``c``
-    stays exact in the three powers; a decimal string or an enclosure enters
-    them as its enclosure (Fraction(text) would cost time in the exponent).
+    comparison is left undecided when they fail.  ``c`` is exact: an int,
+    a Fraction, or a decimal string within 400 places, read exactly (past
+    them, as ``"1e-9999999"``, whose exact value would cost time in its
+    exponent, ValueError at once); any other type raises TypeError.
     """
     tau = as_enclosure(tau)
     beta = as_enclosure(beta)
-    split = DEFAULT_SPLIT if c is None else c
-    c = as_enclosure(split)
-    if not isinstance(split, (int, Fraction)):
-        split = c
+    split = _decimal(c) if isinstance(c, str) else DEFAULT_SPLIT if c is None else c
+    if not isinstance(split, (int, Fraction)):  # an Enclosure from _decimal: past 400 places
+        raise (ValueError if isinstance(c, str) else TypeError)(
+            f"the split c = {c!r} is not an int, a Fraction or a decimal string "
+            "within 400 decimal places")
     checks = [
         check_gt("premise_tau_positive", tau, as_enclosure(0)),
         check_flag(
             "premise_beta_in_quarter",
             beta.gt(0) is True and beta.le(as_enclosure(Fraction(1, 4))) is True,
             note="beta must lie in (0, 1/4]"),
-        check_flag(
-            "premise_c_in_unit_interval",
-            c.gt(0) is True and c.lt(1) is True),
+        check_flag("premise_c_in_unit_interval", 0 < split < 1),
     ]
     if all(p.status == STATUS_CERTIFIED for p in checks):
         lhs = (m + 2) * tau ** (-split)
@@ -237,7 +238,8 @@ def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
 
     return Certificate(
         "count-vs-overlap-inequality",
-        {"m": m, "tau": _float_pair(tau), "beta": _float_pair(beta), "c": _float_pair(c)},
+        {"m": m, "tau": _float_pair(tau), "beta": _float_pair(beta),
+         "c": _float_pair(as_enclosure(split))},
         checks, grade=GRADE_PROVED)
 
 

@@ -19,25 +19,19 @@ Arithmetic, negation, abs, the int and Fraction constructors, compares and
 min / max form the exact integer result and round it once, outward, to the
 working precision: the values mpmath's interval kernels give.  Integer
 powers round step by step exactly as mpmath's mpi_pow_int does, on the
-same ints.  A Fraction power p/r of a base above zero is the outward r-th
-root, by Newton's method, of the outward p-th power.  Membership, the
-branch walk's level kernel (_walk_level) and decimal parsing run on them
-too.
+same ints.  A Fraction power p/r (or a decimal string's, read exactly) of
+a base not below zero is the outward r-th root of the outward p-th power.
+Membership, the branch walk's level kernel (_walk_level), decimal parsing
+and printing run on them too: str_digits and repr print "[lo, hi]" with lo
+rounded down and hi up, so the text read back encloses the value.
 
-mpmath is only the edge, imported on first use: printing (str_digits,
-repr), Enclosure.raw, logarithms, and powers to an enclosure of
-non-integer value convert to its tuples and back.  Importing this module
-and running the certification pipelines never load it.  No mpmath
-context is read or written, so a host program's mpmath settings and this
-module's precision never meet.
-
-Both endpoints are always finite.  Division, powers and logarithms raise
+Both endpoints are always finite.  Division and powers raise
 PrecisionError where they would make an infinite or nan endpoint (a
 division by an enclosure that contains zero, say); a string that is not a
-decimal literal, such as "inf", raises ValueError.  A logarithm
-or a non-integer power of an argument that reaches below zero raises
-ValueError if it is certifiably negative, else PrecisionError.  A
-logarithm of exactly 0, or to a base of exactly 0 or 1, raises ValueError.
+decimal literal, such as "inf", raises ValueError.  A non-integer power of
+a base that reaches below zero raises ValueError if the base is
+certifiably negative, else PrecisionError; a power to an enclosure of
+non-integer value raises ValueError.
 
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
@@ -53,10 +47,10 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, inf, ldexp, log2
+from math import copysign, inf, isqrt, ldexp, log2
 from sys import float_info
 from typing import Optional
 
@@ -122,7 +116,6 @@ def precision(bits: int):
 
 _ZERO = (0, 0, 0, 0)
 _ONE = (1, 0, 1, 0)
-_LOG = "a logarithm of an enclosure that reaches zero, or to a base that contains 1"
 _POW = "a power of an enclosure that contains zero"
 _DIV = "a division by an enclosure that contains zero"
 
@@ -339,23 +332,14 @@ def _double(m: int, e: int, up: bool) -> float:
     return copysign(inf if up == (m > 0) else float_info.max, m)
 
 
-def _not_negative(x, what: str) -> tuple:
-    """x, a logarithm's argument or a non-integer power's base, unless it
-    reaches below zero: ValueError if certifiably, else PrecisionError."""
-    if x[0] >= 0:
-        return x
-    if x[2] < 0:
-        raise ValueError(f"{what} is negative")
-    raise PrecisionError(f"{what} reaches below zero")
-
-
 # -- rational powers ------------------------------------------------------
 #
-# x ** (p/r) for x above zero is the r-th root of x ** p, rounded outward
-# end by end.  Newton's method (Brent and Zimmermann, Modern Computer
-# Arithmetic, 2010, section 4.2) approximates each root; one power of the
-# rounded end, itself rounded toward the side it must certify, confirms it
-# or steps it one unit outward.
+# x ** (p/r) for x not below zero is the r-th root of x ** p, rounded
+# outward end by end.  Newton's method (Brent and Zimmermann, Modern
+# Computer Arithmetic, 2010, section 4.2) approximates each root, or square
+# roots where r is too long for it; one power of the rounded end, itself
+# rounded toward the side it must certify, confirms it or steps it one unit
+# outward.
 
 _GUARD = 10  # bits the approximations carry past the working precision
 
@@ -365,12 +349,19 @@ def _newton(m: int, e: int, r: int, w: int) -> tuple:
     m 2**e (m > 0), z of about w bits.  With m 2**e = c 2**(r s), c in
     [2**(t-1), 2**t), each step z <- ((r-1) z + c / z**(r-1)) / r runs on
     z 2**-v in [1/2, 2), with z**(r-1) rounded to v bits, and doubles v from
-    a double's start, at 50 bits or fewer, up to w."""
+    a double's start, at 50 bits or fewer, up to w, each level g bits past
+    half the next, g = max(8, r.bit_length() // 2 + 4), for the step's
+    error term (r - 1) / 2 times the last one's square.  An r of over 32
+    bits, where a double's start is too coarse to converge, goes to
+    _square_roots."""
+    if r.bit_length() > 32:
+        return _square_roots(m, e, r, w)
     n = m.bit_length()
     s, t = divmod(e + n, r)
+    g = max(8, r.bit_length() // 2 + 4)
     ladder = [w]
     while ladder[-1] > 50:
-        ladder.append(ladder[-1] // 2 + 8)
+        ladder.append(ladder[-1] // 2 + g)
     v = ladder.pop()
     head = m >> (n - 53) if n > 53 else m << (53 - n)
     z = int(ldexp(2.0 ** ((log2(ldexp(head, -53)) + t) / r), v))
@@ -380,6 +371,21 @@ def _newton(m: int, e: int, r: int, w: int) -> tuple:
         d = e - r * s + r * v - pe  # c / z**(r-1), times 2**v, is m 2**d / pm
         z = ((r - 1) * z + ((m << d) if d >= 0 else (m >> -d)) // pm) // r
     return z, s - v
+
+
+def _square_roots(m: int, e: int, r: int, w: int) -> tuple:
+    """(z, x) as _newton gives it, for any r: y ** (j / 2**k), y = m 2**e and
+    j / 2**k = 1 / r within 2**-(k+1), as y ** j at w bits, then k square
+    roots.  For 2**(K-1) <= y < 2**K that moves the root by a factor within
+    2**-(k+1) (|K| + 1) of 1, below z's last bit at k = w + 8 + the length
+    of |K| + 1: the work grows with r's and K's lengths, not with r."""
+    k = w + 8 + (abs(e + m.bit_length()) + 1).bit_length()
+    z, x = _pow_end(m, e, ((1 << (k + 1)) // r + 1) >> 1, w, False)
+    for _ in range(k):
+        d = 2 * w - z.bit_length()
+        d += (x - d) & 1  # an even exponent halves exactly
+        z, x = isqrt(z << d), (x - d) // 2
+    return z, x
 
 
 def _root_end(m: int, e: int, r: int, up: bool, approx: tuple) -> tuple:
@@ -395,18 +401,18 @@ def _root_end(m: int, e: int, r: int, up: bool, approx: tuple) -> tuple:
 
 
 def _rational_power(x, p: int, r: int) -> tuple:
-    """x ** (p/r) for p/r in lowest terms, r >= 2, and x's lower end above
-    zero: the r-th roots of the ends a <= b of x ** p (from _pow_int,
-    outward), the lower rounded down and the upper up.  When b < a (1 +
-    2**-(w/2)), as for a point, b's root is a's approximation z moved by the
-    first-order term z (b - a) / (r a), whose error is below z's last bit;
-    the ends of a wider (band) enclosure take a Newton run each."""
+    """x ** (p/r) for p/r in lowest terms, r >= 2, and x's lower end not
+    below zero: the r-th roots of the ends a <= b of x ** p (from _pow_int,
+    outward), the lower rounded down and the upper up; a = 0 (p > 0) is its
+    own root.  When b < a (1 + 2**-(w/2)), as for a point, b's root is a's
+    approximation z moved by the first-order term z (b - a) / (r a), whose
+    error is below z's last bit; a wider (band) enclosure's take one each."""
     am, ae, bm, be = _pow_int(x, p)
     w = _prec + _GUARD
-    lo = _newton(am, ae, r, w)
+    lo = _newton(am, ae, r, w) if am else (0, 0)
     h = w // 2
-    if _cmp(bm, be, am * ((1 << h) + 1), ae - h) >= 0:
-        hi = _newton(bm, be, r, w)
+    if not am or _cmp(bm, be, am * ((1 << h) + 1), ae - h) >= 0:
+        hi = _newton(bm, be, r, w) if bm else (0, 0)
     else:
         (z, g), (dm, de) = lo, _sum(bm, be, -am, ae)
         d = de - ae
@@ -414,38 +420,18 @@ def _rational_power(x, p: int, r: int) -> tuple:
     return _root_end(am, ae, r, False, lo) + _root_end(bm, be, r, True, hi)
 
 
-# -- the mpmath edge: each function imports what it needs on first use ----
-
-def _to_raw(x) -> tuple:
-    """The (lo, hi) libmp tuples of x, normalised."""
-    from mpmath.libmp import from_man_exp
-    return from_man_exp(x[0], x[1]), from_man_exp(x[2], x[3])
-
-
-def _from_raw(raw, op: str) -> tuple:
-    """The ends of the libmp pair op produced, if both are finite (a tuple
-    (sign, man, exp, bc) with bc < 0 is inf or nan); else PrecisionError."""
-    (s, m, e, c), (t, n, f, d) = raw
-    if c < 0 or d < 0:
-        raise PrecisionError(f"non-finite endpoint from {op}")
-    return -int(m) if s else int(m), e, -int(n) if t else int(n), f
-
-
 @lru_cache(maxsize=64)  # a request asks for the same radii and constants again
 def _power(x, y, prec: int) -> tuple:
-    """The ends of x ** y at the working precision prec, which keys the cache
-    (an exception is not kept, so it raises again on every call): a Fraction
-    y, which __pow__ passes only for a non-integer on a base above zero, goes
-    to _rational_power; the ends y of an integer to _pow_int; any other y to
-    mpi_pow."""
-    if isinstance(y, Fraction):
-        return _rational_power(x, y.numerator, y.denominator)
-    m, e, n, f = y
-    if not _cmp(m, e, n, f) and (not m or e + (m & -m).bit_length() > 0):  # an integer
-        return _pow_int(x, m << e if e >= 0 else m >> -e)
-    _not_negative(x, "the base of a non-integer power")
-    from mpmath.libmp import mpi_pow
-    return _from_raw(mpi_pow(_to_raw(x), _to_raw(y), prec), _POW)
+    """The ends of x ** y, y an int or a Fraction, at the working precision
+    prec, which keys the cache (an exception is not kept, so it raises again
+    on every call): an integer y goes to _pow_int, any other to
+    _rational_power, on a base not below zero."""
+    if isinstance(y, int) or y.denominator == 1:
+        return _pow_int(x, int(y))
+    if x[0] < 0:  # a certifiably negative base is outside the domain
+        raise (ValueError if x[2] < 0 else PrecisionError)(
+            "the base of a non-integer power reaches below zero")
+    return _rational_power(x, y.numerator, y.denominator)
 
 
 _FLOAT_ERROR = ("binary floats are not exact inputs; pass a Fraction or a "
@@ -488,11 +474,6 @@ class Enclosure:
         return cls._wrap(ends)
 
     # -- exact endpoint access -----------------------------------------
-
-    @property
-    def raw(self) -> tuple:
-        """The (lo, hi) endpoints as normalised libmp tuples, for mpmath."""
-        return _to_raw(self._ends)
 
     @property
     def lo(self) -> Fraction:
@@ -573,14 +554,18 @@ class Enclosure:
         return NotImplemented if o is None else self._wrap(_div(o, self._ends))
 
     def __pow__(self, exponent):
-        """An integer exponent (an int, or an Enclosure or Fraction of integer
-        value) rounds in _pow_int, and a non-integer Fraction on a base above
-        zero in _rational_power; only an enclosure of non-integer value, or a
-        Fraction on a base that reaches zero or below, goes to mpmath."""
-        if isinstance(exponent, Fraction) and exponent.denominator > 1 and self._ends[0] > 0:
-            return self._wrap(_power(self._ends, exponent, _prec))
-        o = self._coerce(exponent)
-        return NotImplemented if o is None else self._wrap(_power(self._ends, o, _prec))
+        """x ** y for an exact y: an int, a Fraction, an Enclosure of integer
+        value, or a decimal string that _decimal reads exactly."""
+        y = _decimal(exponent) if isinstance(exponent, str) else exponent
+        if isinstance(y, Enclosure):
+            if y.lo != y.hi or y.lo.denominator > 1:
+                raise ValueError("a power's exponent must be exact: an enclosure of "
+                                 "integer value, or a decimal string within 400 places")
+            y = y.lo.numerator
+        if isinstance(y, float):
+            raise TypeError(_FLOAT_ERROR)
+        return self._wrap(_power(self._ends, y, _prec)) if isinstance(y, (int, Fraction)) \
+            else NotImplemented
 
     def __neg__(self):
         return self._wrap(_sub(_ZERO, self._ends))
@@ -649,8 +634,10 @@ class Enclosure:
         return f"Enclosure({self.str_digits()})"
 
     def str_digits(self, digits: int = 20) -> str:
-        from mpmath.libmp import mpi_to_str
-        return mpi_to_str(self.raw, digits)
+        """"[lo, hi]", lo rounded down and hi up to digits significant
+        digits: the text, read back by Enclosure(), contains this one."""
+        m, e, n, f = self._ends
+        return f"[{_print_end(m, e, digits, False)}, {_print_end(n, f, digits, True)}]"
 
 
 def as_enclosure(x) -> Enclosure:
@@ -660,7 +647,9 @@ def as_enclosure(x) -> Enclosure:
 
 # -- decimal literals ------------------------------------------------------
 
-_EXACT_EXPONENT = 400  # as far as mpmath's own parse keeps a literal exact
+# an exact power of ten up to 10**400, a 1,329-bit int; past it an outward
+# one, whose cost grows with the exponent's length, not with the exponent
+_EXACT_EXPONENT = 400
 _DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 
 
@@ -680,6 +669,35 @@ def _decimal(text: str):
     if abs(exp) > _EXACT_EXPONENT:
         return Enclosure(10) ** exp * man
     return Fraction(man * 10 ** exp) if exp >= 0 else Fraction(man, 10 ** -exp)
+
+
+def _print_end(m: int, e: int, digits: int, up: bool) -> str:
+    """m 2**e rounded down (or up) to digits significant digits, as text
+    _decimal reads: its magnitude a 2**e becomes N 10**E, N of digits
+    digits, where N is a 2**(e-E) / 5**E rounded toward zero or away from
+    it, exactly while |E| <= _EXACT_EXPONENT, else with 5**|E| from
+    _pow_end at 4 digits + 64 bits, rounded to the side that keeps N's."""
+    if not m:
+        return "0"
+    a, away = abs(m), up == (m > 0)
+    # E = floor(k log10(2)) - digits and 2**k <= a 2**e < 2**(k+1) put N in
+    # [10**digits, 10**(digits+2)); the product, to nine places past its
+    # integer part, may be one off, leaving N at least 10**(digits - 1)
+    k = a.bit_length() + e - 1
+    c = Context(prec=k.bit_length() // 3 + 10)
+    E = int(c.multiply(k, c.log10(2)).to_integral_value(ROUND_FLOOR)) - digits
+    f, g = (5 ** abs(E), 0) if abs(E) <= _EXACT_EXPONENT else \
+        _pow_end(5, 0, abs(E), 4 * digits + 64, away == (E < 0))
+    num, den, s = (a, f, e - E - g) if E >= 0 else (a * f, 1, e - E + g)
+    num, den = (num << s, den) if s >= 0 else (num, den << -s)
+    N = -(-num // den) if away else num // den
+    while N >= 10 ** digits:  # floor(floor(v) / 10) = floor(v / 10), and so for ceil
+        N, E = -(-N // 10) if away else N // 10, E + 1
+    n = str(Decimal(N))  # Decimal prints past int's 4,300-digit limit for str
+    t, x, sign = n.rstrip("0"), E + len(n) - 1, "-" if m < 0 else ""  # x: t[0]'s exponent
+    if -5 <= x < digits:
+        return f"{Decimal(f'{sign}{t}e{x + 1 - len(t)}'):f}"  # exact
+    return f"{sign}{t[0]}{'.' * (len(t) > 1)}{t[1:]}e{x:+d}"  # x may pass Decimal's 10**18
 
 
 def _text_ends(text: str) -> tuple:
@@ -711,26 +729,6 @@ def enc_min(*xs: Enclosure) -> Enclosure:
 
 def enc_max(*xs: Enclosure) -> Enclosure:
     return _envelope(xs, 1)
-
-
-def _log(x, what: str) -> tuple:
-    """The logarithm of x, a logarithm's argument or base (what), refused
-    below zero and at exactly zero (where mpi_log gives -inf)."""
-    x = _not_negative(as_enclosure(x)._ends, f"the {what} of a logarithm")
-    if not x[0] and not x[2]:
-        raise ValueError(f"the {what} of a logarithm is zero")
-    from mpmath.libmp import mpi_log
-    return _from_raw(mpi_log(_to_raw(x), _prec), _LOG)
-
-
-def enc_log(x, base=None) -> Enclosure:
-    value = _log(x, "argument")
-    if base is not None:
-        base = _log(base, "base")
-        if not base[0] and not base[2]:  # only log 1 is exactly 0: a zero divisor
-            raise ValueError("the base of a logarithm is one")
-        value = _div(value, base, _LOG)
-    return Enclosure._wrap(value)
 
 
 def membership(x: Enclosure, lo: Enclosure, hi: Enclosure) -> Optional[bool]:

@@ -183,20 +183,42 @@ def test_fy_premise_failure_leaves_main_undecided():
 
 
 def test_fy_custom_split():
-    # a custom split is respected and reported, whether exact or given as
-    # text or an enclosure (which enter the powers as enclosures)
-    for c in (F(9, 10), "0.9", as_enclosure(F(9, 10))):
+    # a custom split is respected and reported, exact whether given as a
+    # Fraction or as text; an enclosure or a binary float is refused
+    for c in (F(9, 10), "0.9", " 9e-1 "):
         cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c=c)
         assert cert.certified
         assert cert.params["c"][0] == pytest.approx(0.9)
+    for c in (as_enclosure(F(9, 10)), 0.9):
+        with pytest.raises(TypeError, match="split"):
+            fy_inequality(1, 5, F(1, 8), c=c)
+    # the premise is decided on the exact split, however close to 1
+    cert = fy_inequality(1, 5, F(1, 8), c="0." + "9" * 400)
+    assert checks_by_name(cert)["premise_c_in_unit_interval"].status == STATUS_CERTIFIED
 
 
 def test_fy_split_literal_costs_no_time_in_its_exponent():
-    # its exact Fraction would need 10**9999999, a 33-million-bit int
+    # its exact Fraction would need 10**9999999, a 33-million-bit int: a
+    # literal past 400 places is refused at once
     start = time.perf_counter()
-    cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c="1e-9999999")
-    assert checks_by_name(cert)["count_term_within_overlap_budget"].status == STATUS_FAILED
+    for c in ("1e-9999999", "0." + "9" * 401):
+        with pytest.raises(ValueError, match="400 decimal places"):
+            fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c=c)
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("c", ["0.9999999", F(9999999, 10 ** 7), F(99999999, 10 ** 8),
+                               "0." + "9" * 400])
+def test_fy_split_with_a_long_denominator_is_quick(c):
+    # the powers' roots of order 10**7, 10**8 and 10**400 take time in the
+    # denominator's length only; with tau = 10**60 the first three certify,
+    # and at 1 - 10**-400 the overlap budget beta**c (1 - beta**(1-c)) is
+    # about 10**-400, so the comparison certifiably fails
+    start = time.perf_counter()
+    cert = fy_inequality(1, as_enclosure(10) ** 60, F(1, 8), c=c)
+    assert time.perf_counter() - start < 2
+    main = checks_by_name(cert)["count_term_within_overlap_budget"]
+    assert main.status == (STATUS_FAILED if len(str(c)) > 400 else STATUS_CERTIFIED)
 
 
 @given(st.integers(min_value=1, max_value=6),
@@ -250,7 +272,7 @@ def test_dim_lower_bound_is_computed_at_each_precision():
         with precision(bits):
             q = bonacci_root(31).value
             fresh = 1 - 1024 * as_enclosure(3) ** Fraction(20, 19) * q ** (4 - 31)
-            assert dim_lower_bound(1, q, 31).raw == fresh.raw
+            assert dim_lower_bound(1, q, 31) == fresh
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=20, max_value=40))
@@ -553,12 +575,11 @@ def test_three_pipeline_gap_lemma_in_cover_coordinates(monkeypatch, k, bits):
             gs_a = affine_image(whole_a, gmap.scale, gmap.offset - 1)
             whole_s = gaps_of_Sk(q_eval, k - 1, _GAP_DEPTH)
             y = pi_q(witness_points(k).points[1].image_seq, q_eval)
-            assert [p.raw for p in probes[:2]] == [gs_a.hull_lo.raw, gs_a.hull_hi.raw]
+            assert list(probes[:2]) == [gs_a.hull_lo, gs_a.hull_hi]
             q_k = q_eval ** k
             s_in_a = affine_image(GapSet(whole_s.hull_lo, whole_s.hull_hi, ()),
                                   q_k, -((gmap.offset - 1) * q_k))
-            assert [p.raw for p in cover_probes[:2]] == [s_in_a.hull_lo.raw,
-                                                         s_in_a.hull_hi.raw]
+            assert list(cover_probes[:2]) == [s_in_a.hull_lo, s_in_a.hull_hi]
             verdict = interleaved(whole_s, gs_a)
             assert status == (STATUS_CERTIFIED if verdict else STATUS_FAILED)
             assert in_a is point_in(gs_a, y - 1)

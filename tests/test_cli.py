@@ -318,13 +318,43 @@ def test_certify_widening_walk_fails_fast_on_precision():
     assert time.perf_counter() - start < 5
 
 
+#: a request per command, both pipelines among them, and a usage error
+#: whose message prints the order-9 root
+_EVERY_COMMAND = [
+    ["tables"],
+    ["certify", "--k", "10", "--interval"],
+    ["certify", "--m", "1", "--k", "31", "--interval"],
+    ["gaps", "--k", "10", "--depth", "3"],
+    ["thickness", "--k", "10", "--depth", "50"],
+    ["count", "--q", "3/2", "--x", "1/2", "--depth", "30"],
+    ["witness", "--k", "9"],
+    ["thickness", "--k", "10", "--q", "1.5"],
+]
+
+
 def test_three_band_certificate_takes_no_mpmath_power(monkeypatch):
-    # every power the three-expansions pipeline takes has an integer exponent,
-    # which realnum rounds itself: it runs with mpmath's kernels unimportable
-    monkeypatch.setitem(sys.modules, "mpmath.libmp", None)
-    realnum._power.cache_clear()  # no power kept from an earlier test may serve
-    code, out, err = run(["certify", "--k", "10", "--interval"])
-    assert (code, err) == (0, "")
+    # no command needs mpmath: with every mpmath module unimportable, each
+    # gives the exit code and output it gives with them
+    def masked(argv):
+        code, out, err = run(argv)
+        return code, re.sub(r'"wall_time_ms": [0-9.]+', "", out), err
+
+    with monkeypatch.context() as blocked:
+        for name in {"mpmath"} | {n for n in sys.modules if n.split(".")[0] == "mpmath"}:
+            blocked.setitem(sys.modules, name, None)
+        realnum._power.cache_clear()  # no power kept from an earlier test may serve
+        got = [masked(argv) for argv in _EVERY_COMMAND]
+    assert got == [masked(argv) for argv in _EVERY_COMMAND]
+    assert [code for code, _, _ in got] == [1, 0, 0, 0, 0, 0, 0, 2]
+
+
+def test_base_below_the_root_names_an_interval_around_it():
+    # the printed root is an enclosure: read back, it contains the root's
+    code, _, err = run(["thickness", "--k", "10", "--q", "1.5"])
+    assert code == 2
+    printed = realnum.Enclosure(re.search(r"\[.*\]", err).group())
+    root = bonacci_root(9).value
+    assert printed.lo <= root.lo and root.hi <= printed.hi
 
 
 def test_precision_below_floor_is_usage_error():

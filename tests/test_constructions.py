@@ -466,7 +466,7 @@ def test_cover_is_built_without_measuring_it(spine9, monkeypatch):
 def test_cover_cylinders_by_doubling_equal_the_bit_decoded_ones(spine9, monkeypatch):
     # each cylinder's left end adds the powers of its set bits, lowest
     # first, to the base value: the same left fold by doubling as by
-    # decoding every index, down to the raw endpoints
+    # decoding every index, down to the exact endpoints
     constructions = importlib.import_module("betacert.constructions")
     pieces = []
     build = constructions.gapset_from_intervals
@@ -491,9 +491,9 @@ def test_cover_cylinders_by_doubling_equal_the_bit_decoded_ones(spine9, monkeypa
         for i, p in enumerate(powers):
             if bits >> i & 1:
                 value = value + p
-        decoded.append((value.raw, (value + tail).raw))
+        decoded.append((value, value + tail))
     assert len(decoded) > 8
-    assert [(a.raw, b.raw) for a, b in pieces] == decoded
+    assert [tuple(piece) for piece in pieces] == decoded
 
 
 def test_cover_budget_and_depth_guards(spine9):
@@ -566,9 +566,9 @@ def test_cover_thickness_refuses_covers_outside_its_premises(spine9):
                                  gap_count=0)
 
 
-def _raw_gaps(gs):
-    return ([(g.left.raw, g.right.raw) for g in gs.gaps],
-            gs.hull_lo.raw, gs.hull_hi.raw)
+def _gap_ends(gs):
+    return ([(g.left, g.right) for g in gs.gaps],
+            gs.hull_lo, gs.hull_hi)
 
 
 def test_cover_thickness_closed_form_matches_stepwise(band_covers):
@@ -593,7 +593,7 @@ def test_cover_walker_visiting_every_node_is_the_cover(band_covers, monkeypatch)
         for spine, cover in cases:
             # every node is visited and agrees with its level's class
             whole, _ = _cover_near(spine, depth, None)
-            assert _raw_gaps(whole) == _raw_gaps(cover)
+            assert _gap_ends(whole) == _gap_ends(cover)
             assert whole.depth == depth
         # a node that disagrees with its level's class is caught: the
         # root's gap, at a level declared overlapping
