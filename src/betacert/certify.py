@@ -74,7 +74,6 @@ from .expansions import certify_m_expansions
 from .realnum import (
     Enclosure,
     PrecisionError,
-    _decimal,
     as_enclosure,
     bonacci_root,
     get_precision,
@@ -202,23 +201,16 @@ def k_threshold(m: int) -> int:
 # ======================================================================
 
 @_timed
-def fy_inequality(m: int, tau, beta, c=None) -> Certificate:
-    """Certify (m+2) tau^(-c) <= beta^c (1 - beta^(1-c)) / 432^2.
+def fy_inequality(m: int, tau, beta) -> Certificate:
+    """Certify (m+2) tau^(-c) <= beta^c (1 - beta^(1-c)) / 432^2 with
+    c = ``DEFAULT_SPLIT``.
 
-    ``c`` defaults to ``DEFAULT_SPLIT``.  Premises -- tau > 0, beta in
-    (0, 1/4], c in (0, 1) -- are emitted as checks, and the main
-    comparison is left undecided when they fail.  ``c`` is exact: an int,
-    a Fraction, or a decimal string within 400 places, read exactly (past
-    them, as ``"1e-9999999"``, whose exact value would cost time in its
-    exponent, ValueError at once); any other type raises TypeError.
+    Premises -- tau > 0, beta in (0, 1/4], c in (0, 1) -- are emitted as
+    checks, and the main comparison is left undecided when they fail.
     """
     tau = as_enclosure(tau)
     beta = as_enclosure(beta)
-    split = _decimal(c) if isinstance(c, str) else DEFAULT_SPLIT if c is None else c
-    if not isinstance(split, (int, Fraction)):  # an Enclosure from _decimal: past 400 places
-        raise (ValueError if isinstance(c, str) else TypeError)(
-            f"the split c = {c!r} is not an int, a Fraction or a decimal string "
-            "within 400 decimal places")
+    split = DEFAULT_SPLIT
     checks = [
         check_gt("premise_tau_positive", tau, as_enclosure(0)),
         check_flag(

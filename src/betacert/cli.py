@@ -36,6 +36,7 @@ import io
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -100,6 +101,8 @@ _DEPTH_COMMANDS = ("--depth applies to gaps, thickness, count, and certify "
                    "without --m or with --m 1 at orders 9..30")
 
 _QK_FORM = re.compile(r"^qk:(\d+)(?:([+-])([0-9.eE+-]+))?$")
+# an integer as int() reads it: a sign, digits and single underscores
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 def _parse_decimal(text: str):
@@ -125,11 +128,12 @@ def parse_base(text: str):
         offset = _parse_decimal(got.group(3))
         return root + offset if got.group(2) == "+" else root - offset
     if "/" in t:
-        num, _, den = t.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"cannot parse rational {t!r}") from exc
+        num, den = (part.strip() for part in t.split("/", 1))
+        if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)) or \
+                not Decimal(den):  # a zero denominator
+            raise UsageError(f"cannot parse rational {t!r}")
+        # Decimal reads any number of digits, where int(str) stops at 4,300
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
     return _parse_decimal(t)
 
 

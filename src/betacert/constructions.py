@@ -170,27 +170,17 @@ class GMap:
                 "width; computed enclosures are inconsistent")
 
 
-def g_apply(gmap: GMap, x, iterations: int = 1) -> Enclosure:
-    """g^i(x) through the fixed point: fp + q^{-k i} (x - fp).
-
-    This form keeps the enclosure tight for large iteration counts (the
-    naive i-fold composition compounds rounding of the offset term).
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+def g_apply(gmap: GMap, x) -> Enclosure:
+    """g(x) through the fixed point: fp + q^{-k} (x - fp)."""
     x = as_enclosure(x)
-    shrink = gmap.q ** (-gmap.k * iterations)
-    return gmap.fixed_point + shrink * (x - gmap.fixed_point)
+    return gmap.fixed_point + gmap.scale * (x - gmap.fixed_point)
 
 
-def g_apply_symbolic(gmap: GMap, seq, iterations: int = 1) -> SymbolicSeq:
-    """The sequence route: prefix ``iterations`` copies of 1^{k-1}0."""
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+def g_apply_symbolic(gmap: GMap, seq) -> SymbolicSeq:
+    """The sequence route: prefix one copy of 1^{k-1}0."""
     if not isinstance(seq, SymbolicSeq):
         seq = SymbolicSeq.finite(seq)
-    block = contraction_block(gmap.k) * iterations
-    return SymbolicSeq.eventually(block + seq.preperiod, seq.period)
+    return SymbolicSeq.eventually(contraction_block(gmap.k) + seq.preperiod, seq.period)
 
 
 # ======================================================================
@@ -558,7 +548,11 @@ def _cover_tree(desc: AqDescription, depth: int):
     return base_value, powers, q ** (-depth) / (q - 1)
 
 
-def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
+#: the most cylinders aq_gapset enumerates; a deeper cover is refused
+COVER_BUDGET = 1 << 14
+
+
+def aq_gapset(desc: AqDescription, depth: int) -> GapSet:
     """Outer cylinder cover of the signed-digit family's projection.
 
     Enumerates all 2^(free zeros <= depth) admissible prefixes, projects
@@ -571,10 +565,10 @@ def aq_gapset(desc: AqDescription, depth: int, budget: int = 1 << 14) -> GapSet:
     """
     base_value, powers, tail_band = _cover_tree(desc, depth)
     count = 1 << len(powers)
-    if count > budget:
+    if count > COVER_BUDGET:
         raise ResourceError(
             f"cover needs {count} cylinders at depth {depth}, over the "
-            f"budget of {budget}")
+            f"budget of {COVER_BUDGET}")
     # by doubling: values[bits] adds powers[i] for each set bit i of bits,
     # lowest first
     values = [base_value]

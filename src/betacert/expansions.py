@@ -22,7 +22,7 @@ from typing import Optional
 
 from .certificate import Certificate, GRADE_EVIDENCE, _float_pair, check_flag
 from .realnum import (Enclosure, PrecisionError, _canon, _walk_level, as_enclosure,
-                      membership, pi_q)
+                      membership)
 from .symbolic import ResourceError
 
 __all__ = [
@@ -44,14 +44,6 @@ def _require_base(q) -> Enclosure:
     if q.gt(1) is not True or q.lt(2) is not True:
         raise ValueError("q must be certifiably inside (1, 2)")
     return q
-
-
-def _coerce_point(x, q: Enclosure) -> Enclosure:
-    """Accept exact rationals, decimal strings, enclosures, or digit
-    sequences (anything the projection understands)."""
-    if hasattr(x, "preperiod") or hasattr(x, "digits"):
-        return pi_q(x, q)
-    return as_enclosure(x)
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def count_prefixes(q, x, depth: int = 200,
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     maps = DigitMaps(q)
-    x = _coerce_point(x, maps.q)
+    x = as_enclosure(x)
     root_in = maps.in_attractor(x)
     if root_in is False:
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")

@@ -19,19 +19,19 @@ Arithmetic, negation, abs, the int and Fraction constructors, compares and
 min / max form the exact integer result and round it once, outward, to the
 working precision: the values mpmath's interval kernels give.  Integer
 powers round step by step exactly as mpmath's mpi_pow_int does, on the
-same ints.  A Fraction power p/r (or a decimal string's, read exactly) of
-a base not below zero is the outward r-th root of the outward p-th power.
-Membership, the branch walk's level kernel (_walk_level), decimal parsing
-and printing run on them too: str_digits and repr print "[lo, hi]" with lo
-rounded down and hi up, so the text read back encloses the value.
+same ints.  A Fraction power p/r of a base not below zero is the outward
+r-th root of the outward p-th power.  Membership, the branch walk's level
+kernel (_walk_level), decimal parsing and printing run on them too:
+str_digits and repr print "[lo, hi]" with lo rounded down and hi up, so
+the text read back encloses the value.
 
 Both endpoints are always finite.  Division and powers raise
 PrecisionError where they would make an infinite or nan endpoint (a
 division by an enclosure that contains zero, say); a string that is not a
 decimal literal, such as "inf", raises ValueError.  A non-integer power of
 a base that reaches below zero raises ValueError if the base is
-certifiably negative, else PrecisionError; a power to an enclosure of
-non-integer value raises ValueError.
+certifiably negative, else PrecisionError.  An exponent is an int or a
+Fraction; any other type raises TypeError.
 
 The working precision belongs to this module: default 256 bits,
 overridable with set_precision() or the `precision` context manager, or the
@@ -554,18 +554,13 @@ class Enclosure:
         return NotImplemented if o is None else self._wrap(_div(o, self._ends))
 
     def __pow__(self, exponent):
-        """x ** y for an exact y: an int, a Fraction, an Enclosure of integer
-        value, or a decimal string that _decimal reads exactly."""
-        y = _decimal(exponent) if isinstance(exponent, str) else exponent
-        if isinstance(y, Enclosure):
-            if y.lo != y.hi or y.lo.denominator > 1:
-                raise ValueError("a power's exponent must be exact: an enclosure of "
-                                 "integer value, or a decimal string within 400 places")
-            y = y.lo.numerator
-        if isinstance(y, float):
-            raise TypeError(_FLOAT_ERROR)
-        return self._wrap(_power(self._ends, y, _prec)) if isinstance(y, (int, Fraction)) \
-            else NotImplemented
+        """x ** y for an exact y: an int or a Fraction."""
+        if isinstance(exponent, (int, Fraction)):
+            return self._wrap(_power(self._ends, exponent, _prec))
+        if isinstance(exponent, float):
+            raise TypeError("binary floats are not exact exponents; pass an int or "
+                            "a Fraction")
+        return NotImplemented
 
     def __neg__(self):
         return self._wrap(_sub(_ZERO, self._ends))
@@ -606,10 +601,11 @@ class Enclosure:
         return None if r is None else not r
 
     def encloses(self, x) -> bool:
-        """Exact test: does the interval [lo, hi] contain the rational x?"""
-        if isinstance(x, float):
-            raise TypeError(_FLOAT_ERROR)
-        x = Fraction(x)
+        """Exact test: does the interval [lo, hi] contain x, an int or a
+        Fraction?"""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"encloses takes an int or a Fraction, not a "
+                            f"{type(x).__name__}")
         return self.lo <= x <= self.hi
 
     def intersects(self, other: "Enclosure") -> bool:

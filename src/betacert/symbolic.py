@@ -265,21 +265,21 @@ def _run_capped_count(k: int, n: int) -> int:
     return sum(last.values())
 
 
-def enumerate_sk_words(k: int, n: int, budget: int = ENUMERATION_BUDGET) -> list[Word]:
+def enumerate_sk_words(k: int, n: int) -> list[Word]:
     """All length-n binary words avoiding 0 1^k and 1 0^k, ascending lex.
 
-    The count is computed first; if it exceeds ``budget`` the enumeration
-    is refused with ResourceError rather than started.
+    The count is computed first; if it exceeds ENUMERATION_BUDGET the
+    enumeration is refused with ResourceError rather than started.
     """
     if k < 2:
         raise ValueError("order must be at least 2")
     if n < 0:
         raise ValueError("length must be nonnegative")
     total = _run_capped_count(k, n)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise ResourceError(
             f"{total} words of length {n} avoid the order-{k} patterns, "
-            f"which exceeds the enumeration budget {budget}"
+            f"which exceeds the enumeration budget {ENUMERATION_BUDGET}"
         )
     out: list[Word] = []
     word: list[int] = []
@@ -299,8 +299,7 @@ def enumerate_sk_words(k: int, n: int, budget: int = ENUMERATION_BUDGET) -> list
     return out
 
 
-def gaps_of_Sk(q, k: int, max_delta_len: int,
-               budget: int = ENUMERATION_BUDGET) -> GapSet:
+def gaps_of_Sk(q, k: int, max_delta_len: int) -> GapSet:
     """Materialize the gap family of the order-k avoidance set in base q.
 
     Requires a base certifiably above the order-k root.  Each admissible
@@ -319,11 +318,10 @@ def gaps_of_Sk(q, k: int, max_delta_len: int,
     words there share an endpoint sequence, so the gaps touch and the
     family has no positive-bridge structure.
     """
-    return _sk_gaps_near(q, k, max_delta_len, None, budget)
+    return _sk_gaps_near(q, k, max_delta_len, None)
 
 
-def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
-                  budget: int = ENUMERATION_BUDGET) -> GapSet:
+def _sk_gaps_near(q, k: int, max_delta_len: int, probes) -> GapSet:
     """The gaps of gaps_of_Sk(q, k, max_delta_len) on the search paths of
     the probe enclosures, in a GapSet with the family's hull; with
     ``probes=None``, the whole family.
@@ -345,10 +343,10 @@ def _sk_gaps_near(q, k: int, max_delta_len: int, probes,
                               "adjacent index words share an endpoint sequence")
     q = _family_base(q, k, max_delta_len)
     total = _admissible_count(k, max_delta_len)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise ResourceError(
             f"{total} index words up to length {max_delta_len} exceed the "
-            f"enumeration budget {budget}"
+            f"enumeration budget {ENUMERATION_BUDGET}"
         )
 
     one = Enclosure(1)

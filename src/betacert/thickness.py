@@ -33,12 +33,10 @@ newhouse_certificate, from values already at hand in the pipelines.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import groupby
 from typing import Iterable, Optional
 
 from .certificate import (
@@ -255,19 +253,18 @@ class ThicknessValue:
     gap_count: int = 0
 
 
-def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None) -> ThicknessValue:
+def thickness(gapset: GapSet) -> ThicknessValue:
     """Stepwise Newhouse thickness of a finite gap description.
 
     Gaps are processed in decreasing diameter.  Each is scored against the
     nearest gap on either side processed before it (or the hull end), and
     tau is the minimum score.  Gaps whose width enclosures coincide exactly
-    form a tie block processed left to right (or in an order drawn from
-    ``tie_rng``, for invariance testing — the value is independent of the
-    choice).  When two width enclosures overlap without coinciding, the
-    true diameter order is unknowable at this precision, and the sort order
-    (upper width bound descending) is used as the processing order, which
-    is the right call for families whose equal-width gaps acquire unequal
-    enclosures through rounding.
+    form a tie block processed left to right (the value is independent of
+    the order within a block).  When two width enclosures overlap without
+    coinciding, the true diameter order is unknowable at this precision,
+    and the sort order (upper width bound descending) is used as the
+    processing order, which is the right call for families whose
+    equal-width gaps acquire unequal enclosures through rounding.
     """
     gaps = gapset.gaps
     n = len(gaps)
@@ -279,13 +276,6 @@ def thickness(gapset: GapSet, tie_rng: Optional[random.Random] = None) -> Thickn
     # validation left the gaps in position order, so a stable sort breaks
     # width ties left to right
     order = sorted(range(n), key=cmp_to_key(lambda i, j: _cmp(*tops[j], *tops[i])))
-    if tie_rng is not None:
-        shuffled: list[int] = []
-        for _, block in groupby(order, key=widths.__getitem__):
-            block = list(block)
-            tie_rng.shuffle(block)
-            shuffled += block
-        order = shuffled
 
     # a gap's anchors are the nearest gaps on each side processed before it
     rank = {i: r for r, i in enumerate(order)}

@@ -61,6 +61,22 @@ def test_parse_decimal_is_exact():
 def test_parse_rational():
     assert parse_base("4/3") == F(4, 3)
     assert parse_base("1999/1000") == F(1999, 1000)
+    # the integer forms int() reads: spaces, signs, single underscores
+    assert parse_base(" -3 / -4 ") == parse_base("+3/4") == F(3, 4)
+    assert parse_base("1_000/3") == F(1000, 3)
+    for bad in ("1.5/2", "1e3/7", "1/0", "1/2/3", "1__0/3", "/3"):
+        with pytest.raises(UsageError, match="cannot parse rational"):
+            parse_base(bad)
+
+
+def test_rational_with_parts_past_the_int_to_str_limit():
+    # each part has 5,000 digits, past int()'s 4,300-digit limit for
+    # strings; the literal is 1/10, so the profile is the one for 0.1
+    ones = "1" * 5000
+    argv = ["count", "--q", "3/2", "--depth", "5", "--x"]
+    long_form = run(argv + [f"{ones}/{ones}0"])
+    assert long_form[0] == 0
+    assert long_form == run(argv + ["0.1"])
 
 
 def test_parse_root_forms():

@@ -146,10 +146,12 @@ def test_g_apply_is_the_affine_map():
 
 
 def test_g_apply_iterations_compose():
-    g = GMap(F(79, 40), 5)
-    x = as_enclosure(F(1, 7))
-    twice = g_apply(g, g_apply(g, x))
-    assert g_apply(g, x, iterations=2).intersects(twice)
+    q, k = F(79, 40), 5
+    g = GMap(q, k)
+    exact = F(1, 7)
+    for _ in range(2):
+        exact = q ** -k * exact + sum(q ** -j for j in range(1, k))
+    assert contains_fraction(g_apply(g, g_apply(g, F(1, 7))), exact)
 
 
 @settings(deadline=None, max_examples=40)
@@ -163,15 +165,16 @@ def test_g_apply_routes_agree(digits, k, iterations):
     q = BASE_ABOVE[k]
     g = GMap(q, k)
     seq = SymbolicSeq.finite(Word(tuple(digits)))
-    via_value = g_apply(g, pi_q(seq, g.q), iterations)
-    via_digits = pi_q(g_apply_symbolic(g, seq, iterations), g.q)
-    assert via_value.intersects(via_digits)
+    via_value = pi_q(seq, g.q)
+    for _ in range(iterations):
+        via_value, seq = g_apply(g, via_value), g_apply_symbolic(g, seq)
+    assert via_value.intersects(pi_q(seq, g.q))
 
 
 def test_g_apply_symbolic_prepends_the_block():
     g = GMap(F(39, 20), 4)
     seq = SymbolicSeq.periodic(Word.from_str("10"))
-    out = g_apply_symbolic(g, seq, 2)
+    out = g_apply_symbolic(g, g_apply_symbolic(g, seq))
     want = tuple(contraction_block(4)) * 2
     assert tuple(out.digit(i) for i in range(8)) == want
 
@@ -181,8 +184,6 @@ def test_gmap_rejects_bad_arguments():
         GMap(F(5, 2), 4)
     with pytest.raises(ValueError):
         GMap(F(39, 20), 1)
-    with pytest.raises(ValueError):
-        g_apply(GMap(F(39, 20), 4), F(1, 2), iterations=0)
 
 
 # ------------------------------------------------------- P/Q hull anchors
@@ -498,7 +499,7 @@ def test_cover_cylinders_by_doubling_equal_the_bit_decoded_ones(spine9, monkeypa
 
 def test_cover_budget_and_depth_guards(spine9):
     with pytest.raises(ResourceError):
-        aq_gapset(spine9, 49, budget=8)
+        aq_gapset(spine9, 49)  # 2**20 cylinders, over the cover's budget
     with pytest.raises(ValueError):
         aq_gapset(spine9, 50)
     with pytest.raises(ValueError):

@@ -487,7 +487,7 @@ def test_walk_kernel_matches_its_reference_on_a_root_wider_than_the_precision():
 def test_count_accepts_symbolic_points():
     q = F(39, 20)
     seq = SymbolicSeq.periodic(Word.from_str("10"))
-    by_seq = count_prefixes(q, seq, depth=18)
+    by_seq = count_prefixes(q, pi_q(seq, q), depth=18)
     by_value = count_prefixes(q, q / (q ** 2 - 1), depth=18)
     assert by_seq.certified_min == by_value.certified_min
     assert by_seq.possible_max == by_value.possible_max

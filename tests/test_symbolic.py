@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacert import symbolic
 from betacert.realnum import Enclosure, as_enclosure, bonacci_root, pi_q, precision
 from betacert.symbolic import (
     ResourceError,
@@ -182,8 +183,6 @@ def test_enumerate_budget_refusal():
     # initial run), so use order 3 where growth is exponential
     with pytest.raises(ResourceError):
         enumerate_sk_words(3, 60)
-    with pytest.raises(ResourceError):
-        enumerate_sk_words(3, 4, budget=5)
 
 
 # ---------------------------------------------------------- gap families
@@ -268,13 +267,16 @@ def test_gaps_precondition_and_degenerate_orders():
     assert len(gs.gaps) == 1
 
 
-def test_gap_count_growth_is_budgeted():
+def test_gap_count_growth_is_budgeted(monkeypatch):
     # the admissibility count is what the budget is checked against
     assert _admissible_count(3, 0) == 1
     assert _admissible_count(3, 1) == 3  # "", "0", "1"
     n8 = _admissible_count(3, 8)
+    monkeypatch.setattr(symbolic, "ENUMERATION_BUDGET", n8 - 1)
     with pytest.raises(ResourceError):
-        gaps_of_Sk(BASE_ABOVE[3], 3, 8, budget=n8 - 1)
+        gaps_of_Sk(BASE_ABOVE[3], 3, 8)
+    monkeypatch.setattr(symbolic, "ENUMERATION_BUDGET", n8)
+    assert len(gaps_of_Sk(BASE_ABOVE[3], 3, 8).gaps) == n8
 
 
 def test_admissible_count_matches_the_automaton():
