@@ -118,10 +118,13 @@ def count_prefixes(q, x, depth: int = 200,
     exclude it; only children reached through all-certified memberships
     count toward ``certified_min``.  Nodes are realnum's integer endpoint
     quadruples, classified and stepped a whole level at a time by its
-    kernel; a node becomes an Enclosure only as a branch event.  An
-    undecided node wider than the switch region raises PrecisionError: the
-    enclosures have widened past deciding anything, and the walk would only
-    grind into the node budget.
+    kernel; a node becomes an Enclosure only as a branch event.  The last
+    level is classified like every other (its forks are branch events, its
+    nodes count toward ``nodes_processed`` and the budget), but its
+    children are only counted, never built.  An undecided node wider than
+    the switch region raises PrecisionError: the enclosures have widened
+    past deciding anything, and the walk would only grind into the node
+    budget.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -153,13 +156,14 @@ def count_prefixes(q, x, depth: int = 200,
         spent = processed + size > node_budget
         if spent:
             nodes = nodes[:max(0, node_budget - processed)]
-        level = _walk_level(q, s_hi, s_lo, top, nodes, flags, tables)
+        last = d == depth
+        level = _walk_level(q, s_hi, s_lo, top, nodes, flags, tables, last)
         if level is None:
             raise PrecisionError(
                 f"enclosure widening: a node at depth {d - 1} of the branch "
                 "walk is wider than the switch region; raise the working "
                 "precision (--precision)")
-        nodes, flags, forks = level
+        children, certified, forks = level
         for y in forks:
             events.append((d - 1, Enclosure._wrap(y)))
         if spent:
@@ -167,8 +171,13 @@ def count_prefixes(q, x, depth: int = 200,
                 f"branch walk exceeded the node budget of {node_budget} "
                 f"at depth {d} (frontier size {size})")
         processed += size
-        cmin.append(flags.count(True))
-        cmax.append(len(nodes))
+        if last:  # the two counts
+            cmin.append(certified)
+            cmax.append(children)
+        else:  # the next frontier
+            nodes, flags = children, certified
+            cmin.append(flags.count(True))
+            cmax.append(len(nodes))
 
     window = max(1, depth // 4)
     tail = cmin[-window:] + cmax[-window:]

@@ -782,7 +782,7 @@ def _bounds_at(e: int, s_hi, s_lo, top):
                  for (m, f), up in zip(ends, (False, False, True, False, True, False)))
 
 
-def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables):
+def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables, last=False):
     """One level of the branch walk: the children, their flags and the
     forks of the nodes with the given flags, or None at the first undecided
     node wider than the switch region [s_lo, s_hi].  A node is tested
@@ -791,23 +791,32 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables):
     no entry serves; its children are q y, rounded as _mul rounds it for
     q > 0, and q y - 1, rounded as _add rounds it.  tables is the walk's
     own pair of dicts, empty at its first level, which fill by a node
-    end's exponent e: _bounds_at's entries, and digit 1's units 2**-e for
-    -_prec <= e < 0."""
+    end's exponent e: _bounds_at's entries, made before the first node at
+    e is classified from them, and digit 1's units 2**-e for
+    -_prec <= e < 0.  At the walk's last level (last true) every node is
+    classified and the forks found as above, but the children are only
+    counted: the number of children and the number of certified ones
+    stand in for the two lists."""
     qam, qae, qbm, qbe = q
     bounds, units = tables
     prec = _prec
     nxt, marks, forks = [], [], []
     push, mark = nxt.append, marks.append
+    size = sure = 0
     for y, certified in zip(nodes, flags):
         am, ae, bm, be = y
         try:
-            b0, b1, b2, a0, a1, a2 = bounds[ae] if ae == be else bounds[be][:3] + bounds[ae][3:]
+            t = bounds[ae] if ae == be else bounds[be][:3] + bounds[ae][3:]
         except (KeyError, TypeError):  # an exponent met first, or None (too far)
-            m0, m1 = _within(_ZERO, s_hi)(y), _within(s_lo, top)(y)
             for e in (ae, be):
                 if e not in bounds:
                     bounds[e] = _bounds_at(e, s_hi, s_lo, top)
+            lo, hi = bounds[ae], bounds[be]
+            t = lo and hi and hi[:3] + lo[3:]  # None where either is
+        if t is None:
+            m0, m1 = _within(_ZERO, s_hi)(y), _within(s_lo, top)(y)
         else:
+            b0, b1, b2, a0, a1, a2 = t
             m0 = m1 = None
             if am >= 0 and bm <= b0:
                 m0 = True
@@ -823,6 +832,11 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables):
         elif m0 and m1:
             forks.append(y)
         elif m0 is False and m1 is False:
+            continue
+        if last:
+            size += (m0 is not False) + (m1 is not False)
+            if certified:
+                sure += (m0 is True) + (m1 is True)
             continue
         if am >= 0:
             am, ae = am * qam, ae + qae
@@ -856,7 +870,7 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables):
                     bm, be = -(-bm >> n), be + n
                 push((am, ae, bm, be))
             mark(certified and m1 is True)
-    return nxt, marks, forks
+    return (size, sure, forks) if last else (nxt, marks, forks)
 
 
 def _sign(*terms) -> int:

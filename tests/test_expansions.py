@@ -10,7 +10,9 @@ Oracles:
     continue along eventually periodic run-limited digit strings.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from types import FunctionType
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacert.expansions import (
+    NODE_BUDGET,
     CountReport,
     DigitMaps,
     certify_m_expansions,
@@ -482,6 +485,182 @@ def test_walk_kernel_matches_its_reference_on_a_root_wider_than_the_precision():
     for q in (F(3, 2), F(8, 5), q512):
         for x in roots:
             assert assert_kernel_matches_reference(q, x, 24) == 24
+
+
+def assert_deeper_walk_cut_short(q, x, depth: int) -> CountReport:
+    """The walk to depth, whose last level is counted, equals the walk to
+    depth + 1, which builds that level, cut to depth: the counts, the
+    events above depth, the nodes processed and the stabilization flag."""
+    short, deep = count_prefixes(q, x, depth), count_prefixes(q, x, depth + 1)
+    assert short.certified_min == deep.certified_min[:depth]
+    assert short.possible_max == deep.possible_max[:depth]
+    assert [(d, y._ends) for d, y in short.branch_events] == \
+        [(d, y._ends) for d, y in deep.branch_events if d < depth]
+    assert short.nodes_processed == deep.nodes_processed - deep.possible_max[depth - 1]
+    window = max(1, depth // 4)
+    tail = short.certified_min[-window:] + short.possible_max[-window:]
+    assert short.stabilized == (len(set(tail)) == 1)
+    return short
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_count_is_the_deeper_walk_cut_short(bits):
+    with precision(bits):
+        golden, root = bonacci_root(2).value, bonacci_root(10).value
+        last_forks = 0
+        for q in (F(3, 2), F(8, 5), F(17, 10), golden, root):
+            for j in (1, 5, 9, 14, 19):
+                for depth in (1, 7, 20):
+                    report = assert_deeper_walk_cut_short(q, F(j, 20), depth)
+                    last_forks += sum(d == depth - 1 for d, _ in report.branch_events)
+        assert last_forks > 20  # forks in the counted level too
+        # golden at x = 1: nodes reached through undecided memberships, in
+        # the last level too
+        report = assert_deeper_walk_cut_short(golden, 1, 30)
+        assert report.certified_min[-1] < report.possible_max[-1]
+
+
+def test_count_stops_in_its_last_level_as_the_deeper_walk_does():
+    # the budget's 11th node is the first of depth 5's six: the walk to
+    # depth 5 stops in its last level with the message of every deeper walk
+    for depth in (5, 6, 20):
+        with pytest.raises(ResourceError) as stop:
+            count_prefixes(F(3, 2), 1, depth=depth, node_budget=10)
+        assert str(stop.value) == ("branch walk exceeded the node budget of 10 "
+                                   "at depth 5 (frontier size 6)")
+    # golden base, x = 1, 64 bits: the first node of level 88 is wider than
+    # the switch region, in the walk to depth 88 too, ahead of a budget
+    # that runs out later in that level
+    with precision(64):
+        q = bonacci_root(2).value
+        assert count_prefixes(q, 1, depth=87).possible_max[-1] == 88
+        for depth in (88, 89):
+            for budget in (NODE_BUDGET, 3900):
+                with pytest.raises(PrecisionError, match="node at depth 87 .* wider than the switch"):
+                    count_prefixes(q, 1, depth=depth, node_budget=budget)
+            with pytest.raises(ResourceError, match=r"budget of 3828 at depth 88 \(frontier size 88\)$"):
+                count_prefixes(q, 1, depth=depth, node_budget=3828)
+
+
+def _dyadic(v: F) -> tuple:
+    """The end (m, e) of the dyadic rational v, m odd or zero."""
+    if v == 0:
+        return 0, 0
+    m, e = v.numerator, 1 - v.denominator.bit_length()
+    z = (m & -m).bit_length() - 1
+    return m >> z, e + z
+
+
+@lru_cache(maxsize=None)
+def _rounded(v: F, bits: int, up: bool) -> F:
+    """v rounded down (or up) to bits significant bits: to the multiple of
+    2**k below (or above) it, for the k with 2**(k+bits-1) <= |v| < 2**(k+bits)."""
+    if v == 0:
+        return v
+    k = abs(v.numerator).bit_length() - v.denominator.bit_length() - bits
+    while abs(v) >= F(2) ** (k + bits):
+        k += 1
+    while abs(v) < F(2) ** (k + bits - 1):
+        k -= 1
+    return (math.ceil if up else math.floor)(v / F(2) ** k) * F(2) ** k
+
+
+def _exact_node(q, s_hi, s_lo, top, y, certified, bits):
+    """One node of a branch-walk level in exact Fractions: the node and the
+    bounds are (lo, hi) pairs; a digit's membership is decided by the
+    compares of the node's ends with the bounds' far and near ends.  A child
+    is the exact q y rounded outward to bits bits, or that child's ends
+    minus 1 rounded outward again.  Returns the (child, flag) pairs and
+    whether the node forks, or None if it is undecided and wider than
+    [s_lo.lo, s_hi.hi]."""
+    (ql, qh), (s0, s1), (l0, l1), (t0, t1), (a, b) = q, s_hi, s_lo, top, y
+    m0 = True if a >= 0 and b <= s0 else False if b < 0 or a > s1 else None
+    m1 = True if a >= l1 and b <= t0 else False if b < l0 or a > t1 else None
+    if None in (m0, m1) and b - a > s1 - l0:
+        return None
+    lo = _rounded(a * (ql if a >= 0 else qh), bits, False)
+    hi = _rounded(b * (qh if b >= 0 else ql), bits, True)
+    children = (((lo, hi), m0),
+                ((_rounded(lo - 1, bits, False), _rounded(hi - 1, bits, True)), m1))
+    return [(c, certified and m is True) for c, m in children if m is not False], \
+        m0 is True and m1 is True
+
+
+def _small_precision_cases(bits):
+    """Walk levels at bits bits: (q, s_hi, s_lo, top) and nodes, as ends.
+
+    The bases are the values in (1, 2) with bits-bit mantissas, each as a
+    point and up to the next one, with the domain bounds 1/(q(q-1)), 1/q
+    and 1/(q-1) rounded outward to bits bits, plus three bound triples
+    that straddle or sit below zero.  The node ends are every bits-bit
+    mantissa at three exponents, some of them padded with zero bits, and
+    ends more than 2 * bits bits below the bounds, where the kernel's
+    tables give no entry; a node joins an end to itself and to ends 1, 3 and 40
+    places above it in value."""
+    one = 1 << (bits - 1)
+    grid = [F(one + i, one) for i in range(1, one)]
+    out = lambda lo, hi: (_rounded(lo, bits, False), _rounded(hi, bits, True))
+    walks = []
+    for ql, qh in [(g, g) for g in grid] + list(zip(grid, grid[1:])):
+        walks.append(((ql, qh), out(1 / (qh * (qh - 1)), 1 / (ql * (ql - 1))),
+                      out(1 / qh, 1 / ql), out(1 / (qh - 1), 1 / (ql - 1))))
+    q = (grid[0], grid[-1])
+    walks += [(q, (F(-1, 4), F(1, 4)), (F(-1, 2), F(0)), (F(0), F(3))),
+              (q, (F(-3, 8), F(-1, 8)), (F(-1), F(-1, 2)), (F(-1, 4), F(1, 2))),
+              (q, (F(1, 2), F(5, 8)), (F(0), F(1, 8)), (F(7, 8), F(1)))]
+    ends = [(m, e) for e in (-bits - 1, -1, 1) for m in range(1 - 2 * one, 2 * one)]
+    ends += [(m << 3, e - 3) for m, e in ends[::5]]
+    ends += [(m, -6 * bits) for m in (-1, 1, 2 * one - 1)] + [(0, -2 * bits), (0, 4)]
+    ends.sort(key=lambda end: F(end[0]) * F(2) ** end[1])
+    nodes = [ends[i][:2] + ends[j] for i in range(len(ends))
+             for j in (i, i + 1, i + 3, i + 40) if j < len(ends)]
+    return walks, nodes
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5])
+def test_walk_kernel_matches_exact_fractions_at_small_precision(bits, monkeypatch):
+    # below set_precision's floor of 64 bits, so that every rounding edge
+    # of a few-bit mantissa is met; the kernel reads the working precision
+    # from realnum._prec
+    monkeypatch.setattr(realnum, "_prec", bits)
+    value = lambda m, e: F(m) * F(2) ** e
+    pair = lambda ends: (value(*ends[:2]), value(*ends[2:]))
+    to_ends = lambda lo, hi: _dyadic(lo) + _dyadic(hi)
+    canon = lambda ends: _dyadic(value(*ends[:2])) + _dyadic(value(*ends[2:]))
+    walks, nodes = _small_precision_cases(bits)
+    exact_nodes = [pair(y) for y in nodes]
+    flags = [i % 3 > 0 for i in range(len(nodes))]
+    built = stopped = 0
+    for walk in walks:
+        q, s_hi, s_lo, top = (to_ends(*b) for b in walk)
+        # the nodes that do not stop a level make one level; each that does
+        # is walked on its own
+        ys, fs, stops, children, marks, forks = [], [], [], [], [], []
+        for y, exact, certified in zip(nodes, exact_nodes, flags):
+            node = _exact_node(*walk, exact, certified, bits)
+            if node is None:
+                stops.append(y)
+                continue
+            ys.append(y)
+            fs.append(certified)
+            children += [to_ends(*child) for child, _ in node[0]]
+            marks += [mark for _, mark in node[0]]
+            if node[1]:
+                forks.append(y)
+        tables = {}, {}
+        got = _walk_level(q, s_hi, s_lo, top, ys, fs, tables)
+        assert [canon(child) for child in got[0]] == children, walk
+        assert got[1:] == (marks, forks)
+        assert _walk_level(q, s_hi, s_lo, top, ys, fs, tables, True) == \
+            (len(children), marks.count(True), forks)
+        # again, from the tables the two walks filled
+        assert _walk_level(q, s_hi, s_lo, top, ys, fs, tables) == got
+        for y in stops:
+            for last in (False, True):
+                assert _walk_level(q, s_hi, s_lo, top, [y], [True], ({}, {}), last) is None
+        built += len(children)
+        stopped += len(stops)
+    assert built > 700 and stopped > 150
 
 
 def test_count_accepts_symbolic_points():
