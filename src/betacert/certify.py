@@ -358,19 +358,17 @@ def theorem_b_certify(k: int, q: Union[Enclosure, str] = "interval",
 
     Closed-form checks (interleaving at the root, drift bounds, family
     thickness floors) are evaluated over the whole band in interval
-    mode.  With a concrete ``q`` the set descriptions of the gap-lemma
-    run are read at that base.  Neither is materialized.  The signed-digit
-    cover is read from one cylinder tree (constructions._cover_near): its
-    thickness in the closed form cover_thickness, and its gaps along the
-    search paths of three probes (the run-limited family's hull ends,
-    mapped into the cover's coordinates, and the located point's
-    preimage).  Where a premise of the closed form, or a node on those
-    paths, cannot be certified, the run raises PrecisionError.  Of the
-    run-limited family only the gaps on the search paths of three probes
-    (the cover's hull ends, mapped into its coordinates, and the located
-    point) are built; its thickness is the closed form sk_thickness.  So
-    each interleaving containment reads one family's gaps at the other's
-    hull ends, and neither family is moved.
+    mode.  With a concrete ``q`` the gap-lemma run reads both families at
+    that base and builds neither in full.  Each family's thickness is a
+    closed form (sk_thickness for the run-limited family, cover_thickness
+    for the signed-digit cover), and only its gaps on the search paths of
+    three probes are built: the other family's hull ends, mapped into its
+    coordinates, and the located point (for the cover, its preimage).
+    The cover's thickness and gaps come from one cylinder tree
+    (constructions._cover_near); where a premise of cover_thickness, or a
+    node on the cover's paths, cannot be certified, the run raises
+    PrecisionError.  So each interleaving containment reads one family's
+    gaps at the other's hull ends, and neither family is moved.
     The branch count of the located three-expansion point always runs at
     the band center -- the one base where that point is exactly
     representable; elsewhere the claim rides the drift and gap-lemma

@@ -33,6 +33,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -62,9 +63,7 @@ from .expansions import count_prefixes
 from .realnum import (
     DEFAULT_PRECISION,
     PrecisionError,
-    _ENV_PRECISION,
     _decimal,
-    _precision_from_env,
     as_enclosure,
     bonacci_root,
     precision,
@@ -77,6 +76,23 @@ __all__ = ["RunConfig", "main", "parse_base"]
 
 class UsageError(Exception):
     """Bad flag combination or unparsable value; maps to exit 2."""
+
+
+_ENV_PRECISION = "BETACERT_PREC"  # read when --precision is absent
+
+
+def _precision_from_env() -> int:
+    text = os.environ.get(_ENV_PRECISION)
+    if text is None:
+        return DEFAULT_PRECISION
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 64:
+        raise UsageError(f"{_ENV_PRECISION} must be an integer number of bits "
+                         f">= 64, got {text!r}")
+    return bits
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,6 @@ __all__ = [
     "aq_gapset",
     "build_pq_family",
     "contraction_block",
-    "epsilon_q",
     "fixed_expansion_of_one",
     "g_apply",
     "g_apply_symbolic",
@@ -127,15 +126,6 @@ class EpsilonQ:
         if above is False:
             return -1
         return 0 if above and below else None
-
-
-def epsilon_q(q, k: int) -> EpsilonQ:
-    """Signed distance of 1 from the value of the k-cycle (1^{k-1}0)^inf."""
-    q = _require_base(q)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    value = 1 - pi_q(SymbolicSeq.periodic(contraction_block(k)), q)
-    return EpsilonQ(q=q, k=k, value=value)
 
 
 # ======================================================================

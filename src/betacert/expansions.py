@@ -52,13 +52,11 @@ class DigitMaps:
 
     Binary digits: f_0 on [0, 1/(q(q-1))], f_1 on [1/q, 1/(q-1)]; their
     overlap is the switch region, the only place both digits keep the
-    value inside the attractor.  The signed trio (eps in {-1, 0, 1}) acts
-    on the symmetric interval [-1/(q-1), 1/(q-1)].
+    value inside the attractor.
     """
     q: Enclosure
     attractor: tuple[Enclosure, Enclosure] = field(init=False, repr=False)
     switch: tuple[Enclosure, Enclosure] = field(init=False, repr=False)
-    extended: tuple[Enclosure, Enclosure] = field(init=False, repr=False)
 
     def __post_init__(self):
         q = _require_base(self.q)
@@ -66,27 +64,9 @@ class DigitMaps:
         hi = 1 / (q - 1)
         object.__setattr__(self, "attractor", (Enclosure(0), hi))
         object.__setattr__(self, "switch", (1 / q, hi / q))
-        object.__setattr__(self, "extended", (-hi, hi))
-
-    def apply(self, eps: int, x) -> Enclosure:
-        if eps not in (-1, 0, 1):
-            raise ValueError(f"digit must be -1, 0, or 1, got {eps}")
-        return self.q * as_enclosure(x) - eps
-
-    def domain(self, eps: int) -> tuple[Enclosure, Enclosure]:
-        """Domain of the binary digit map: the values it keeps inside the
-        attractor."""
-        if eps == 0:
-            return self.attractor[0], self.switch[1]
-        if eps == 1:
-            return self.switch[0], self.attractor[1]
-        raise ValueError(f"binary digit expected, got {eps}")
 
     def in_attractor(self, x) -> Optional[bool]:
         return membership(as_enclosure(x), *self.attractor)
-
-    def in_switch(self, x) -> Optional[bool]:
-        return membership(as_enclosure(x), *self.switch)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ enclosures overlap and the question is undecidable at the working precision.
 Also provided: bonacci_root(k), the root in (1, 2) of x^k = x^(k-1) + ...
 + x + 1, isolated by exact integer sign tests of x^(k+1) - 2 x^k + 1 at
 the ends of a dyadic cell; pi_q(seq, q), the value sum_j d_j q^(-j) of a
-finite or eventually periodic digit sequence; and projection_gap,
-|pi_{q1}(seq) - pi_{q2}(seq)| checked against its a-priori bound.
+finite or eventually periodic digit sequence.
 
 An Enclosure holds four ints (lo man, lo exp, hi man, hi exp), each end
 the value man * 2**exp with a signed mantissa, trailing zero bits allowed.
@@ -33,17 +32,16 @@ a base that reaches below zero raises ValueError if the base is
 certifiably negative, else PrecisionError.  An exponent is an int or a
 Fraction; any other type raises TypeError.
 
-The working precision belongs to this module: default 256 bits,
-overridable with set_precision() or the `precision` context manager, or the
-BETACERT_PREC environment variable at import time (at least 64 bits, like
-set_precision).  Values are immutable: an Enclosure built at one precision
-keeps its exact endpoints; only new operations round at the then-current
-precision.
+The working precision belongs to this module: 256 bits at import,
+overridable with set_precision() or the `precision` context manager (at
+least 64 bits).  The library reads no environment variable; the command
+line reads BETACERT_PREC.  Values are immutable: an Enclosure built at one
+precision keeps its exact endpoints; only new operations round at the
+then-current precision.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,7 +54,6 @@ from typing import Optional
 
 
 DEFAULT_PRECISION = 256
-_ENV_PRECISION = "BETACERT_PREC"  # the environment variable read at import
 
 _prec = DEFAULT_PRECISION  # the working precision, in bits of mantissa
 
@@ -80,20 +77,6 @@ def set_precision(bits: int) -> int:
 
 def get_precision() -> int:
     return _prec
-
-
-def _precision_from_env() -> int:
-    text = os.environ.get(_ENV_PRECISION)
-    if text is None:
-        return DEFAULT_PRECISION
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{_ENV_PRECISION} must be an integer number of bits "
-                         f">= 64, got {text!r}") from None
-
-
-set_precision(_precision_from_env())
 
 
 @contextmanager
@@ -1125,20 +1108,3 @@ def pi_q(seq, q) -> Enclosure:
     if per:
         acc = acc + q ** (-len(pre)) * pv / (1 - q ** (-len(per)))
     return acc
-
-
-def projection_gap(q1, q2, seq) -> Enclosure:
-    """|pi_{q1}(seq) - pi_{q2}(seq)|, sanity-checked against the a-priori
-    bound |q1 - q2| / ((q1 - 1)(q2 - 1)).
-
-    Returns the computed difference.  A *certified* violation of the bound
-    would mean a broken invariant somewhere upstream and raises.
-    """
-    q1, q2 = as_enclosure(q1), as_enclosure(q2)
-    diff = abs(pi_q(seq, q1) - pi_q(seq, q2))
-    bound = abs(q1 - q2) / ((q1 - 1) * (q2 - 1))
-    if diff.gt(bound) is True:
-        raise ArithmeticError(
-            f"projection difference {diff!r} certified above its bound {bound!r}"
-        )
-    return diff

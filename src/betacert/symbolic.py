@@ -11,8 +11,7 @@ possible, and a trailing zero tail normalized to a finite word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .realnum import Enclosure, pi_q
 from .thickness import (Gap, GapSet, MalformedGapSet, _admissible_count, _family_base,
@@ -24,7 +23,6 @@ __all__ = [
     "SymbolicSeq",
     "Word",
     "avoids",
-    "enumerate_sk_words",
     "gaps_of_Sk",
 ]
 
@@ -68,18 +66,8 @@ class Word:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        got = self.digits[i]
-        return Word(got) if isinstance(i, slice) else got
-
     def __add__(self, other: "Word") -> "Word":
         return Word(self.digits + Word_coerce(other).digits)
-
-    def __mul__(self, n: int) -> "Word":
-        return Word(self.digits * n)
 
     def __str__(self) -> str:
         return "".join("-" if d < 0 else str(d) for d in self.digits)
@@ -155,19 +143,6 @@ class SymbolicSeq:
             return 0
         return per[(i - len(pre)) % len(per)]
 
-    def prefix(self, n: int) -> Word:
-        return Word(tuple(self.digit(i) for i in range(n)))
-
-    def shift(self, n: int = 1) -> "SymbolicSeq":
-        """Drop the first n digits."""
-        pre, per = self.preperiod.digits, self.period.digits
-        if n <= len(pre):
-            return SymbolicSeq(Word(pre[n:]), self.period)
-        if not per:
-            return SymbolicSeq(Word(), Word())
-        r = (n - len(pre)) % len(per)
-        return SymbolicSeq(Word(), Word(per[r:] + per[:r]))
-
     def __str__(self) -> str:
         if self.is_finite:
             return f"{self.preperiod}" if len(self.preperiod) else "0^inf"
@@ -240,63 +215,6 @@ def _is_gap_index(k: int, state: tuple) -> bool:
     is at most k-2, so both endpoint tails stay pattern-free."""
     _, run, initial = state
     return initial or run <= k - 2
-
-
-def _state_counts(k: int, n: int) -> Iterator[dict]:
-    """Number of words in each automaton state, for lengths 0, 1, ..., n."""
-    counts = {_EMPTY: 1}
-    yield counts
-    for _ in range(n):
-        nxt: dict = {}
-        for state, c in counts.items():
-            for e in (0, 1):
-                key = _next_state(k, state, e)
-                if key is not None:
-                    nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-        yield counts
-
-
-@lru_cache(maxsize=None)
-def _run_capped_count(k: int, n: int) -> int:
-    """Number of binary words of length n whose non-initial runs are all
-    shorter than k — equivalently, words avoiding 01^k and 10^k."""
-    *_, last = _state_counts(k, n)
-    return sum(last.values())
-
-
-def enumerate_sk_words(k: int, n: int) -> list[Word]:
-    """All length-n binary words avoiding 0 1^k and 1 0^k, ascending lex.
-
-    The count is computed first; if it exceeds ENUMERATION_BUDGET the
-    enumeration is refused with ResourceError rather than started.
-    """
-    if k < 2:
-        raise ValueError("order must be at least 2")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    total = _run_capped_count(k, n)
-    if total > ENUMERATION_BUDGET:
-        raise ResourceError(
-            f"{total} words of length {n} avoid the order-{k} patterns, "
-            f"which exceeds the enumeration budget {ENUMERATION_BUDGET}"
-        )
-    out: list[Word] = []
-    word: list[int] = []
-
-    def descend(state):
-        if len(word) == n:
-            out.append(Word(tuple(word)))
-            return
-        for e in (0, 1):
-            nxt = _next_state(k, state, e)
-            if nxt is not None:
-                word.append(e)
-                descend(nxt)
-                word.pop()
-
-    descend(_EMPTY)
-    return out
 
 
 def gaps_of_Sk(q, k: int, max_delta_len: int) -> GapSet:

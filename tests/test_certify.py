@@ -737,3 +737,40 @@ def test_reproduction_json_roundtrip():
     assert doc["precision_bits"] >= TABLE_PRECISION_FLOOR
     encoded = json.dumps(doc)
     assert json.loads(encoded) == doc
+
+
+# ----------------------------------------------------------------------
+# the package surface
+# ----------------------------------------------------------------------
+
+EXPORTS = [
+    "AqDescription", "BonacciRoot", "Certificate", "Check", "ColumnReport",
+    "CountReport", "DEFAULT_PRECISION", "DigitMaps", "Enclosure", "EpsilonQ",
+    "GMap", "GRADE_EVIDENCE", "GRADE_PROVED", "Gap", "GapSet",
+    "MalformedGapSet", "PQAnchors", "PQFamily", "PrecisionError",
+    "ResourceError", "RowReport", "STATUS_CERTIFIED", "STATUS_FAILED",
+    "STATUS_UNCERTAIN", "SubshiftSk", "SymbolicSeq", "TablesReport",
+    "ThicknessValue", "VERDICT_COMPLETE", "VERDICT_HYPOTHESIS_NOT_MET",
+    "WitnessPoint", "WitnessSet", "Word", "__version__", "affine_image",
+    "aq_gapset", "as_enclosure", "avoids", "bonacci_root", "build_pq_family",
+    "certify_m_expansions", "count_prefixes", "dim_lower_bound", "enc_max",
+    "enc_min", "fixed_expansion_of_one", "fy_inequality", "gaps_of_Sk",
+    "gapset_from_intervals", "get_precision", "hausdorff_distance",
+    "interleaved", "k_threshold", "membership", "newhouse_certificate", "pi_q",
+    "pq_certificate", "pq_hull_data", "precision", "reproduce_tables",
+    "set_precision", "sk_thickness", "strongly_interleaved",
+    "theorem_a_certify", "theorem_b_certify", "thickness", "witness_points",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping an export is a contract change: it shows here
+    import betacert
+
+    assert sorted(betacert.__all__) == EXPORTS
+    for name in ("betacert", *(f"betacert.{m}" for m in (
+            "certificate", "certify", "cli", "constructions", "expansions",
+            "realnum", "symbolic", "thickness"))):
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], name

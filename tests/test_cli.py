@@ -6,13 +6,16 @@ matched, 1 not, 2 usage, 3 precision/resource), the base-syntax grammar,
 file emission, environment-variable precedence, and byte-determinism of
 the JSON documents modulo the wall_time_ms field.  Everything runs
 in-process through main(argv) so stdout/stderr and exit codes can be
-captured without spawning interpreters.
+captured without spawning interpreters, except the reading of
+BETACERT_PREC at startup, which only a fresh interpreter shows.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -394,6 +397,31 @@ def test_env_precision_overridden_by_flag(monkeypatch):
 def test_env_precision_garbage_is_usage_error(monkeypatch):
     monkeypatch.setenv("BETACERT_PREC", "lots")
     assert run(["tables"])[0] == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_interpreter(args: list, env_precision: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, BETACERT_PREC=env_precision,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_env_precision_is_read_by_the_command_not_at_import():
+    # the flag wins over a bad variable, and without the flag the bad value
+    # is a usage error that names the variable; the library reads neither
+    witness = ["-m", "betacert.cli", "witness", "--k", "9"]
+    flagged = fresh_interpreter(witness + ["--precision", "256"], "lots")
+    assert flagged.returncode == 0, flagged.stderr
+    for bad in ("lots", "256.5", "16"):
+        proc = fresh_interpreter(witness, bad)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "BETACERT_PREC" in proc.stderr
+    imported = fresh_interpreter(
+        ["-c", "import betacert; print(betacert.get_precision())"], "128")
+    assert imported.returncode == 0 and imported.stdout.strip() == "256"
 
 
 # ----------------------------------------------------------------------

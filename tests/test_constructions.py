@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from betacert import realnum
 from betacert.certificate import STATUS_CERTIFIED, STATUS_FAILED
 from betacert.constructions import (
+    EpsilonQ,
     GMap,
     W2_BLOCKS,
     _cover_near,
@@ -36,7 +37,6 @@ from betacert.constructions import (
     build_pq_family,
     contraction_block,
     cover_thickness,
-    epsilon_q,
     fixed_expansion_of_one,
     g_apply,
     g_apply_symbolic,
@@ -95,18 +95,28 @@ def contains_fraction(enc: Enclosure, x: Fraction) -> bool:
 # ------------------------------------------------------- epsilon
 
 
+def epsilon(q, k: int) -> EpsilonQ:
+    """The EpsilonQ that pq_hull_data builds, at any order and base."""
+    q = as_enclosure(q)
+    return EpsilonQ(q=q, k=k, value=1 - pi_q(SymbolicSeq.periodic(contraction_block(k)), q))
+
+
 def test_epsilon_matches_fraction_oracle():
     for k in (3, 4, 5, 6):
         q = BASE_ABOVE[k]
-        eps = epsilon_q(q, k)
-        assert contains_fraction(eps.value, 1 - oracle_fixed_point(q, k))
+        assert contains_fraction(epsilon(q, k).value, 1 - oracle_fixed_point(q, k))
+    # pq_hull_data's own, at the orders it takes
+    for k in (5, 6):
+        q = BASE_ABOVE[k]
+        eps = pq_hull_data(q, k, 1).epsilon
+        assert eps.k == k and contains_fraction(eps.value, 1 - oracle_fixed_point(q, k))
 
 
 def test_epsilon_sign_trichotomy(monkeypatch):
     # root_3 ~ 1.8393: 9/5 sits below it, 15/8 above it
-    below, above = epsilon_q(F(9, 5), 3), epsilon_q(F(15, 8), 3)
+    below, above = epsilon(F(9, 5), 3), epsilon(F(15, 8), 3)
     # an enclosure of the root itself cannot be signed
-    at_root = epsilon_q(bonacci_root(10).value, 10)
+    at_root = epsilon(bonacci_root(10).value, 10)
     exact_zero = replace(above, value=Enclosure(0))
     # the sign is read off the integer endpoints, with no rational view of them
     conversions = []
@@ -118,13 +128,6 @@ def test_epsilon_sign_trichotomy(monkeypatch):
     assert at_root.sign is None
     assert exact_zero.sign == 0
     assert conversions == []
-
-
-def test_epsilon_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        epsilon_q(F(5, 2), 4)
-    with pytest.raises(ValueError):
-        epsilon_q(F(15, 8), 1)
 
 
 # ------------------------------------------------------- the contraction
@@ -175,7 +178,7 @@ def test_g_apply_symbolic_prepends_the_block():
     g = GMap(F(39, 20), 4)
     seq = SymbolicSeq.periodic(Word.from_str("10"))
     out = g_apply_symbolic(g, g_apply_symbolic(g, seq))
-    want = tuple(contraction_block(4)) * 2
+    want = contraction_block(4).digits * 2
     assert tuple(out.digit(i) for i in range(8)) == want
 
 
@@ -323,8 +326,8 @@ def test_spine_at_the_root_is_the_forced_prefix_then_zeros():
     # at the order-k root the value of 1^k 0^inf is exactly 1, so every
     # continuation block is (0,0)
     desc = fixed_expansion_of_one(bonacci_root(9).value, 9, 49)
-    assert tuple(desc.c[:9]) == (1,) * 9
-    assert all(d == 0 for d in tuple(desc.c)[9:])
+    assert desc.c.digits[:9] == (1,) * 9
+    assert all(d == 0 for d in desc.c.digits[9:])
     assert desc.certificate.certified
 
 
@@ -336,7 +339,7 @@ def test_spine_rank_classes_are_the_three_residue_ladders():
     assert desc.J_fixed1[:4] == (11, 15, 19, 23)
     assert desc.J_fixed0[:4] == (13, 17, 21, 25)
     ranked = sorted(desc.J_free + desc.J_fixed1 + desc.J_fixed0)
-    assert ranked == [j for j in range(1, 50) if desc.c[j - 1] == 0]
+    assert ranked == [j for j in range(1, 50) if desc.c.digits[j - 1] == 0]
 
 
 def test_spine_off_root_stays_near_one_and_uses_signed_blocks():
@@ -344,7 +347,7 @@ def test_spine_off_root_stays_near_one_and_uses_signed_blocks():
     # value still matches 1 to within the geometric tail band
     q = bonacci_root(10).value + as_enclosure(F(1, 10 ** 8))
     desc = fixed_expansion_of_one(q, 10, 60)
-    tail = tuple(desc.c)[24:]
+    tail = desc.c.digits[24:]
     assert any(d != 0 for d in tail)
     assert all((a, b) in W2_BLOCKS
                for a, b in zip(tail[::2], tail[1::2]))
@@ -403,7 +406,7 @@ def test_cover_members_and_their_complements_stay_run_limited(spine9):
     fixed0 = set(spine9.J_fixed0)
 
     def member_digit(j, free_bit):
-        cj = spine9.c[j - 1]
+        cj = spine9.c.digits[j - 1]
         if cj == 1 or j in fixed1:
             return 1
         if cj == -1 or j in fixed0:
@@ -419,7 +422,7 @@ def test_cover_members_and_their_complements_stay_run_limited(spine9):
         a = SymbolicSeq.eventually(pre, per)
         assert lang.contains(a)
         # digitwise difference from the spine is again a binary member
-        diff_pre = Word(tuple(member_digit(j, free_bit) - spine9.c[j - 1]
+        diff_pre = Word(tuple(member_digit(j, free_bit) - spine9.c.digits[j - 1]
                               for j in range(1, cut + 1)))
         assert set(diff_pre.digits) <= {0, 1}
         assert lang.contains(SymbolicSeq.eventually(diff_pre, per))
@@ -433,7 +436,7 @@ def test_cover_contains_the_all_ones_member_value(spine9):
     fixed1 = set(spine9.J_fixed1)
     digits = []
     for j in range(1, depth + 1):
-        cj = spine9.c[j - 1]
+        cj = spine9.c.digits[j - 1]
         one = cj == 1 or (cj == 0 and (j in fixed1 or j in spine9.J_free))
         digits.append(1 if one else 0)
     x = pi_q(Word(tuple(digits)), q) + q ** (-depth) / (q - 1) / 2
@@ -482,7 +485,7 @@ def test_cover_cylinders_by_doubling_equal_the_bit_decoded_ones(spine9, monkeypa
     q = spine9.q
     fixed1 = set(spine9.J_fixed1)
     base = pi_q(Word(tuple(
-        1 if spine9.c[j - 1] == 1 or (spine9.c[j - 1] == 0 and j in fixed1) else 0
+        1 if spine9.c.digits[j - 1] == 1 or (spine9.c.digits[j - 1] == 0 and j in fixed1) else 0
         for j in range(1, depth + 1))), q)
     powers = [q ** (-j) for j in spine9.J_free if j <= depth]
     tail = q ** (-depth) / (q - 1)
@@ -697,7 +700,7 @@ def test_witness_values_match_fraction_free_closed_form():
 
 def test_witness_images_are_prefixed_sequences():
     ws = witness_points(9)
-    block = tuple(contraction_block(9))
+    block = contraction_block(9).digits
     for p in ws.points:
         assert tuple(p.image_seq.digit(i) for i in range(len(block))) == block
         # image - 1 re-expands with a 2k-zero prefix, inside the

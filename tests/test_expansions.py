@@ -138,41 +138,22 @@ def test_digit_maps_domains_are_the_exact_formulas():
     assert maps.attractor[1].lo <= F(2) <= maps.attractor[1].hi
     assert maps.switch[0].lo <= F(2, 3) <= maps.switch[0].hi
     assert maps.switch[1].lo <= F(4, 3) <= maps.switch[1].hi
-    # the switch region is exactly where both domains overlap
-    assert maps.domain(0)[1] is maps.switch[1]
-    assert maps.domain(1)[0] is maps.switch[0]
-    # extended interval is symmetric
-    assert (maps.extended[0] + maps.extended[1]).encloses(0)
-
-
-def test_digit_maps_apply_matches_rational_arithmetic():
-    q = F(7, 4)
-    maps = DigitMaps(q)
-    for eps in (-1, 0, 1):
-        out = maps.apply(eps, F(5, 8))
-        want = q * F(5, 8) - eps
-        assert out.lo <= want <= out.hi
 
 
 def test_digit_maps_membership_is_tri_valued():
     maps = DigitMaps(F(3, 2))
-    assert maps.in_switch(F(3, 4)) is True
-    assert maps.in_switch(F(1, 2)) is False
+    assert membership(as_enclosure(F(3, 4)), *maps.switch) is True
+    assert membership(as_enclosure(F(1, 2)), *maps.switch) is False
     assert maps.in_attractor(F(5, 2)) is False
     # golden base: 1 is exactly the right end of the switch region, and
     # two different computation routes cannot certify that
     golden = DigitMaps(bonacci_root(2).value)
-    assert golden.in_switch(1) is None
+    assert membership(Enclosure(1), *golden.switch) is None
 
 
 def test_digit_maps_validation():
     with pytest.raises(ValueError):
         DigitMaps(F(5, 2))
-    maps = DigitMaps(F(3, 2))
-    with pytest.raises(ValueError):
-        maps.apply(2, F(1, 2))
-    with pytest.raises(ValueError):
-        maps.domain(-1)
 
 
 # ------------------------------------------------------- counting
@@ -326,13 +307,6 @@ def test_walk_kernel_matches_enclosure_reference(bits):
             assert got.x == want.x
             assert list(got.branch_events) == list(want.branch_events)
         assert stopped == 3  # the deep band walks and the wide start
-        # DigitMaps.apply runs Enclosure's operators: q * x - eps on
-        # points, zero, negative and straddling values
-        maps = DigitMaps(F(8, 5))
-        for x in (F(3, 7), 0, F(-5, 9), Enclosure.from_endpoints(-1, F(1, 3)),
-                  Enclosure.from_endpoints(0, 1)):
-            for eps in (-1, 0, 1):
-                assert maps.apply(eps, x) == (maps.q * as_enclosure(x) - eps)
 
 
 # The level kernel as it was before its bound and unit tables, verbatim: it
@@ -770,13 +744,13 @@ def test_chain_fixed_point_cycle_across_the_root():
         fp = pi_q(SymbolicSeq.periodic(contraction_block(10)), q)
         y = fp
         for _ in range(9):
-            assert maps.in_switch(y) is False
-            y = maps.apply(1, y)
-        assert maps.apply(0, y).intersects(fp)
+            assert membership(y, *maps.switch) is False
+            y = maps.q * y - 1
+        assert (maps.q * y).intersects(fp)
         if above:
             assert y.lt(maps.switch[0]) is True
         else:
-            assert maps.in_switch(y) is True
+            assert membership(y, *maps.switch) is True
 
 
 # ------------------------------------------------------- m-expansion calls

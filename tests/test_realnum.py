@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
@@ -25,7 +24,7 @@ from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_ration
 from mpmath.libmp.libmpi import mpi_mul, mpi_pow
 
 from betacert import realnum
-from betacert.constructions import contraction_block, epsilon_q
+from betacert.constructions import EpsilonQ, contraction_block
 from betacert.expansions import count_prefixes
 from betacert.realnum import (
     Enclosure,
@@ -38,7 +37,6 @@ from betacert.realnum import (
     membership,
     pi_q,
     precision,
-    projection_gap,
     _add,
     _confirm_cell,
     _div,
@@ -820,10 +818,9 @@ def test_equality_is_by_value_on_unnormalised_endpoints():
                                                Gap(Enclosure(5), Enclosure(6))))
     assert [g.left for g in gaps.restrict(lo=cut).gaps] == [Enclosure(5)]
     # an exact zero with a nonzero exponent is still signed 0
-    eps = epsilon_q(Fraction(15, 8), 3)
     zero = Enclosure(Fraction(3, 8)) - Enclosure(Fraction(3, 8))
     assert zero._ends != (0, 0, 0, 0) and zero == Enclosure(0)
-    assert replace(eps, value=zero).sign == 0
+    assert EpsilonQ(q=Enclosure(Fraction(15, 8)), k=3, value=zero).sign == 0
 
 
 def reference_float_bounds(e):
@@ -1414,15 +1411,25 @@ def test_walk_cost_does_not_grow_with_the_exponent_gap():
 
 
 # ----------------------------------------------------------------------
-# projection_gap
+# projection gap: |pi_q1(s) - pi_q2(s)| <= |q1 - q2| / ((q1 - 1)(q2 - 1)),
+# the bound s_family_drift_within_margin rests on
 # ----------------------------------------------------------------------
 
+def projection_gap(q1, q2, seq) -> tuple[Enclosure, Enclosure]:
+    """The difference of one sequence's values at two bases, and its bound."""
+    q1, q2 = as_enclosure(q1), as_enclosure(q2)
+    return (abs(pi_q(seq, q1) - pi_q(seq, q2)),
+            abs(q1 - q2) / ((q1 - 1) * (q2 - 1)))
+
+
 def test_projection_gap_same_base():
-    assert projection_gap(Fraction(3, 2), Fraction(3, 2), (1, 0, 1)).encloses(0)
+    d, bound = projection_gap(Fraction(3, 2), Fraction(3, 2), (1, 0, 1))
+    assert d.encloses(0) and bound.encloses(0)
 
 
 def test_projection_gap_zero_sequence():
-    assert projection_gap(Fraction(3, 2), Fraction(9, 5), (0, 0)).encloses(0)
+    d, bound = projection_gap(Fraction(3, 2), Fraction(9, 5), (0, 0))
+    assert d.encloses(0) and bound.gt(0) is True
 
 
 def test_projection_gap_bound_attained():
@@ -1431,8 +1438,8 @@ def test_projection_gap_bound_attained():
         preperiod = ()
         period = (1,)
 
-    d = projection_gap(Fraction(3, 2), Fraction(8, 5), Seq())
-    assert d.encloses(Fraction(1, 3))
+    d, bound = projection_gap(Fraction(3, 2), Fraction(8, 5), Seq())
+    assert d.encloses(Fraction(1, 3)) and bound.encloses(Fraction(1, 3))
 
 
 @given(
@@ -1456,10 +1463,8 @@ def test_projection_gap_respects_bound_on_random_words():
         preperiod = (1, 0, 1)
         period = (1, 1, 0)
 
-    q1, q2 = Fraction(3, 2), Fraction(19, 10)
-    d = projection_gap(q1, q2, Seq())
-    bound = abs(q1 - q2) / ((q1 - 1) * (q2 - 1))
-    assert d.lt(Enclosure(bound)) is True
+    d, bound = projection_gap(Fraction(3, 2), Fraction(19, 10), Seq())
+    assert d.lt(bound) is True
 
 
 # ----------------------------------------------------------------------
@@ -1492,23 +1497,6 @@ def test_set_precision_floor():
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def import_with_env_precision(value: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, BETACERT_PREC=value,
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", "import betacert; print(betacert.get_precision())"],
-        env=env, capture_output=True, text=True, timeout=120)
-
-
-def test_env_precision_is_validated_at_import():
-    ok = import_with_env_precision("128")
-    assert ok.returncode == 0 and ok.stdout.strip() == "128"
-    for bad in ("16", "256.5"):
-        proc = import_with_env_precision(bad)
-        assert proc.returncode != 0
-        assert "ValueError" in proc.stderr and ">= 64" in proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Word/sequence canonicalization, avoidance, enumeration, gap families.
+"""Word/sequence canonicalization, avoidance, gap families.
 
 Oracles:
-  * substring membership on fully materialized strings (avoidance, word
-    enumeration);
+  * substring membership on fully materialized strings (avoidance);
+  * word counts per state of the run-limited automaton (the closed-form
+    gap count);
   * exact Fraction evaluation of eventually periodic values at rational
     bases (gap endpoints);
   * definitional gap admissibility: both endpoint tails pattern-free,
@@ -14,7 +15,7 @@ Oracles:
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +30,10 @@ from betacert.symbolic import (
     Word,
     _admissible_count,
     _is_gap_index,
+    _EMPTY,
+    _next_state,
     _sk_gaps_near,
-    _state_counts,
     avoids,
-    enumerate_sk_words,
     gaps_of_Sk,
 )
 from betacert.thickness import GapSet, MalformedGapSet, _contained_in_complement
@@ -49,12 +50,6 @@ def exact_seq_value(pre, per, q: Fraction) -> Fraction:
     return val
 
 
-def brute_sk_strings(k: int, n: int) -> list[str]:
-    pats = ["0" + "1" * k, "1" + "0" * k]
-    return ["".join(bits) for bits in itertools.product("01", repeat=n)
-            if not any(p in "".join(bits) for p in pats)]
-
-
 # ---------------------------------------------------------------- words
 
 
@@ -62,9 +57,8 @@ def test_word_validation_and_ops():
     w = Word((0, 1, -1))
     assert str(w) == "01-"
     assert Word.from_str("01-") == w
-    assert len(w) == 3 and w[1] == 1 and w[0:2] == Word((0, 1))
+    assert len(w) == 3 and w.digits == (0, 1, -1)
     assert Word.ones(2) + Word.zeros(1) == Word((1, 1, 0))
-    assert Word((0, 1)) * 2 == Word((0, 1, 0, 1))
     with pytest.raises(ValueError):
         Word((0, 2))
     with pytest.raises(ValueError):
@@ -118,9 +112,6 @@ def test_canonical_forms():
     assert SymbolicSeq.eventually("11", "01") == SymbolicSeq.eventually("1", "10")
     assert SymbolicSeq.periodic("0") == SymbolicSeq.finite("")
     assert SymbolicSeq.finite("100").is_finite
-    s = SymbolicSeq.eventually("1", "10")
-    assert s.prefix(5) == Word((1, 1, 0, 1, 0))
-    assert s.shift(2) == SymbolicSeq.periodic("01")
 
 
 # ----------------------------------------------------------- avoidance
@@ -158,31 +149,6 @@ def test_subshift_membership():
     assert s3.contains(SymbolicSeq.eventually("111111", "011"))  # initial run free
     with pytest.raises(ValueError):
         SubshiftSk(1)
-
-
-# ---------------------------------------------------------- enumeration
-
-
-def test_enumerate_small_counts():
-    assert [str(w) for w in enumerate_sk_words(2, 1)] == ["0", "1"]
-    words = [str(w) for w in enumerate_sk_words(2, 3)]
-    assert words == ["000", "001", "010", "101", "110", "111"]
-    # order 3, length 4: exactly the two length-4 patterns 0111 and 1000
-    # are excluded from the 16 binary words, leaving 14
-    assert len(enumerate_sk_words(3, 4)) == len(brute_sk_strings(3, 4)) == 14
-
-
-@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=9))
-@settings(max_examples=40, deadline=None)
-def test_enumerate_matches_brute_force(k, n):
-    assert [str(w) for w in enumerate_sk_words(k, n)] == brute_sk_strings(k, n)
-
-
-def test_enumerate_budget_refusal():
-    # order-2 counts grow only linearly (forced alternation after the
-    # initial run), so use order 3 where growth is exponential
-    with pytest.raises(ResourceError):
-        enumerate_sk_words(3, 60)
 
 
 # ---------------------------------------------------------- gap families
@@ -277,6 +243,21 @@ def test_gap_count_growth_is_budgeted(monkeypatch):
         gaps_of_Sk(BASE_ABOVE[3], 3, 8)
     monkeypatch.setattr(symbolic, "ENUMERATION_BUDGET", n8)
     assert len(gaps_of_Sk(BASE_ABOVE[3], 3, 8).gaps) == n8
+
+
+def _state_counts(k: int, n: int) -> Iterator[dict]:
+    """Number of words in each automaton state, for lengths 0, 1, ..., n."""
+    counts = {_EMPTY: 1}
+    yield counts
+    for _ in range(n):
+        nxt: dict = {}
+        for state, c in counts.items():
+            for e in (0, 1):
+                key = _next_state(k, state, e)
+                if key is not None:
+                    nxt[key] = nxt.get(key, 0) + c
+        counts = nxt
+        yield counts
 
 
 def test_admissible_count_matches_the_automaton():
