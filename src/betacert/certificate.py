@@ -7,8 +7,9 @@ from finite-depth set evidence.  Serialization is deterministic except for
 wall_time_ms, which is the schema's designated timing field and always
 rendered last.
 
-Also here: how reports write values -- _float_pair for an enclosure, and
-_json_text for a whole document, which the command line emits.
+Also here: how reports write values -- _float_pair for an enclosure,
+_json_text for a whole document, which the command line emits, and
+_event_rows for the branch events of its count document.
 """
 
 from __future__ import annotations
@@ -61,23 +62,16 @@ def _int_text(n: int) -> str:
         int.__repr__(c).zfill(1000) for c in reversed(chunks))
 
 
-class _EventRows(tuple):
-    """Branch events (depth, Enclosure), which _json_text writes as rows
-    [depth, [lo, hi]], each end rounded outward to a double by _double."""
-
-
 def _json_text(o, nl: str = "\n") -> str:
     """json.dumps(o, indent=2), byte for byte, for str-keyed dicts, lists,
     tuples, str, int, float, bool and None; any other type raises
-    TypeError.  nl is the newline and indent that close o.  An _EventRows
-    is written as json.dumps writes its rows [depth, list(x.float_bounds())].
+    TypeError.  nl is the newline and indent that close o.
 
     With an indent the standard library leaves its C encoder for a
     pure-Python generator chain; this writer makes one call per container
-    and renders the plain ints and floats inside a list in place, and an
-    _EventRows row by row, from each event's ends, through one %-template.
-    Each container is a single join, brackets included: concatenating around
-    a large joined string would copy it, and the freed copies leave holes
+    and renders the plain ints and floats inside a list in place.  Each
+    container is a single join, brackets included: concatenating around a
+    large joined string would copy it, and the freed copies leave holes
     that raise the process's peak memory."""
     if isinstance(o, str):
         return _escape(o)
@@ -95,27 +89,12 @@ def _json_text(o, nl: str = "\n") -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if type(o) is _EventRows:
-            # events lie in the switch region, so both doubles are finite
-            # and %r writes them as JSON does (an infinity would be "inf")
-            r, p = inner + "  ", inner + "    "
-            row = f"[{r}%d,{r}[{p}%r,{p}%r{r}]{inner}]"
-            items = []
-            for d, x in o:
-                m, e, n, f = x._ends
-                c, k = m.bit_length() - 53, n.bit_length() - 53
-                if c > 0 < k and -1074 <= e + c <= 970 and -1074 <= f + k <= 970:
-                    # _double's common case: each end cut to a normal double
-                    items.append(row % (d, ldexp(m >> c, e + c), ldexp(-(-n >> k), f + k)))
-                else:
-                    items.append(row % (d, _double(m, e, False), _double(n, f, True)))
-        else:
-            try:
-                items = [int.__repr__(v) if type(v) is int else
-                         _json_float(v) if type(v) is float else
-                         _json_text(v, inner) for v in o]
-            except ValueError:  # an int past the int-to-str limit
-                items = [_json_text(v, inner) for v in o]
+        try:
+            items = [int.__repr__(v) if type(v) is int else
+                     _json_float(v) if type(v) is float else
+                     _json_text(v, inner) for v in o]
+        except ValueError:  # an int past the int-to-str limit
+            items = [_json_text(v, inner) for v in o]
         items[0] = "[" + inner + items[0]
         items[-1] += nl + "]"
         return ("," + inner).join(items)
@@ -131,6 +110,24 @@ def _json_text(o, nl: str = "\n") -> str:
         items[-1] += nl + "}"
         return ("," + inner).join(items)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _event_rows(d: int, forks) -> str:
+    """The forks (raw ends) at depth d as the count document's rows
+    [d, [lo, hi]], each behind a comma, as json.dumps(indent=2) writes them
+    there; each end rounded outward to a double by _double.  Forks lie in
+    the switch region, so both doubles are finite and %r writes them as
+    JSON does."""
+    row = ",\n    [\n      %d,\n      [\n        %r,\n        %r\n      ]\n    ]"
+    rows = []
+    for m, e, n, f in forks:
+        c, k = m.bit_length() - 53, n.bit_length() - 53
+        if c > 0 < k and -1074 <= e + c <= 970 and -1074 <= f + k <= 970:
+            # _double's common case: each end cut to a normal double
+            rows.append(row % (d, ldexp(m >> c, e + c), ldexp(-(-n >> k), f + k)))
+        else:
+            rows.append(row % (d, _double(m, e, False), _double(n, f, True)))
+    return "".join(rows)
 
 
 @dataclass

@@ -47,7 +47,7 @@ from .certificate import (
     STATUS_CERTIFIED,
     STATUS_FAILED,
     STATUS_UNCERTAIN,
-    _EventRows,
+    _event_rows,
     _float_pair,
     _int_text,
     _json_text,
@@ -59,7 +59,7 @@ from .certify import (
     theorem_b_certify,
 )
 from .constructions import _interleaving_margin, witness_points
-from .expansions import count_prefixes
+from .expansions import NODE_BUDGET, _summary, _walk
 from .realnum import (
     DEFAULT_PRECISION,
     PrecisionError,
@@ -153,13 +153,15 @@ def parse_base(text: str):
     return _parse_decimal(t)
 
 
-def _emit_json(doc: dict, cfg: RunConfig) -> None:
-    """Write the document to --out if given; print it in json mode."""
-    text = _json_text(doc) + "\n"
+def _emit_json(doc, cfg: RunConfig) -> None:
+    """Write the document (a dict, or its text in pieces) to --out if given;
+    print it in json mode."""
+    pieces = doc if isinstance(doc, list) else [_json_text(doc) + "\n"]
     if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
+        with open(cfg.output_path, "w") as fh:
+            fh.writelines(pieces)
     if cfg.output_format == "json":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _fmt_bounds(pair) -> str:
@@ -304,12 +306,8 @@ def cmd_gaps(k: Optional[int], q_text: Optional[str], cfg: RunConfig) -> int:
     with precision(cfg.precision_bits):
         q = _family_base(q_text, k)
         gapset = gaps_of_Sk(q, k - 1, depth)
-        rows = []
-        for g in gapset.gaps:
-            left = float(g.left.mid)
-            right = float(g.right.mid)
-            rows.append([g.label, str(len(g.label)), repr(left), repr(right),
-                         repr(right - left)])
+        mids = [(g.label, float(g.left.mid), float(g.right.mid)) for g in gapset.gaps]
+        rows = [[w, str(len(w)), repr(a), repr(b), repr(b - a)] for w, a, b in mids]
         hull = (float(gapset.hull_lo.mid), float(gapset.hull_hi.mid))
 
     header = ["delta", "delta_length", "gap_left", "gap_right", "gap_width"]
@@ -375,49 +373,44 @@ def cmd_count(q_text: Optional[str], x_text: Optional[str], cfg: RunConfig) -> i
     if q_text is None or x_text is None:
         raise UsageError("count requires --q and --x")
     depth = cfg.depth if cfg.depth is not None else 200
+    # the branch events become rows only for a JSON document
+    document = cfg.output_format == "json" or (cfg.output_format == "text" and cfg.output_path)
+    cmin, cmax, chunks = [], [], []
+    events = 0
     with precision(cfg.precision_bits):
         q = parse_base(q_text)
-        x = parse_base(x_text)
-        report = count_prefixes(q, x, depth=depth)
+        x = as_enclosure(parse_base(x_text))
+        for d, forks in _walk(q, x, depth, NODE_BUDGET, cmin, cmax):
+            events += len(forks)
+            if document:
+                chunks.append(_event_rows(d, forks))
+    processed, stabilized = _summary(cmin, cmax)
 
-    doc = {
-        "base": _float_pair(q),
-        "x": _float_pair(report.x),
-        "depth": report.depth,
-        "certified_min": list(report.certified_min),
-        "possible_max": list(report.possible_max),
-        "stabilized": report.stabilized,
-        "branch_events": _EventRows(report.branch_events),
-        "nodes_processed": report.nodes_processed,
-    }
     if cfg.output_format == "csv":
-        header = ["depth", "certified_min", "possible_max"]
-        rows = [[str(i + 1), str(lo), str(hi)]
-                for i, (lo, hi) in enumerate(
-                    zip(report.certified_min, report.possible_max))]
-        text = _csv_text(header, rows)
+        rows = [[str(i + 1), str(lo), str(hi)] for i, (lo, hi) in enumerate(zip(cmin, cmax))]
+        text = _csv_text(["depth", "certified_min", "possible_max"], rows)
         if cfg.output_path:
             Path(cfg.output_path).write_text(text)
             print(f"wrote profile to {cfg.output_path}")
         else:
             sys.stdout.write(text)
     elif cfg.output_format == "text":
-        print(f"branch profile of x = {_fmt_bounds(doc['x'])} "
-              f"at base {_fmt_bounds(doc['base'])}, depth {depth}")
-        changes = [(0, report.certified_min[0], report.possible_max[0])]
-        for i in range(1, len(report.certified_min)):
-            pair = (report.certified_min[i], report.possible_max[i])
-            if pair != (changes[-1][1], changes[-1][2]):
-                changes.append((i, *pair))
-        for i, lo, hi in changes:
-            band = str(lo) if lo == hi else f"{lo}..{hi}"
-            print(f"  depth {i + 1:4d}: count {band}")
-        print(f"stabilized: {'yes' if report.stabilized else 'no'}; "
-              f"{len(report.branch_events)} branch events; "
-              f"{report.nodes_processed} nodes")
-        _emit_json(doc, cfg)
-    else:
-        _emit_json(doc, cfg)
+        print(f"branch profile of x = {_fmt_bounds(_float_pair(x))} "
+              f"at base {_fmt_bounds(_float_pair(q))}, depth {depth}")
+        for i, (lo, hi) in enumerate(zip(cmin, cmax)):
+            if not i or (lo, hi) != (cmin[i - 1], cmax[i - 1]):  # a change
+                print(f"  depth {i + 1:4d}: count {lo if lo == hi else f'{lo}..{hi}'}")
+        print(f"stabilized: {'yes' if stabilized else 'no'}; "
+              f"{events} branch events; {processed} nodes")
+    if document:
+        head, key, tail = _json_text({
+            "base": _float_pair(q), "x": _float_pair(x), "depth": depth,
+            "certified_min": cmin, "possible_max": cmax, "stabilized": stabilized,
+            "branch_events": [], "nodes_processed": processed,
+        }).partition('"branch_events": []')
+        if chunks:  # the rows in place of the empty list, the first without its comma
+            key, chunks = key[:-1], [chunks[0][1:], *chunks[1:], "\n  ]"]
+        _emit_json([head, key, *chunks, tail + "\n"], cfg)
     return 0
 
 
@@ -499,19 +492,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", action="store_true",
                    help="certify the whole pinned band")
 
-    p = sub.add_parser("gaps", help="gap structure of a run-limited family")
-    common(p)
-    p.add_argument("--k", type=int, default=None,
-                   help="order: the command works with the order-(k-1) "
-                        "family at the order-k root by default")
-    p.add_argument("--q", default="auto", help="base, or auto for the order-k root")
-
-    p = sub.add_parser("thickness", help="finite-depth family thickness")
-    common(p)
-    p.add_argument("--k", type=int, default=None,
-                   help="order: the command works with the order-(k-1) "
-                        "family at the order-k root by default")
-    p.add_argument("--q", default="auto", help="base, or auto for the order-k root")
+    for name, about in (("gaps", "gap structure of a run-limited family"),
+                        ("thickness", "finite-depth family thickness")):
+        p = sub.add_parser(name, help=about)
+        common(p)
+        p.add_argument("--k", type=int, default=None,
+                       help="order: the command works with the order-(k-1) "
+                            "family at the order-k root by default")
+        p.add_argument("--q", default="auto", help="base, or auto for the order-k root")
 
     p = sub.add_parser("count", help="branch profile of one point")
     common(p)

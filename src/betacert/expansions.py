@@ -106,10 +106,26 @@ def count_prefixes(q, x, depth: int = 200,
     past deciding anything, and the walk would only grind into the node
     budget.
     """
+    x = as_enclosure(x)
+    cmin, cmax, events = [], [], []
+    for d, forks in _walk(q, x, depth, node_budget, cmin, cmax):
+        for y in forks:
+            events.append((d, Enclosure._wrap(y)))
+    processed, stabilized = _summary(cmin, cmax)
+    return CountReport(x=x, depth=depth,
+                       certified_min=tuple(cmin), possible_max=tuple(cmax),
+                       branch_events=tuple(events),
+                       nodes_processed=processed, stabilized=stabilized)
+
+
+def _walk(q, x: Enclosure, depth: int, node_budget: int, cmin: list, cmax: list):
+    """count_prefixes' walk, a level at a time; raises as it does.  Each
+    level appends its certified and possible child counts to cmin and cmax;
+    a level d (from 1) that forks yields (d - 1, its forks as raw ends), so
+    that levels without branch events cost no generator step."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     maps = DigitMaps(q)
-    x = as_enclosure(x)
     root_in = maps.in_attractor(x)
     if root_in is False:
         raise ValueError("x is certifiably outside the attractor [0, 1/(q-1)]")
@@ -123,11 +139,7 @@ def count_prefixes(q, x, depth: int = 200,
     tables = {}, {}
     # the frontier: its nodes, and whether each is reached through
     # certified memberships only
-    nodes: list[tuple] = [x._ends]
-    flags: list[bool] = [root_in is True]
-    cmin: list[int] = []
-    cmax: list[int] = []
-    events: list[tuple[int, Enclosure]] = []
+    nodes, flags = [x._ends], [root_in is True]
     processed = 0
     for d in range(1, depth + 1):
         size = len(nodes)
@@ -143,29 +155,27 @@ def count_prefixes(q, x, depth: int = 200,
                 f"enclosure widening: a node at depth {d - 1} of the branch "
                 "walk is wider than the switch region; raise the working "
                 "precision (--precision)")
-        children, certified, forks = level
-        for y in forks:
-            events.append((d - 1, Enclosure._wrap(y)))
         if spent:
             raise ResourceError(
                 f"branch walk exceeded the node budget of {node_budget} "
                 f"at depth {d} (frontier size {size})")
         processed += size
-        if last:  # the two counts
-            cmin.append(certified)
-            cmax.append(children)
-        else:  # the next frontier
+        children, certified, forks = level
+        if not last:  # the next frontier, and its two counts
             nodes, flags = children, certified
-            cmin.append(flags.count(True))
-            cmax.append(len(nodes))
+            children, certified = len(nodes), flags.count(True)
+        cmin.append(certified)
+        cmax.append(children)
+        if forks:
+            yield d - 1, forks
 
-    window = max(1, depth // 4)
-    tail = cmin[-window:] + cmax[-window:]
-    stabilized = len(set(tail)) == 1
-    return CountReport(x=x, depth=depth,
-                       certified_min=tuple(cmin), possible_max=tuple(cmax),
-                       branch_events=tuple(events),
-                       nodes_processed=processed, stabilized=stabilized)
+
+def _summary(cmin: list[int], cmax: list[int]) -> tuple[int, bool]:
+    """A finished walk's nodes_processed (the root, then each level's
+    children) and whether it stabilized (both counts agree and stay
+    constant over the last quarter of depths)."""
+    window = max(1, len(cmin) // 4)
+    return 1 + sum(cmax[:-1]), len(set(cmin[-window:] + cmax[-window:])) == 1
 
 
 def certify_m_expansions(q, x, m: int, depth: int = 200) -> Certificate:

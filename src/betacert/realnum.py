@@ -768,7 +768,8 @@ def _bounds_at(e: int, s_hi, s_lo, top):
 def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables, last=False):
     """One level of the branch walk: the children, their flags and the
     forks of the nodes with the given flags, or None at the first undecided
-    node wider than the switch region [s_lo, s_hi].  A node is tested
+    node wider than the switch region [s_lo, s_hi] (by _wider, unless the
+    node's table entry shows it narrower).  A node is tested
     against digit 0's domain [0, s_hi] and digit 1's [s_lo, top] by int
     compares with the bounds at its ends' exponents, or by _within where
     no entry serves; its children are q y, rounded as _mul rounds it for
@@ -783,6 +784,7 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables, last=False):
     qam, qae, qbm, qbe = q
     bounds, units = tables
     prec = _prec
+    within = None  # _within's two tests, built at most once a level
     nxt, marks, forks = [], [], []
     push, mark = nxt.append, marks.append
     size = sure = 0
@@ -797,7 +799,8 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables, last=False):
             lo, hi = bounds[ae], bounds[be]
             t = lo and hi and hi[:3] + lo[3:]  # None where either is
         if t is None:
-            m0, m1 = _within(_ZERO, s_hi)(y), _within(s_lo, top)(y)
+            within = within or (_within(_ZERO, s_hi), _within(s_lo, top))
+            m0, m1 = within[0](y), within[1](y)
         else:
             b0, b1, b2, a0, a1, a2 = t
             m0 = m1 = None
@@ -810,7 +813,9 @@ def _walk_level(q, s_hi, s_lo, top, nodes, flags, tables, last=False):
             elif bm < b2 or am > a2:
                 m1 = False
         if m0 is None or m1 is None:
-            if _wider(y, s_lo[:2] + s_hi[2:]):
+            # at one exponent e, a width of at most floor(s_hi.hi / 2**e) -
+            # ceil(s_lo.lo / 2**e) units 2**e is not wider than the region
+            if (t is None or ae != be or bm - am > a0 - b2) and _wider(y, s_lo[:2] + s_hi[2:]):
                 return None
         elif m0 and m1:
             forks.append(y)

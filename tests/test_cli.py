@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from betacert import realnum
 from betacert.certificate import _json_text
-from betacert.cli import RunConfig, UsageError, main, parse_base
+from betacert.cli import RunConfig, UsageError, _fmt_bounds, main, parse_base
 from betacert.expansions import count_prefixes
 from betacert.realnum import bonacci_root
 from betacert.symbolic import _admissible_count, gaps_of_Sk
@@ -600,11 +600,11 @@ def test_count_takes_a_zero_with_a_large_exponent_as_zero():
 
 @pytest.mark.parametrize("q, x, depth", [("3/2", "11/20", 30), ("8/5", "3/10", 40),
                                           ("golden", "1", 10)])
-def test_count_json_writes_branch_events_as_float_bounds_rows(q, x, depth):
+def test_count_json_writes_branch_events_as_float_bounds_rows(q, x, depth, tmp_path):
     # the writer rounds each event's ends to doubles itself; the document
     # built from float_bounds rows must read the same through json.dumps
-    code, out, err = run(["count", "--q", q, "--x", x, "--depth", str(depth),
-                          "--format", "json"])
+    argv = ["count", "--q", q, "--x", x, "--depth", str(depth)]
+    code, out, err = run(argv + ["--format", "json"])
     assert code == 0 and err == ""
     base, point = parse_base(q), parse_base(x)
     report = count_prefixes(base, point, depth=depth)
@@ -620,6 +620,53 @@ def test_count_json_writes_branch_events_as_float_bounds_rows(q, x, depth):
     }
     assert bool(doc["branch_events"]) == (q != "golden")
     assert out == json.dumps(doc, indent=2) + "\n"
+    # --out writes what json mode prints, beside either format
+    for fmt, printed in (("json", out), ("text", None)):
+        path = tmp_path / f"{fmt}.json"
+        code, printed_now, _ = run(argv + ["--format", fmt, "--out", str(path)])
+        assert code == 0 and path.read_text() == out
+        assert printed in (None, printed_now)
+    # the text profile: each depth whose two counts differ from the depth
+    # before, then the totals
+    pairs = list(zip(report.certified_min, report.possible_max))
+    text = [f"branch profile of x = {_fmt_bounds(doc['x'])} at base "
+            f"{_fmt_bounds(doc['base'])}, depth {depth}"]
+    text += [f"  depth {i + 1:4d}: count {lo if lo == hi else f'{lo}..{hi}'}"
+             for i, (lo, hi) in enumerate(pairs) if i == 0 or pairs[i - 1] != (lo, hi)]
+    text.append(f"stabilized: {'yes' if report.stabilized else 'no'}; "
+                f"{len(report.branch_events)} branch events; "
+                f"{report.nodes_processed} nodes")
+    assert printed_now == "\n".join(text) + "\n"
+    csv_text = "depth,certified_min,possible_max\n" + "".join(
+        f"{i + 1},{lo},{hi}\n" for i, (lo, hi) in enumerate(pairs))
+    assert run(argv + ["--format", "csv"]) == (0, csv_text, "")
+    # golden at 64 bits widens at depth 87: exit 3, the message, and no
+    # document, printed or written
+    path = tmp_path / "widened.json"
+    for fmt in ("json", "text"):
+        got = run(["count", "--q", "golden", "--x", "1", "--depth", "88",
+                   "--precision", "64", "--format", fmt, "--out", str(path)])
+        assert got == (3, "", "error: enclosure widening: a node at depth 87 of the "
+                       "branch walk is wider than the switch region; raise the "
+                       "working precision (--precision)\n")
+        assert not path.exists()
+
+
+def test_count_json_wraps_no_enclosure_per_branch_event(monkeypatch):
+    # the document's rows are written from the walk's raw ends: the calls
+    # to Enclosure._wrap stay the same from 450 branch events to 7,998
+    wrap = realnum.Enclosure.__dict__["_wrap"].__func__
+    calls = []
+    monkeypatch.setattr(realnum.Enclosure, "_wrap",
+                        staticmethod(lambda ends: calls.append(ends) or wrap(ends)))
+    counts = []
+    for depth, events in ((24, 450), (34, 7998)):
+        calls.clear()
+        code, doc = run_json(["count", "--q", "3/2", "--x", "3/20", "--depth", str(depth),
+                              "--format", "json"])
+        assert code == 0 and len(doc["branch_events"]) == events
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("argv, code, message", [

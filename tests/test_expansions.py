@@ -637,6 +637,58 @@ def test_walk_kernel_matches_exact_fractions_at_small_precision(bits, monkeypatc
     assert built > 700 and stopped > 150
 
 
+@pytest.mark.parametrize("bits", [3, 4, 5])
+def test_walk_kernel_skips_the_width_test_exactly_where_it_cannot_stop(bits, monkeypatch):
+    # an undecided node whose ends share an exponent e that has a table
+    # entry is not wider than the switch region [s_lo.lo, s_hi.hi], of
+    # width w, where its width in units 2**e is at most floor(s_hi.hi /
+    # 2**e) - ceil(s_lo.lo / 2**e), and it is classified without _wider.
+    # Nodes straddle s_lo.lo at exponents from below both ends' (where that
+    # bound is w / 2**e itself) to above them: one of the bound's width
+    # must not call _wider (a bound one too small calls it), and one a
+    # unit wider than w must stop the level (a bound one too large lets
+    # it through where the ends are exact)
+    monkeypatch.setattr(realnum, "_prec", bits)
+    wider, calls = realnum._wider, []
+    monkeypatch.setattr(realnum, "_wider", lambda x, y: calls.append(x) or wider(x, y))
+    walks, _ = _small_precision_cases(bits)
+    exact = 0
+    for walk in walks:
+        q, s_hi, s_lo, top = (_dyadic(lo) + _dyadic(hi) for lo, hi in walk)
+        lo, hi = walk[2][0], walk[1][1]
+        low = min(s_lo[1], s_hi[3])
+        for e in range(low - 2, low + 3):
+            if realnum._bounds_at(e, s_hi, s_lo, top) is None:
+                continue
+            unit = F(2) ** e
+            bound = math.floor(hi / unit) - math.ceil(lo / unit)
+            a = math.ceil(lo / unit) - 1
+            exact += bound == (hi - lo) / unit
+            for b in (a + bound, a + math.floor((hi - lo) / unit) + 1):
+                node, ends = (a, e, b, e), (a * unit, b * unit)
+                if not ends[0] < lo <= ends[1]:
+                    continue  # too narrow to straddle s_lo.lo
+                # undecided on digit 1, so the width decides whether it stops
+                stops = ends[1] - ends[0] > hi - lo
+                assert (_exact_node(*walk, ends, True, bits) is None) == stops
+                for last in (False, True):
+                    got = _walk_level(q, s_hi, s_lo, top, [node], [True], ({}, {}), last)
+                    assert (got is None) == stops, (walk, node)
+                assert stops or not calls, (walk, node)  # classified without _wider
+                calls.clear()
+    assert exact > len(walks)
+
+
+def test_walk_from_far_below_the_bounds_matches_the_reference():
+    # a node 10**6 bits below the domain bounds is tested by _within's
+    # compares, built once per level, and steps by q = 3/2 for every level
+    for ends in ((1, -10 ** 6, 1, -10 ** 6), (1, -10 ** 6 - 1, 3, -10 ** 6)):
+        x = Enclosure._wrap(ends)
+        report = count_prefixes(F(3, 2), x, depth=40)
+        assert report == reference_walk(F(3, 2), x, 40)
+        assert report.possible_max == (1,) * 40 and report.nodes_processed == 40
+
+
 def test_count_accepts_symbolic_points():
     q = F(39, 20)
     seq = SymbolicSeq.periodic(Word.from_str("10"))
