@@ -5,157 +5,25 @@ where points with a prescribed number of base-q digit expansions exist,
 by rigorous enclosure arithmetic: k-Bonacci root isolation, gap/bridge
 geometry of avoidance subshifts, Newhouse thickness, and inequality
 certification, surfaced through the `betacert` command line tool.
+
+Each module's __all__ lists its exports; the package re-exports them all.
 """
 
-from .certificate import (
-    GRADE_EVIDENCE,
-    GRADE_PROVED,
-    STATUS_CERTIFIED,
-    STATUS_FAILED,
-    STATUS_UNCERTAIN,
-    Certificate,
-    Check,
-)
-from .certify import (
-    ColumnReport,
-    RowReport,
-    TablesReport,
-    VERDICT_COMPLETE,
-    VERDICT_HYPOTHESIS_NOT_MET,
-    dim_lower_bound,
-    fy_inequality,
-    k_threshold,
-    reproduce_tables,
-    theorem_a_certify,
-    theorem_b_certify,
-)
-from .constructions import (
-    AqDescription,
-    EpsilonQ,
-    GMap,
-    PQAnchors,
-    PQFamily,
-    WitnessPoint,
-    WitnessSet,
-    aq_gapset,
-    build_pq_family,
-    fixed_expansion_of_one,
-    pq_certificate,
-    pq_hull_data,
-    witness_points,
-)
-from .expansions import (
-    CountReport,
-    DigitMaps,
-    certify_m_expansions,
-    count_prefixes,
-)
-from .realnum import (
-    DEFAULT_PRECISION,
-    BonacciRoot,
-    Enclosure,
-    PrecisionError,
-    as_enclosure,
-    bonacci_root,
-    enc_max,
-    enc_min,
-    get_precision,
-    membership,
-    pi_q,
-    precision,
-    set_precision,
-)
-from .symbolic import (
-    ResourceError,
-    SubshiftSk,
-    SymbolicSeq,
-    Word,
-    avoids,
-    gaps_of_Sk,
-)
-from .thickness import (
-    Gap,
-    GapSet,
-    MalformedGapSet,
-    ThicknessValue,
-    affine_image,
-    gapset_from_intervals,
-    hausdorff_distance,
-    interleaved,
-    newhouse_certificate,
-    sk_thickness,
-    strongly_interleaved,
-    thickness,
-)
+from . import (certificate, certify, constructions, expansions, realnum,
+               symbolic, thickness)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AqDescription",
-    "BonacciRoot",
-    "Certificate",
-    "Check",
-    "ColumnReport",
-    "CountReport",
-    "DEFAULT_PRECISION",
-    "DigitMaps",
-    "Enclosure",
-    "EpsilonQ",
-    "GMap",
-    "GRADE_EVIDENCE",
-    "GRADE_PROVED",
-    "Gap",
-    "GapSet",
-    "MalformedGapSet",
-    "PQAnchors",
-    "PQFamily",
-    "PrecisionError",
-    "ResourceError",
-    "RowReport",
-    "STATUS_CERTIFIED",
-    "STATUS_FAILED",
-    "STATUS_UNCERTAIN",
-    "SubshiftSk",
-    "SymbolicSeq",
-    "TablesReport",
-    "ThicknessValue",
-    "VERDICT_COMPLETE",
-    "VERDICT_HYPOTHESIS_NOT_MET",
-    "WitnessPoint",
-    "WitnessSet",
-    "Word",
-    "affine_image",
-    "aq_gapset",
-    "as_enclosure",
-    "avoids",
-    "bonacci_root",
-    "build_pq_family",
-    "certify_m_expansions",
-    "count_prefixes",
-    "dim_lower_bound",
-    "enc_max",
-    "enc_min",
-    "fixed_expansion_of_one",
-    "fy_inequality",
-    "gaps_of_Sk",
-    "gapset_from_intervals",
-    "get_precision",
-    "hausdorff_distance",
-    "interleaved",
-    "k_threshold",
-    "membership",
-    "newhouse_certificate",
-    "pi_q",
-    "pq_certificate",
-    "pq_hull_data",
-    "precision",
-    "reproduce_tables",
-    "set_precision",
-    "sk_thickness",
-    "strongly_interleaved",
-    "theorem_a_certify",
-    "theorem_b_certify",
-    "thickness",
-    "witness_points",
-    "__version__",
-]
+# read before the star imports: `from .thickness import *` rebinds the
+# package name `thickness` from the module to the function
+__all__ = (certificate.__all__ + certify.__all__ + constructions.__all__
+           + expansions.__all__ + realnum.__all__ + symbolic.__all__
+           + thickness.__all__ + ["__version__"])
+
+from .certificate import *
+from .certify import *
+from .constructions import *
+from .expansions import *
+from .realnum import *
+from .symbolic import *
+from .thickness import *

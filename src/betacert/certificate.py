@@ -21,6 +21,16 @@ from typing import Optional
 
 from .realnum import Enclosure, _double, as_enclosure
 
+__all__ = [
+    "GRADE_EVIDENCE",
+    "GRADE_PROVED",
+    "STATUS_CERTIFIED",
+    "STATUS_FAILED",
+    "STATUS_UNCERTAIN",
+    "Certificate",
+    "Check",
+]
+
 GRADE_PROVED = "proved-inequality"
 GRADE_EVIDENCE = "finite-depth-evidence"
 

@@ -97,8 +97,6 @@ __all__ = [
     "ColumnReport",
     "RowReport",
     "TablesReport",
-    "TABLE_MAIN_REFERENCE",
-    "TABLE_THREE_REFERENCE",
     "VERDICT_COMPLETE",
     "VERDICT_HYPOTHESIS_NOT_MET",
 ]

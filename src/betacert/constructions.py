@@ -68,15 +68,11 @@ __all__ = [
     "GMap",
     "PQAnchors",
     "PQFamily",
-    "W2_BLOCKS",
     "WitnessPoint",
     "WitnessSet",
     "aq_gapset",
     "build_pq_family",
-    "contraction_block",
     "fixed_expansion_of_one",
-    "g_apply",
-    "g_apply_symbolic",
     "pq_certificate",
     "pq_hull_data",
     "witness_points",

@@ -28,7 +28,6 @@ from .symbolic import ResourceError
 __all__ = [
     "CountReport",
     "DigitMaps",
-    "NODE_BUDGET",
     "certify_m_expansions",
     "count_prefixes",
 ]
@@ -42,7 +41,11 @@ NODE_BUDGET = 10 ** 6
 def _require_base(q) -> Enclosure:
     q = as_enclosure(q)
     if q.gt(1) is not True or q.lt(2) is not True:
-        raise ValueError("q must be certifiably inside (1, 2)")
+        if q.gt(1) is False or q.lt(2) is False:
+            raise ValueError("q must be certifiably inside (1, 2)")
+        raise PrecisionError(
+            "q is not certifiably inside (1, 2) at the working precision; "
+            "raise the working precision (--precision)")
     return q
 
 

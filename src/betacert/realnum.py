@@ -52,6 +52,21 @@ from math import copysign, inf, isqrt, ldexp, log2
 from sys import float_info
 from typing import Optional
 
+__all__ = [
+    "DEFAULT_PRECISION",
+    "BonacciRoot",
+    "Enclosure",
+    "PrecisionError",
+    "as_enclosure",
+    "bonacci_root",
+    "enc_max",
+    "enc_min",
+    "get_precision",
+    "membership",
+    "pi_q",
+    "precision",
+    "set_precision",
+]
 
 DEFAULT_PRECISION = 256
 
@@ -949,12 +964,13 @@ def _confirm_cell(k: int, e: int, n: int) -> tuple[int, int]:
     once, at the root we want: it is negative at 3/2 (value 1 - x^k(2-x)
     with x^k(2-x) > 1 there for every k >= 2) and equals +1 at x = 2.  By
     the rational root theorem its only rational root is 1, so no grid
-    point is a root and the sign is never 0.  The estimate n is probed, then
-    its neighbour on the root's side, so that an estimate one cell off (as
-    Newton's method gives where the root lies just below a grid point)
-    costs two tests too; one farther off falls back to bisection between
-    grid points of known sign (a probe outside (3/2, 2) is skipped), so it
-    costs time, never correctness.
+    point is a root and the sign is never 0.  The estimate n, clamped into
+    the open range (3/2, 2) of grid points, is probed, then its neighbour on
+    the root's side, so that an estimate one cell off (as Newton's method
+    gives where the root lies just below a grid point, or at 2 itself for
+    orders past its guard bits) costs two tests too; one farther off falls
+    back to bisection between grid points of known sign, so it costs time,
+    never correctness.
     """
     def probe(m: int) -> None:
         nonlocal lo, hi
@@ -965,11 +981,11 @@ def _confirm_cell(k: int, e: int, n: int) -> tuple[int, int]:
 
     assert characteristic_sign(k, Fraction(3, 2)) < 0
     lo, hi = 3 << (e - 1), 1 << (e + 1)  # 3/2 and 2, of known sign
-    if lo < n < hi:
-        probe(n)
-        m = n + 1 if lo == n else n - 1
-        if lo < m < hi:
-            probe(m)
+    n = min(max(n, lo + 1), hi - 1)
+    probe(n)
+    m = n + 1 if lo == n else n - 1
+    if lo < m < hi:
+        probe(m)
     while hi - lo > 1:
         probe((lo + hi) // 2)
     return lo, hi

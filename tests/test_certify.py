@@ -774,3 +774,21 @@ def test_public_surface_is_pinned():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_each_export_is_declared_once_in_its_module():
+    # the package's __all__ is its modules' __all__ lists and nothing else
+    import betacert
+
+    modules = [importlib.import_module(f"betacert.{m}") for m in (
+        "certificate", "certify", "constructions", "expansions", "realnum",
+        "symbolic", "thickness")]
+    assert len(set(betacert.__all__)) == len(betacert.__all__)
+    for name in betacert.__all__:
+        if name == "__version__":
+            continue
+        homes = [m for m in modules if name in m.__all__]
+        assert len(homes) == 1, (name, homes)
+        assert getattr(betacert, name) is getattr(homes[0], name), name
+    # the star import of thickness rebinds the package name to the function
+    assert betacert.thickness is sys.modules["betacert.thickness"].thickness

@@ -698,8 +698,9 @@ def test_gap_family_at_a_base_with_a_huge_exponent_exits_with_a_contract_code():
 def test_three_expansions_band_at_every_order_exits_0_or_3():
     # the cover depth 2k + 8 covers the spine's forced prefix 2k + 4 at
     # every order; where 256 bits cannot resolve the band the pin check is
-    # uncertain, a precision limit, never a usage error
-    for k in (9, 14, 19, 23, 30, 40, 60, 100, 120, 130):
+    # uncertain, a precision limit, never a usage error; from order 259 the
+    # root's bracket ends at 2, so the base itself cannot be placed in (1, 2)
+    for k in (9, 14, 19, 23, 30, 40, 60, 100, 120, 130, 300, 2000):
         code, out, err = run(["certify", "--k", str(k), "--interval",
                               "--precision", "256", "--format", "json"])
         assert code in (0, 3), (k, code, err)
@@ -735,6 +736,16 @@ def test_witness_json_document():
 
 def test_witness_low_order_is_usage_error():
     assert run(["witness", "--k", "5"])[0] == 2
+
+
+def test_witness_past_the_precision_is_a_precision_limit():
+    # at 256 bits the order-2000 root's bracket ends at 2: the base is not
+    # certifiably inside (1, 2), which more precision would settle
+    start = time.perf_counter()
+    code, out, err = run(["witness", "--k", "2000"])
+    assert (code, out) == (3, "")
+    assert "--precision" in err
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("argv", [

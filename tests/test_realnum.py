@@ -967,6 +967,19 @@ def test_root_isolation_at_a_high_order_probes_the_neighbouring_cell():
     assert (lo * 2 ** e, hi * 2 ** e) == _confirm_cell(200, e, -1)  # a plain bisection
 
 
+@pytest.mark.parametrize("k", [291, 2000])
+def test_root_isolation_past_the_guard_bits_probes_the_top_cell(k, monkeypatch):
+    # past 256 + 34 bits Newton starts at 2 itself and returns it; the
+    # estimate, clamped below 2, is the top cell, which holds the root
+    signs = []
+    monkeypatch.setattr(realnum, "characteristic_sign",
+                        lambda k, x: signs.append(x) or characteristic_sign(k, x))
+    lo, hi = _root_bracket.__wrapped__(k, 256)
+    assert len(signs) <= 3
+    assert (lo, hi) == (2 - Fraction(1, 2 ** 258), 2)
+    assert characteristic_sign(k, lo) < 0 < characteristic_sign(k, hi)
+
+
 @pytest.mark.parametrize("bits", [64, 256])
 def test_root_cell_from_bad_estimates(bits, monkeypatch):
     # a wrong Newton estimate costs sign tests, never the bracket
